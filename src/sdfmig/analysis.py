@@ -5,7 +5,11 @@ Two independent routes:
 * :func:`self_timed_throughput` simulates self-timed execution (fire as soon
   as enabled, consume at start, produce at completion) until the execution
   state recurs, then reads the throughput off the periodic phase. Works for
-  any consistent, bounded SDF graph.
+  any consistent, bounded SDF graph. The simulator is event driven: a
+  worklist holds the actors whose inputs gained tokens, so settling an
+  instant checks only those, and firings in flight wait in a completion
+  queue ordered by absolute finish time, so each event pops the next
+  finish time instead of rescanning every firing.
 * :func:`mcm_throughput` computes the maximum cycle ratio analytically via a
   parametric longest-path search. Only valid for homogeneous (all rates 1),
   strongly connected graphs, where it must agree with the simulation exactly.
@@ -15,7 +19,7 @@ All results are exact rationals.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -23,6 +27,7 @@ from typing import Iterator, Mapping
 
 from .errors import (
     DeadlockError,
+    NegativeExecutionTimeError,
     NotHomogeneousError,
     NotStronglyConnectedError,
     SdfmigError,
@@ -76,81 +81,109 @@ def resolve_reference_actor(graph: SDFG, repetition: RepetitionVector) -> str:
 
 
 class _Simulator:
-    """Self-timed executor over integer-indexed actors and channels."""
+    """Event-driven self-timed executor over integer-indexed actors and
+    channels.
+
+    Actors whose input channels gained tokens wait on a worklist until
+    :meth:`settle` starts them; firings in flight wait in a completion queue
+    keyed by absolute finish time until :meth:`advance` reaches it.
+    """
 
     def __init__(self, graph: SDFG):
-        # Fixed actor-id order makes simultaneous starts deterministic.
         self.actor_ids = sorted(a.id for a in graph.actors)
         index = {a: i for i, a in enumerate(self.actor_ids)}
         self.exec_time = [graph.actor_map[a].exec_time for a in self.actor_ids]
+        # Time must never run backwards in the completion queue.
+        negative = [a for a, t in zip(self.actor_ids, self.exec_time) if t < 0]
+        if negative:
+            raise NegativeExecutionTimeError(
+                f"negative execution time on actor(s) {', '.join(negative)}")
         self.channel_ids = [c.id for c in graph.channels]
         self.tokens = [c.initial_tokens for c in graph.channels]
         self.consume: list[list[tuple[int, int]]] = [[] for _ in self.actor_ids]
-        self.produce: list[list[tuple[int, int]]] = [[] for _ in self.actor_ids]
+        # (channel, rate, consumer of the channel) per output channel.
+        self.produce: list[list[tuple[int, int, int]]] = [[] for _ in self.actor_ids]
         for ci, c in enumerate(graph.channels):
             self.consume[index[c.dst]].append((ci, c.cons_rate))
-            self.produce[index[c.src]].append((ci, c.prod_rate))
-        self.active: Counter[tuple[int, int]] = Counter()  # (actor, remaining) -> count
+            self.produce[index[c.src]].append((ci, c.prod_rate, index[c.dst]))
+        self.pending = list(range(len(self.actor_ids)))  # worklist for settle
+        self.queued = [True] * len(self.actor_ids)
+        self.running: dict[int, list[int]] = {}  # finish time -> actors
+        self.finish_times: list[int] = []  # heap over the keys of running
         self.time = 0
         self.completions = [0] * len(self.actor_ids)
         self._instant_cap = 1_000_000
 
     def _enabled(self, ai: int) -> bool:
-        return all(self.tokens[ci] >= rate for ci, rate in self.consume[ai])
+        tokens = self.tokens
+        for ci, rate in self.consume[ai]:
+            if tokens[ci] < rate:
+                return False
+        return True
 
     def _produce_outputs(self, ai: int) -> None:
-        for ci, rate in self.produce[ai]:
-            self.tokens[ci] += rate
+        tokens, queued = self.tokens, self.queued
+        for ci, rate, consumer in self.produce[ai]:
+            tokens[ci] += rate
+            if not queued[consumer]:
+                queued[consumer] = True
+                self.pending.append(consumer)
         self.completions[ai] += 1
 
     def settle(self) -> None:
         """Start every enabled firing, running zero-time completions to a
-        fixpoint before time may advance."""
+        fixpoint before time may advance.
+
+        Only actors on the worklist are checked. Each channel has one
+        consumer and enabling is monotone in tokens, so the firings started
+        in one instant, and the stable state they leave, do not depend on the
+        order the worklist is drained in."""
+        tokens = self.tokens
         instant = 0
-        progressed = True
-        while progressed:
-            progressed = False
-            for ai in range(len(self.actor_ids)):
-                while self._enabled(ai):
-                    for ci, rate in self.consume[ai]:
-                        self.tokens[ci] -= rate
-                    if self.exec_time[ai] == 0:
-                        self._produce_outputs(ai)
-                    else:
-                        self.active[(ai, self.exec_time[ai])] += 1
-                    progressed = True
-                    instant += 1
-                    if instant > self._instant_cap:
-                        raise StateSpaceBudgetExceededError(
-                            "unbounded zero-time firing sequence at "
-                            f"t={self.time} (livelock)")
+        while self.pending:
+            ai = self.pending.pop()
+            self.queued[ai] = False
+            while self._enabled(ai):
+                for ci, rate in self.consume[ai]:
+                    tokens[ci] -= rate
+                instant += 1
+                if instant > self._instant_cap:
+                    raise StateSpaceBudgetExceededError(
+                        "unbounded zero-time firing sequence at "
+                        f"t={self.time} (livelock)")
+                duration = self.exec_time[ai]
+                if duration == 0:
+                    self._produce_outputs(ai)
+                    continue
+                finish = self.time + duration
+                if finish in self.running:
+                    self.running[finish].append(ai)
+                else:
+                    self.running[finish] = [ai]
+                    heapq.heappush(self.finish_times, finish)
 
     def advance(self) -> None:
-        """Jump to the earliest firing completion and produce its tokens."""
-        dt = min(remaining for (_, remaining) in self.active)
-        self.time += dt
-        still_running: Counter[tuple[int, int]] = Counter()
-        done: list[int] = []
-        for (ai, remaining), count in self.active.items():
-            if remaining == dt:
-                done.extend([ai] * count)
-            else:
-                still_running[(ai, remaining - dt)] += count
-        self.active = still_running
-        for ai in sorted(done):
+        """Jump to the earliest finish time and produce the tokens of every
+        firing that completes then."""
+        self.time = heapq.heappop(self.finish_times)
+        for ai in self.running.pop(self.time):
             self._produce_outputs(ai)
 
+    def _in_flight(self) -> list[tuple[int, int]]:
+        """Sorted (actor, remaining cycles) of every firing in flight."""
+        now = self.time
+        return sorted((ai, finish - now)
+                      for finish, actors in self.running.items() for ai in actors)
+
     def key(self) -> tuple:
-        return tuple(self.tokens), tuple(sorted(self.active.items()))
+        return tuple(self.tokens), tuple(self._in_flight())
 
     def snapshot(self) -> ExecutionState:
-        firings = []
-        for (ai, remaining), count in sorted(self.active.items()):
-            firings.extend([(self.actor_ids[ai], remaining)] * count)
         return ExecutionState(
             time=self.time,
             channel_tokens=dict(zip(self.channel_ids, self.tokens)),
-            active_firings=tuple(firings),
+            active_firings=tuple((self.actor_ids[ai], remaining)
+                                 for ai, remaining in self._in_flight()),
         )
 
 
@@ -163,7 +196,7 @@ def iterate_states(graph: SDFG, max_states: int = 10_000) -> Iterator[ExecutionS
     for _ in range(max_states):
         sim.settle()
         yield sim.snapshot()
-        if not sim.active:
+        if not sim.running:
             return
         sim.advance()
 
@@ -209,7 +242,7 @@ def self_timed_throughput(graph: SDFG,
             raise StateSpaceBudgetExceededError(
                 f"more than {state_budget} states explored; "
                 "graph is likely unbounded")
-        if not sim.active:
+        if not sim.running:
             raise DeadlockError(
                 f"no enabled actor and no running firing at t={sim.time}")
         sim.advance()

@@ -5,7 +5,8 @@ Four commands: ``check`` (validate and dry-run a scenario), ``throughput``
 report), ``explore`` (every software task in turn, ranked by gain).
 
 Exit codes: 0 success, 1 scenario validation failure, 2 analysis error
-(deadlock, inconsistency, state budget), 3 usage error.
+(deadlock, inconsistency, state budget), 3 usage error (including
+``--speedup`` or ``--freq`` not positive and a negative ``--prefetch``).
 """
 
 from __future__ import annotations
@@ -64,6 +65,23 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _positive_rational_arg(text: str) -> Fraction:
+    value = _rational_arg(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _non_negative_int_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sdfmig",
                      description="Dataflow throughput analysis and "
@@ -74,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("scenario",
                          help="scenario file path or bundled scenario name "
                               f"({', '.join(list_bundled_scenarios())})")
-        sub.add_argument("--freq", type=_rational_arg, default=None,
+        sub.add_argument("--freq", type=_positive_rational_arg, default=None,
                          help="clock frequency in Hz (default: scenario value, "
                               "usually 100e6)")
         sub.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET,
@@ -90,16 +108,16 @@ def build_parser() -> argparse.ArgumentParser:
     migrate = commands.add_parser("migrate", help="migrate one task to hardware")
     add_common(migrate)
     migrate.add_argument("--task", required=True, help="actor to migrate")
-    migrate.add_argument("--speedup", type=_rational_arg, default=Fraction(2),
+    migrate.add_argument("--speedup", type=_positive_rational_arg, default=Fraction(2),
                          help="hardware speedup factor (default 2)")
-    migrate.add_argument("--prefetch", type=int, default=10000,
+    migrate.add_argument("--prefetch", type=_non_negative_int_arg, default=10000,
                          help="prefetch issue time in cycles (default 10000)")
     migrate.add_argument("--format", choices=("text", "csv"), default="text")
 
     explore = commands.add_parser("explore", help="rank all single-task migrations")
     add_common(explore)
-    explore.add_argument("--speedup", type=_rational_arg, default=Fraction(2))
-    explore.add_argument("--prefetch", type=int, default=10000)
+    explore.add_argument("--speedup", type=_positive_rational_arg, default=Fraction(2))
+    explore.add_argument("--prefetch", type=_non_negative_int_arg, default=10000)
     explore.add_argument("--format", choices=("text", "csv"), default="text")
 
     return parser

@@ -21,6 +21,11 @@ class StateSpaceBudgetExceededError(SdfmigError):
     """The execution explored more states than the configured budget."""
 
 
+class NegativeExecutionTimeError(SdfmigError):
+    """An actor's execution time is negative, so simulated time would run
+    backwards."""
+
+
 class NotHomogeneousError(SdfmigError):
     """Cycle-mean analysis requires all channel rates to be 1."""
 
@@ -51,6 +56,10 @@ class UnknownActorError(SdfmigError):
 
 class AlreadyHardwareError(SdfmigError):
     """Migration requested for an actor that is not a software actor."""
+
+
+class InvalidMigrationSpecError(SdfmigError):
+    """A migration parameter is out of range (speedup must be positive)."""
 
 
 class ScenarioParseError(SdfmigError):

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .analysis import ThroughputResult, self_timed_throughput, to_frames_per_second
 from .errors import (
     AlreadyHardwareError,
+    InvalidMigrationSpecError,
     SdfmigError,
     UnknownActorError,
     UnmappedActorError,
@@ -112,6 +113,8 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
     (after-mapping times, TDMA waits, chains, prefetch templates) follows
     from the rebuilt scenario.
     """
+    if spec.speedup <= 0:
+        raise InvalidMigrationSpecError(f"speedup must be positive, got {spec.speedup}")
     actor = graph.actor_map.get(spec.actor)
     if actor is None:
         raise UnknownActorError(f"no actor {spec.actor!r} in graph")

@@ -2,13 +2,15 @@
 
 The cycle-ratio oracle here enumerates simple cycles directly and must stay
 independent of the package's analytical search, so the two can check each
-other.
+other. Likewise the scan-all reference simulator must stay independent of the
+package's event-driven one.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 from sdfmig.graph import Actor, ActorKind, Channel, SDFG, disable_auto_concurrency
@@ -243,3 +245,126 @@ def random_scenario(rng: random.Random, max_actors: int = 5):
     mapping = PlatformMapping(actor_tile=actor_tile, tdma_slice=tdma_slice,
                               channel_binding=bindings)
     return graph, platform, mapping
+
+
+class ReferenceSimulator:
+    """The scan-all self-timed executor the package's event-driven engine
+    replaced, kept as a differential reference.
+
+    ``settle`` rescans every actor until a full pass starts nothing;
+    ``advance`` rebuilds the multiset of (actor, remaining) firings on every
+    event. Slow but obviously faithful to the self-timed semantics.
+    """
+
+    def __init__(self, graph: SDFG):
+        self.actor_ids = sorted(a.id for a in graph.actors)
+        index = {a: i for i, a in enumerate(self.actor_ids)}
+        self.exec_time = [graph.actor_map[a].exec_time for a in self.actor_ids]
+        self.channel_ids = [c.id for c in graph.channels]
+        self.tokens = [c.initial_tokens for c in graph.channels]
+        self.consume: list[list[tuple[int, int]]] = [[] for _ in self.actor_ids]
+        self.produce: list[list[tuple[int, int]]] = [[] for _ in self.actor_ids]
+        for ci, c in enumerate(graph.channels):
+            self.consume[index[c.dst]].append((ci, c.cons_rate))
+            self.produce[index[c.src]].append((ci, c.prod_rate))
+        self.active: Counter[tuple[int, int]] = Counter()  # (actor, remaining) -> count
+        self.time = 0
+        self.completions = [0] * len(self.actor_ids)
+
+    def _enabled(self, ai: int) -> bool:
+        return all(self.tokens[ci] >= rate for ci, rate in self.consume[ai])
+
+    def _produce_outputs(self, ai: int) -> None:
+        for ci, rate in self.produce[ai]:
+            self.tokens[ci] += rate
+        self.completions[ai] += 1
+
+    def settle(self) -> None:
+        progressed = True
+        while progressed:
+            progressed = False
+            for ai in range(len(self.actor_ids)):
+                while self._enabled(ai):
+                    for ci, rate in self.consume[ai]:
+                        self.tokens[ci] -= rate
+                    if self.exec_time[ai] == 0:
+                        self._produce_outputs(ai)
+                    else:
+                        self.active[(ai, self.exec_time[ai])] += 1
+                    progressed = True
+
+    def advance(self) -> None:
+        dt = min(remaining for (_, remaining) in self.active)
+        self.time += dt
+        still_running: Counter[tuple[int, int]] = Counter()
+        done: list[int] = []
+        for (ai, remaining), count in self.active.items():
+            if remaining == dt:
+                done.extend([ai] * count)
+            else:
+                still_running[(ai, remaining - dt)] += count
+        self.active = still_running
+        for ai in sorted(done):
+            self._produce_outputs(ai)
+
+    def key(self) -> tuple:
+        return tuple(self.tokens), tuple(sorted(self.active.items()))
+
+    def snapshot(self):
+        from sdfmig.analysis import ExecutionState
+        firings = []
+        for (ai, remaining), count in sorted(self.active.items()):
+            firings.extend([(self.actor_ids[ai], remaining)] * count)
+        return ExecutionState(time=self.time,
+                              channel_tokens=dict(zip(self.channel_ids, self.tokens)),
+                              active_firings=tuple(firings))
+
+
+def reference_states(graph: SDFG, max_states: int) -> list:
+    """The stable states ``iterate_states`` must yield, from the reference
+    simulator."""
+    sim = ReferenceSimulator(graph)
+    states = []
+    for _ in range(max_states):
+        sim.settle()
+        states.append(sim.snapshot())
+        if not sim.active:
+            break
+        sim.advance()
+    return states
+
+
+def reference_throughput(graph: SDFG):
+    """The ``ThroughputResult`` ``self_timed_throughput`` must return, from the
+    reference simulator and its own recurrence search."""
+    from sdfmig.analysis import ThroughputResult, resolve_reference_actor
+    from sdfmig.errors import DeadlockError, StateSpaceBudgetExceededError
+    from sdfmig.graph import compute_repetition_vector
+
+    repetition = compute_repetition_vector(graph)
+    reference = resolve_reference_actor(graph, repetition)
+    sim = ReferenceSimulator(graph)
+    ref_index = sim.actor_ids.index(reference)
+    seen: dict[tuple, tuple[int, int]] = {}
+    sim.settle()
+    while True:
+        key = sim.key()
+        if key in seen:
+            first_time, first_count = seen[key]
+            period = sim.time - first_time
+            firings = sim.completions[ref_index] - first_count
+            if firings == 0:
+                raise DeadlockError("reference actor never fires in the periodic phase")
+            q_ref = repetition[reference]
+            return ThroughputResult(
+                iterations_per_cycle=Fraction(firings, q_ref * period),
+                period_cycles=period, transient_cycles=first_time,
+                reference_firings_per_period=firings, reference_actor=reference,
+                reference_repetitions=q_ref)
+        seen[key] = (sim.time, sim.completions[ref_index])
+        if len(seen) > 1_000_000:
+            raise StateSpaceBudgetExceededError("state budget exceeded")
+        if not sim.active:
+            raise DeadlockError(f"deadlock at t={sim.time}")
+        sim.advance()
+        sim.settle()

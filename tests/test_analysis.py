@@ -6,9 +6,14 @@ import pytest
 
 from helpers import (
     build_graph,
+    mjpeg_application,
+    mjpeg_mapping,
+    mjpeg_platform,
     oracle_throughput,
     random_consistent_graph,
     random_homogeneous_graph,
+    reference_states,
+    reference_throughput,
 )
 from sdfmig.analysis import (
     iterate_states,
@@ -18,11 +23,14 @@ from sdfmig.analysis import (
 )
 from sdfmig.errors import (
     DeadlockError,
+    NegativeExecutionTimeError,
     NotHomogeneousError,
     NotStronglyConnectedError,
     StateSpaceBudgetExceededError,
 )
 from sdfmig.graph import disable_auto_concurrency
+from sdfmig.migration import MigrationSpec, migrate_task
+from sdfmig.transforms import build_bound_graph
 
 
 def two_actor_cycle():
@@ -87,6 +95,48 @@ def test_self_timed_reference_actor_override():
     r = self_timed_throughput(disable_auto_concurrency(g))
     assert r.reference_actor == "B"
     assert r.iterations_per_cycle == Fraction(1, 5)
+
+
+def test_self_timed_zero_time_cycle_livelocks():
+    # A and B hand one token back and forth without time ever advancing.
+    g = build_graph({"A": 0, "B": 0}, [("A", "B"), ("B", "A", 1, 1, 1)])
+    with pytest.raises(StateSpaceBudgetExceededError, match="livelock"):
+        self_timed_throughput(g)
+
+
+def test_negative_exec_time_rejected_before_simulation():
+    g = build_graph({"A": 2, "B": -3}, [("A", "B"), ("B", "A", 1, 1, 1)])
+    with pytest.raises(NegativeExecutionTimeError, match="B"):
+        self_timed_throughput(g)
+    with pytest.raises(NegativeExecutionTimeError):
+        next(iterate_states(g))
+
+
+def assert_matches_reference(graph, max_states=400):
+    assert list(iterate_states(graph, max_states=max_states)) == \
+        reference_states(graph, max_states)
+    assert self_timed_throughput(graph) == reference_throughput(graph)
+
+
+def test_engine_matches_reference_on_random_graphs():
+    rng = random.Random(16)
+    for i in range(60):
+        g = random_consistent_graph(rng, self_loops=i % 2 == 0)
+        if i % 3 == 0:
+            # One zero-time actor: its firings complete within the instant
+            # they start in. Two adjacent ones could livelock.
+            g = g.with_exec_times({rng.choice(g.actors).id: 0})
+        assert_matches_reference(g)
+
+
+def test_engine_matches_reference_on_mjpeg():
+    app, platform, mapping = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
+    graphs = [build_bound_graph(app, platform, mapping)]
+    graphs += [migrate_task(app, platform, mapping, MigrationSpec(actor=a.id)).graph
+               for a in app.actors]
+    assert len(graphs) == 7
+    for g in graphs:
+        assert_matches_reference(g, max_states=1500)
 
 
 def test_iterate_states_conserves_cycle_tokens():

@@ -105,6 +105,23 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "throughput", "mjpeg_base", "--freq", "abc")[0] == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("migrate", "mjpeg_base", "--task", "IQ", "--speedup", "0"),
+    ("migrate", "mjpeg_base", "--task", "IQ", "--speedup", "-2"),
+    ("explore", "mjpeg_base", "--speedup", "0"),
+    ("throughput", "mjpeg_base", "--freq", "0"),
+    ("migrate", "mjpeg_base", "--task", "IQ", "--freq", "-100e6"),
+    ("migrate", "mjpeg_base", "--task", "IQ", "--prefetch", "-1"),
+    ("explore", "mjpeg_base", "--prefetch", "-10000"),
+    ("explore", "mjpeg_base", "--prefetch", "1.5"),
+])
+def test_out_of_range_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: argument --")
+
+
 def test_explore_demo_scenario(capsys):
     code, out, _ = run_cli(capsys, "explore", "two_stage_demo", "--format", "csv")
     assert code == 0

@@ -12,7 +12,12 @@ from helpers import (
     random_scenario,
 )
 from sdfmig.analysis import self_timed_throughput, to_frames_per_second
-from sdfmig.errors import AlreadyHardwareError, UnknownActorError, UnmappedActorError
+from sdfmig.errors import (
+    AlreadyHardwareError,
+    InvalidMigrationSpecError,
+    UnknownActorError,
+    UnmappedActorError,
+)
 from sdfmig.graph import Actor, ActorKind, Channel, SDFG, validate
 from sdfmig.migration import (
     CommClass,
@@ -107,6 +112,13 @@ def test_migrate_speedup_is_configurable():
     g, p, m = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
     res = migrate_task(g, p, m, MigrationSpec(actor="IDCT", speedup=Fraction(3)))
     assert res.graph.actor("IDCT").exec_time == 33055  # floor(99165 / 3)
+
+
+@pytest.mark.parametrize("speedup", [Fraction(0), Fraction(-2), Fraction(-1, 2)])
+def test_migrate_rejects_non_positive_speedup(speedup):
+    g, p, m = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
+    with pytest.raises(InvalidMigrationSpecError, match="speedup"):
+        migrate_task(g, p, m, MigrationSpec(actor="IQ", speedup=speedup))
 
 
 def hh1_scenario():
