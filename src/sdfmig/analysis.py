@@ -7,9 +7,14 @@ Two independent routes:
   state recurs, then reads the throughput off the periodic phase. Works for
   any consistent, bounded SDF graph. The simulator is event driven: a
   worklist holds the actors whose inputs gained tokens, so settling an
-  instant checks only those, and firings in flight wait in a completion
-  queue ordered by absolute finish time, so each event pops the next
-  finish time instead of rescanning every firing.
+  instant checks only those. Each firing in flight is one integer code,
+  ``finish * n_actors + actor``, kept in an ascending list; the completion
+  time is ``codes[0] // n_actors`` and every code below the next multiple
+  of ``n_actors`` completes then. The recurrence key is flat: the token
+  counts plus the codes relative to now, ``remaining * n_actors + actor``,
+  which decode uniquely, so two keys are equal exactly when the states
+  hold the same tokens and the same multiset of (actor, remaining)
+  firings.
 * :func:`mcm_throughput` computes the maximum cycle ratio analytically via a
   parametric longest-path search. Only valid for homogeneous (all rates 1),
   strongly connected graphs, where it must agree with the simulation exactly.
@@ -19,7 +24,7 @@ All results are exact rationals.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -27,6 +32,7 @@ from typing import Iterator, Mapping
 
 from .errors import (
     DeadlockError,
+    InvalidStateBudgetError,
     NegativeExecutionTimeError,
     NotHomogeneousError,
     NotStronglyConnectedError,
@@ -85,12 +91,14 @@ class _Simulator:
     channels.
 
     Actors whose input channels gained tokens wait on a worklist until
-    :meth:`settle` starts them; firings in flight wait in a completion queue
-    keyed by absolute finish time until :meth:`advance` reaches it.
+    :meth:`settle` starts them. Each firing in flight is one integer code,
+    ``finish * n_actors + actor``, in an ascending list, so the earliest
+    completions lead the list until :meth:`advance` reaches them.
     """
 
     def __init__(self, graph: SDFG):
         self.actor_ids = sorted(a.id for a in graph.actors)
+        self.n_actors = len(self.actor_ids)
         index = {a: i for i, a in enumerate(self.actor_ids)}
         self.exec_time = [graph.actor_map[a].exec_time for a in self.actor_ids]
         # Time must never run backwards in the completion queue.
@@ -106,29 +114,12 @@ class _Simulator:
         for ci, c in enumerate(graph.channels):
             self.consume[index[c.dst]].append((ci, c.cons_rate))
             self.produce[index[c.src]].append((ci, c.prod_rate, index[c.dst]))
-        self.pending = list(range(len(self.actor_ids)))  # worklist for settle
-        self.queued = [True] * len(self.actor_ids)
-        self.running: dict[int, list[int]] = {}  # finish time -> actors
-        self.finish_times: list[int] = []  # heap over the keys of running
+        self.pending = list(range(self.n_actors))  # worklist for settle
+        self.queued = [True] * self.n_actors
+        self.codes: list[int] = []  # finish * n_actors + actor, ascending
         self.time = 0
-        self.completions = [0] * len(self.actor_ids)
+        self.completions = [0] * self.n_actors
         self._instant_cap = 1_000_000
-
-    def _enabled(self, ai: int) -> bool:
-        tokens = self.tokens
-        for ci, rate in self.consume[ai]:
-            if tokens[ci] < rate:
-                return False
-        return True
-
-    def _produce_outputs(self, ai: int) -> None:
-        tokens, queued = self.tokens, self.queued
-        for ci, rate, consumer in self.produce[ai]:
-            tokens[ci] += rate
-            if not queued[consumer]:
-                queued[consumer] = True
-                self.pending.append(consumer)
-        self.completions[ai] += 1
 
     def settle(self) -> None:
         """Start every enabled firing, running zero-time completions to a
@@ -138,52 +129,74 @@ class _Simulator:
         consumer and enabling is monotone in tokens, so the firings started
         in one instant, and the stable state they leave, do not depend on the
         order the worklist is drained in."""
-        tokens = self.tokens
+        tokens, pending, queued = self.tokens, self.pending, self.queued
+        codes, exec_time, produce = self.codes, self.exec_time, self.produce
+        now_code = self.time * self.n_actors
         instant = 0
-        while self.pending:
-            ai = self.pending.pop()
-            self.queued[ai] = False
-            while self._enabled(ai):
-                for ci, rate in self.consume[ai]:
-                    tokens[ci] -= rate
-                instant += 1
-                if instant > self._instant_cap:
-                    raise StateSpaceBudgetExceededError(
-                        "unbounded zero-time firing sequence at "
-                        f"t={self.time} (livelock)")
-                duration = self.exec_time[ai]
-                if duration == 0:
-                    self._produce_outputs(ai)
+        while pending:
+            ai = pending.pop()
+            queued[ai] = False
+            inputs = self.consume[ai]
+            while True:
+                for ci, rate in inputs:
+                    if tokens[ci] < rate:
+                        break
+                else:  # enabled: start one firing, then check again
+                    for ci, rate in inputs:
+                        tokens[ci] -= rate
+                    instant += 1
+                    if instant > self._instant_cap:
+                        raise StateSpaceBudgetExceededError(
+                            "unbounded zero-time firing sequence at "
+                            f"t={self.time} (livelock)")
+                    duration = exec_time[ai]
+                    if duration:
+                        insort(codes, now_code + duration * self.n_actors + ai)
+                    else:
+                        for ci, rate, consumer in produce[ai]:
+                            tokens[ci] += rate
+                            if not queued[consumer]:
+                                queued[consumer] = True
+                                pending.append(consumer)
+                        self.completions[ai] += 1
                     continue
-                finish = self.time + duration
-                if finish in self.running:
-                    self.running[finish].append(ai)
-                else:
-                    self.running[finish] = [ai]
-                    heapq.heappush(self.finish_times, finish)
+                break
 
     def advance(self) -> None:
         """Jump to the earliest finish time and produce the tokens of every
         firing that completes then."""
-        self.time = heapq.heappop(self.finish_times)
-        for ai in self.running.pop(self.time):
-            self._produce_outputs(ai)
-
-    def _in_flight(self) -> list[tuple[int, int]]:
-        """Sorted (actor, remaining cycles) of every firing in flight."""
-        now = self.time
-        return sorted((ai, finish - now)
-                      for finish, actors in self.running.items() for ai in actors)
+        codes, n_actors = self.codes, self.n_actors
+        time = self.time = codes[0] // n_actors
+        now_code = time * n_actors
+        done = bisect_left(codes, now_code + n_actors)
+        tokens, pending, queued = self.tokens, self.pending, self.queued
+        completions = self.completions
+        for code in codes[:done]:
+            ai = code - now_code
+            for ci, rate, consumer in self.produce[ai]:
+                tokens[ci] += rate
+                if not queued[consumer]:
+                    queued[consumer] = True
+                    pending.append(consumer)
+            completions[ai] += 1
+        del codes[:done]
 
     def key(self) -> tuple:
-        return tuple(self.tokens), tuple(self._in_flight())
+        """Recurrence key: token counts plus the ascending codes of the
+        firings in flight, relative to now. A relative code is
+        ``remaining * n_actors + actor``, so equal keys mean equal multisets
+        of (actor, remaining) firings."""
+        now_code = self.time * self.n_actors
+        return tuple(self.tokens), tuple([code - now_code for code in self.codes])
 
     def snapshot(self) -> ExecutionState:
+        n_actors, now = self.n_actors, self.time
+        in_flight = sorted((code % n_actors, code // n_actors - now) for code in self.codes)
         return ExecutionState(
-            time=self.time,
+            time=now,
             channel_tokens=dict(zip(self.channel_ids, self.tokens)),
             active_firings=tuple((self.actor_ids[ai], remaining)
-                                 for ai, remaining in self._in_flight()),
+                                 for ai, remaining in in_flight),
         )
 
 
@@ -196,7 +209,7 @@ def iterate_states(graph: SDFG, max_states: int = 10_000) -> Iterator[ExecutionS
     for _ in range(max_states):
         sim.settle()
         yield sim.snapshot()
-        if not sim.running:
+        if not sim.codes:
             return
         sim.advance()
 
@@ -206,25 +219,35 @@ def self_timed_throughput(graph: SDFG,
     """Simulate self-timed execution until a state recurs and return the
     throughput of the periodic phase.
 
-    Raises :class:`DeadlockError` when execution stops (or never turns the
-    reference actor), :class:`InconsistentGraphError` for unsolvable balance
-    equations, and :class:`StateSpaceBudgetExceededError` when more than
-    ``state_budget`` distinct states are visited, which is the usual symptom
-    of unbounded token accumulation.
+    Raises :class:`InvalidStateBudgetError` unless ``state_budget`` is a
+    positive integer, :class:`DeadlockError` when execution stops (or never
+    turns the reference actor), :class:`InconsistentGraphError` for
+    unsolvable balance equations, and :class:`StateSpaceBudgetExceededError`
+    when more than ``state_budget`` distinct states are visited, which is the
+    usual symptom of unbounded token accumulation.
     """
+    if not isinstance(state_budget, int) or state_budget < 1:
+        raise InvalidStateBudgetError(
+            f"state budget must be a positive integer, got {state_budget!r}")
     repetition = compute_repetition_vector(graph)
     reference = resolve_reference_actor(graph, repetition)
 
     sim = _Simulator(graph)
     ref_index = sim.actor_ids.index(reference)
-    seen: dict[tuple, tuple[int, int]] = {}
-    sim.settle()
+    completions, codes = sim.completions, sim.codes
+    key, advance, settle = sim.key, sim.advance, sim.settle
+    # State key -> index into first_times/first_counts, the time and the
+    # reference completions at which that state was first reached.
+    seen: dict[tuple, int] = {}
+    first_times: list[int] = []
+    first_counts: list[int] = []
+    settle()
     while True:
-        key = sim.key()
-        if key in seen:
-            first_time, first_count = seen[key]
-            period = sim.time - first_time
-            firings = sim.completions[ref_index] - first_count
+        stored = len(first_times)
+        first = seen.setdefault(key(), stored)
+        if first < stored:
+            period = sim.time - first_times[first]
+            firings = completions[ref_index] - first_counts[first]
             if firings == 0:
                 raise DeadlockError(
                     f"reference actor {reference!r} never fires in the periodic phase")
@@ -232,21 +255,22 @@ def self_timed_throughput(graph: SDFG,
             return ThroughputResult(
                 iterations_per_cycle=Fraction(firings, q_ref * period),
                 period_cycles=period,
-                transient_cycles=first_time,
+                transient_cycles=first_times[first],
                 reference_firings_per_period=firings,
                 reference_actor=reference,
                 reference_repetitions=q_ref,
             )
-        seen[key] = (sim.time, sim.completions[ref_index])
-        if len(seen) > state_budget:
+        first_times.append(sim.time)
+        first_counts.append(completions[ref_index])
+        if stored >= state_budget:
             raise StateSpaceBudgetExceededError(
                 f"more than {state_budget} states explored; "
                 "graph is likely unbounded")
-        if not sim.running:
+        if not codes:
             raise DeadlockError(
                 f"no enabled actor and no running firing at t={sim.time}")
-        sim.advance()
-        sim.settle()
+        advance()
+        settle()
 
 
 def _strongly_connected(n: int, edges: list[tuple[int, int]]) -> bool:

@@ -6,7 +6,8 @@ report), ``explore`` (every software task in turn, ranked by gain).
 
 Exit codes: 0 success, 1 scenario validation failure, 2 analysis error
 (deadlock, inconsistency, state budget), 3 usage error (including
-``--speedup`` or ``--freq`` not positive and a negative ``--prefetch``).
+``--speedup``, ``--freq`` or ``--state-budget`` not positive and a negative
+``--prefetch``).
 """
 
 from __future__ import annotations
@@ -72,13 +73,24 @@ def _positive_rational_arg(text: str) -> Fraction:
     return value
 
 
-def _non_negative_int_arg(text: str) -> int:
+def _int_arg(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _non_negative_int_arg(text: str) -> int:
+    value = _int_arg(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
+    return value
+
+
+def _positive_int_arg(text: str) -> int:
+    value = _int_arg(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
 
 
@@ -95,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--freq", type=_positive_rational_arg, default=None,
                          help="clock frequency in Hz (default: scenario value, "
                               "usually 100e6)")
-        sub.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET,
+        sub.add_argument("--state-budget", type=_positive_int_arg,
+                         default=DEFAULT_STATE_BUDGET,
                          help="max distinct execution states to explore")
 
     check = commands.add_parser("check", help="validate a scenario and dry-run "

@@ -21,6 +21,10 @@ class StateSpaceBudgetExceededError(SdfmigError):
     """The execution explored more states than the configured budget."""
 
 
+class InvalidStateBudgetError(SdfmigError):
+    """The state budget is not a positive integer."""
+
+
 class NegativeExecutionTimeError(SdfmigError):
     """An actor's execution time is negative, so simulated time would run
     backwards."""
@@ -59,7 +63,8 @@ class AlreadyHardwareError(SdfmigError):
 
 
 class InvalidMigrationSpecError(SdfmigError):
-    """A migration parameter is out of range (speedup must be positive)."""
+    """A migration parameter is out of range: speedup not positive, a
+    negative prefetch time or hardware buffer, or a chain alpha below 1."""
 
 
 class ScenarioParseError(SdfmigError):

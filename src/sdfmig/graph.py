@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InconsistentGraphError
@@ -101,6 +101,12 @@ class SDFG:
         return {c.id: c for c in self.channels}
 
     @cached_property
+    def _repetition(self) -> "RepetitionVector":
+        # Backs compute_repetition_vector. A graph whose balance equations
+        # fail raises here and caches nothing, so it raises on every call.
+        return _solve_repetition_vector(self)
+
+    @cached_property
     def inputs(self) -> dict[str, tuple[Channel, ...]]:
         """Actor id -> channels consumed by that actor (self-loops included)."""
         table: dict[str, list[Channel]] = {a.id: [] for a in self.actors}
@@ -155,9 +161,19 @@ class SDFG:
 @dataclass(frozen=True)
 class RepetitionVector:
     """Smallest positive firing counts per actor that return every channel to
-    its initial token count."""
+    its initial token count.
+
+    ``entries`` is a read-only view, because one vector is shared by every
+    caller that asks for the same graph's."""
 
     entries: Mapping[str, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled or deep-copied; its dict can.
+        return RepetitionVector, (dict(self.entries),)
 
     def __getitem__(self, actor_id: str) -> int:
         return self.entries[actor_id]
@@ -200,9 +216,17 @@ def compute_repetition_vector(graph: SDFG) -> RepetitionVector:
 
     Each weakly-connected component is normalized independently, so the
     whole-graph vector is collectively coprime. Raises
-    :class:`InconsistentGraphError` when only the zero solution exists.
+    :class:`InconsistentGraphError` when only the zero solution exists. The
+    vector is solved once per graph object and shared by later calls.
     """
-    ratios: dict[str, Fraction] = {}
+    return graph._repetition
+
+
+def _solve_repetition_vector(graph: SDFG) -> RepetitionVector:
+    """Propagate firing-rate ratios as reduced integer (num, den) pairs over
+    each weakly-connected component, then scale each component to the
+    smallest positive integers."""
+    ratios: dict[str, tuple[int, int]] = {}
     adjacency: dict[str, list[Channel]] = {a.id: [] for a in graph.actors}
     for c in graph.channels:
         if c.src in adjacency and c.dst in adjacency:
@@ -214,18 +238,21 @@ def compute_repetition_vector(graph: SDFG) -> RepetitionVector:
     for seed in graph.actors:
         if seed.id in ratios:
             continue
-        ratios[seed.id] = Fraction(1)
+        ratios[seed.id] = (1, 1)
         component = [seed.id]
         stack = [seed.id]
         while stack:
             here = stack.pop()
+            num, den = ratios[here]
             for c in adjacency[here]:
                 if c.prod_rate <= 0 or c.cons_rate <= 0:
                     continue  # reported by validate(), not solvable here
-                other = c.dst if here == c.src else c.src
-                implied = (ratios[here] * c.prod_rate / c.cons_rate
-                           if here == c.src else
-                           ratios[here] * c.cons_rate / c.prod_rate)
+                if here == c.src:
+                    other, num2, den2 = c.dst, num * c.prod_rate, den * c.cons_rate
+                else:
+                    other, num2, den2 = c.src, num * c.cons_rate, den * c.prod_rate
+                shrink = math.gcd(num2, den2)
+                implied = (num2 // shrink, den2 // shrink)
                 if other not in ratios:
                     ratios[other] = implied
                     component.append(other)
@@ -241,7 +268,8 @@ def compute_repetition_vector(graph: SDFG) -> RepetitionVector:
             continue
         if c.src not in ratios or c.dst not in ratios:
             continue
-        if ratios[c.src] * c.prod_rate != ratios[c.dst] * c.cons_rate:
+        (src_num, src_den), (dst_num, dst_den) = ratios[c.src], ratios[c.dst]
+        if src_num * c.prod_rate * dst_den != dst_num * c.cons_rate * src_den:
             if c.id not in bad:
                 bad.append(c.id)
     if bad:
@@ -252,8 +280,8 @@ def compute_repetition_vector(graph: SDFG) -> RepetitionVector:
 
     entries: dict[str, int] = {}
     for component in components:
-        scale = math.lcm(*(ratios[a].denominator for a in component))
-        counts = {a: int(ratios[a] * scale) for a in component}
+        scale = math.lcm(*(ratios[a][1] for a in component))
+        counts = {a: ratios[a][0] * scale // ratios[a][1] for a in component}
         shrink = math.gcd(*counts.values())
         for a in component:
             entries[a] = counts[a] // shrink

@@ -113,8 +113,7 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
     (after-mapping times, TDMA waits, chains, prefetch templates) follows
     from the rebuilt scenario.
     """
-    if spec.speedup <= 0:
-        raise InvalidMigrationSpecError(f"speedup must be positive, got {spec.speedup}")
+    _check_spec(spec)
     actor = graph.actor_map.get(spec.actor)
     if actor is None:
         raise UnknownActorError(f"no actor {spec.actor!r} in graph")
@@ -253,6 +252,23 @@ def explore_single_migrations(graph: SDFG, platform: Platform,
                                    -c.gain_fps if c.gain_fps is not None else 0,
                                    c.actor))
     return baseline, candidates
+
+
+def _check_spec(spec: MigrationSpec) -> None:
+    """Reject out-of-range parameters before they turn into a graph that
+    fails later under another name (a negative prefetch actor time, a
+    deadlocking zero-size chain buffer)."""
+    if spec.speedup <= 0:
+        raise InvalidMigrationSpecError(f"speedup must be positive, got {spec.speedup}")
+    if spec.prefetch_time < 0:
+        raise InvalidMigrationSpecError(
+            f"prefetch_time must not be negative, got {spec.prefetch_time}")
+    if spec.hw_buffer_tokens is not None and spec.hw_buffer_tokens < 0:
+        raise InvalidMigrationSpecError(
+            f"hw_buffer_tokens must not be negative, got {spec.hw_buffer_tokens}")
+    for field, alpha in (("alpha_src", spec.alpha_src), ("alpha_dst", spec.alpha_dst)):
+        if alpha < 1:
+            raise InvalidMigrationSpecError(f"{field} must be at least 1, got {alpha}")
 
 
 def _template_connection(channel: Channel, platform: Platform,

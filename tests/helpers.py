@@ -3,7 +3,8 @@
 The cycle-ratio oracle here enumerates simple cycles directly and must stay
 independent of the package's analytical search, so the two can check each
 other. Likewise the scan-all reference simulator must stay independent of the
-package's event-driven one.
+package's event-driven one, and the ``Fraction`` repetition-vector solver of
+the package's integer one.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from sdfmig.errors import InconsistentGraphError
 from sdfmig.graph import Actor, ActorKind, Channel, SDFG, disable_auto_concurrency
 
 
@@ -75,6 +77,65 @@ def oracle_throughput(graph: SDFG) -> Fraction:
     assert ratios, "oracle needs at least one cycle"
     assert Fraction(-1) not in ratios, "oracle hit a token-free cycle"
     return 1 / max(ratios)
+
+
+def fraction_repetition_vector(graph: SDFG) -> dict[str, int]:
+    """Repetition vector entries by propagating exact ``Fraction`` ratios over
+    each weakly-connected component, the solver the package's integer one
+    replaced. Raises :class:`InconsistentGraphError` naming the sorted
+    offending channels."""
+    ratios: dict[str, Fraction] = {}
+    adjacency: dict[str, list[Channel]] = {a.id: [] for a in graph.actors}
+    for c in graph.channels:
+        if c.src in adjacency and c.dst in adjacency:
+            adjacency[c.src].append(c)
+            adjacency[c.dst].append(c)
+
+    bad: list[str] = []
+    components: list[list[str]] = []
+    for seed in graph.actors:
+        if seed.id in ratios:
+            continue
+        ratios[seed.id] = Fraction(1)
+        component = [seed.id]
+        stack = [seed.id]
+        while stack:
+            here = stack.pop()
+            for c in adjacency[here]:
+                if c.prod_rate <= 0 or c.cons_rate <= 0:
+                    continue
+                other = c.dst if here == c.src else c.src
+                implied = (ratios[here] * c.prod_rate / c.cons_rate
+                           if here == c.src else
+                           ratios[here] * c.cons_rate / c.prod_rate)
+                if other not in ratios:
+                    ratios[other] = implied
+                    component.append(other)
+                    stack.append(other)
+                elif ratios[other] != implied and c.id not in bad:
+                    bad.append(c.id)
+        components.append(component)
+
+    for c in graph.channels:
+        if c.prod_rate <= 0 or c.cons_rate <= 0:
+            continue
+        if c.src not in ratios or c.dst not in ratios:
+            continue
+        if ratios[c.src] * c.prod_rate != ratios[c.dst] * c.cons_rate:
+            if c.id not in bad:
+                bad.append(c.id)
+    if bad:
+        raise InconsistentGraphError("balance equations unsolvable",
+                                     channels=tuple(sorted(bad)))
+
+    entries: dict[str, int] = {}
+    for component in components:
+        scale = math.lcm(*(ratios[a].denominator for a in component))
+        counts = {a: int(ratios[a] * scale) for a in component}
+        shrink = math.gcd(*counts.values())
+        for a in component:
+            entries[a] = counts[a] // shrink
+    return {a.id: entries[a.id] for a in graph.actors}
 
 
 def random_homogeneous_graph(rng: random.Random, max_actors: int = 8,

@@ -23,6 +23,7 @@ from sdfmig.analysis import (
 )
 from sdfmig.errors import (
     DeadlockError,
+    InvalidStateBudgetError,
     NegativeExecutionTimeError,
     NotHomogeneousError,
     NotStronglyConnectedError,
@@ -74,6 +75,13 @@ def test_self_timed_unbounded_graph_exhausts_budget():
     g = build_graph({"A": 1, "B": 5}, [("A", "B")])
     with pytest.raises(StateSpaceBudgetExceededError):
         self_timed_throughput(disable_auto_concurrency(g), state_budget=500)
+
+
+@pytest.mark.parametrize("budget", [0, -5, 2.5])
+def test_self_timed_rejects_bad_state_budget(budget):
+    with pytest.raises(InvalidStateBudgetError, match="state budget"):
+        self_timed_throughput(disable_auto_concurrency(two_actor_cycle()),
+                              state_budget=budget)
 
 
 def test_self_timed_empty_graph_deadlocks():
@@ -137,6 +145,14 @@ def test_engine_matches_reference_on_mjpeg():
     assert len(graphs) == 7
     for g in graphs:
         assert_matches_reference(g, max_states=1500)
+
+
+def test_engine_matches_reference_with_identical_firings_in_flight():
+    # No self-loops and two tokens on the back edge: A starts twice at t=0,
+    # so two equal (A, 5) firings are in flight at once, then two of B.
+    g = build_graph({"A": 5, "B": 3}, [("A", "B"), ("B", "A", 1, 1, 2)])
+    assert next(iterate_states(g)).active_firings == (("A", 5), ("A", 5))
+    assert_matches_reference(g)
 
 
 def test_iterate_states_conserves_cycle_tokens():

@@ -114,6 +114,9 @@ def test_usage_errors(capsys):
     ("migrate", "mjpeg_base", "--task", "IQ", "--prefetch", "-1"),
     ("explore", "mjpeg_base", "--prefetch", "-10000"),
     ("explore", "mjpeg_base", "--prefetch", "1.5"),
+    ("throughput", "mjpeg_base", "--state-budget", "0"),
+    ("explore", "mjpeg_base", "--state-budget", "-5"),
+    ("check", "mjpeg_base", "--state-budget", "1.5"),
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

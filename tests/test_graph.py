@@ -1,8 +1,10 @@
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
-from helpers import build_graph, random_consistent_graph
+from helpers import build_graph, fraction_repetition_vector, random_consistent_graph
 from sdfmig.errors import InconsistentGraphError
 from sdfmig.graph import (
     Actor,
@@ -81,6 +83,60 @@ def test_repetition_vector_invariant_under_channel_reversal():
         ])
         assert compute_repetition_vector(g).entries == \
             compute_repetition_vector(flipped).entries
+
+
+def solved(solver, graph):
+    """A solver's entries, or the offending channels it reports."""
+    try:
+        return dict(solver(graph))
+    except InconsistentGraphError as exc:
+        return exc.channels
+
+
+def test_repetition_vector_matches_fraction_oracle():
+    rng = random.Random(17)
+    inconsistent = 0
+    for i in range(60):
+        g = random_consistent_graph(rng, self_loops=i % 2 == 0)
+        variants = [g]
+        # Scale one or two channels' production rates: every channel lies on
+        # a cycle, so this usually breaks the balance equations.
+        channels = list(g.channels)
+        for _ in range(rng.randint(1, 2)):
+            k = rng.randrange(len(channels))
+            channels[k] = replace(channels[k],
+                                  prod_rate=channels[k].prod_rate * rng.choice([2, 3]))
+        variants.append(g.with_channels(channels))
+        for v in variants:
+            expected = solved(fraction_repetition_vector, v)
+            assert solved(lambda x: compute_repetition_vector(x).entries, v) == expected
+            inconsistent += isinstance(expected, tuple)
+    assert inconsistent >= 30
+
+
+def test_repetition_vector_is_solved_once_per_graph():
+    g = mjpeg_application()
+    q = compute_repetition_vector(g)
+    assert compute_repetition_vector(g) is q
+    assert validate(g) == [] and compute_repetition_vector(g) is q
+    # An equal but distinct graph object is solved on its own.
+    assert compute_repetition_vector(mjpeg_application()) is not q
+    assert pickle.loads(pickle.dumps(g)) == g
+
+
+def test_inconsistent_graph_raises_on_every_call():
+    g = build_graph({"A": 1, "B": 1}, [("A", "B", 2, 1), ("B", "A", 3, 1)])
+    for _ in range(3):
+        with pytest.raises(InconsistentGraphError) as info:
+            compute_repetition_vector(g)
+        assert info.value.channels == ("c1",)
+
+
+def test_repetition_vector_entries_are_read_only():
+    q = compute_repetition_vector(mjpeg_application())
+    with pytest.raises(TypeError):
+        q.entries["VLD"] = 2
+    assert q["VLD"] == 1
 
 
 def test_validate_clean_mjpeg():

@@ -114,11 +114,17 @@ def test_migrate_speedup_is_configurable():
     assert res.graph.actor("IDCT").exec_time == 33055  # floor(99165 / 3)
 
 
-@pytest.mark.parametrize("speedup", [Fraction(0), Fraction(-2), Fraction(-1, 2)])
-def test_migrate_rejects_non_positive_speedup(speedup):
+@pytest.mark.parametrize("field, value", [
+    ("speedup", Fraction(0)), ("speedup", Fraction(-2)), ("speedup", Fraction(-1, 2)),
+    ("prefetch_time", -5), ("hw_buffer_tokens", -1),
+    ("alpha_src", 0), ("alpha_dst", -2),
+], ids=str)
+def test_migrate_rejects_out_of_range_spec(field, value):
+    # IZZ has a software producer (new chain, alphas) and a software
+    # consumer (prefetch), so every field is read.
     g, p, m = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
-    with pytest.raises(InvalidMigrationSpecError, match="speedup"):
-        migrate_task(g, p, m, MigrationSpec(actor="IQ", speedup=speedup))
+    with pytest.raises(InvalidMigrationSpecError, match=field):
+        migrate_task(g, p, m, MigrationSpec(actor="IZZ", **{field: value}))
 
 
 def hh1_scenario():
