@@ -54,6 +54,10 @@ class SameTileError(SdfmigError):
     """Remote binding requested for a channel whose endpoints share a tile."""
 
 
+class DuplicateIdError(SdfmigError):
+    """Two actors, or two channels, of one graph share an id."""
+
+
 class UnknownActorError(SdfmigError):
     """An operation referenced an actor id that is not in the graph."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .errors import InconsistentGraphError
 
@@ -149,13 +149,21 @@ class SDFG:
 
     def unique_id(self, stem: str) -> str:
         """A fresh id based on ``stem`` that collides with no actor or channel."""
-        taken = self.actor_map.keys() | self.channel_map.keys()
-        if stem not in taken:
-            return stem
-        n = 2
-        while f"{stem}_{n}" in taken:
-            n += 1
-        return f"{stem}_{n}"
+        return fresh_id(stem, self.actor_map, self.channel_map)
+
+
+def fresh_id(stem: str, *taken: Container[str]) -> str:
+    """``stem`` when no container in ``taken`` holds it, else the first of
+    ``stem_2``, ``stem_3``, ... that none holds."""
+    candidate, n = stem, 1
+    while True:
+        for ids in taken:
+            if candidate in ids:
+                break
+        else:
+            return candidate
+        n += 1
+        candidate = f"{stem}_{n}"
 
 
 @dataclass(frozen=True)

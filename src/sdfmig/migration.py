@@ -24,7 +24,7 @@ from .errors import (
     UnknownActorError,
     UnmappedActorError,
 )
-from .graph import ActorKind, Channel, SDFG, compute_repetition_vector
+from .graph import ActorKind, Channel, SDFG, compute_repetition_vector, fresh_id
 from .mpsoc import (
     BIND_PREFETCH,
     ChannelBinding,
@@ -132,7 +132,7 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
     ])
 
     tiles = list(platform.tiles)
-    hw_tile = Tile(_unique(f"hw_{actor.id}", {t.id for t in tiles}),
+    hw_tile = Tile(fresh_id(f"hw_{actor.id}", platform.tile_map),
                    kind=TileKind.HARDWARE_BLOCK,
                    clock_hz=platform.tile(old_tile).clock_hz)
     tiles.append(hw_tile)
@@ -144,7 +144,7 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
     def add_connection(channel: Channel, src_tile: str, dst_tile: str) -> NocConnection:
         template = _template_connection(channel, platform, mapping, spec, old_tile)
         conn = NocConnection(
-            id=_unique(f"noc_{channel.id}", {c.id for c in connections}),
+            id=fresh_id(f"noc_{channel.id}", {c.id for c in connections}),
             src_tile=src_tile, dst_tile=dst_tile,
             latency=template.latency, bandwidth=template.bandwidth,
         )
@@ -254,21 +254,30 @@ def explore_single_migrations(graph: SDFG, platform: Platform,
     return baseline, candidates
 
 
+def spec_range_error(spec: MigrationSpec) -> tuple[str, str] | None:
+    """The first field of ``spec`` out of its range and the rule it breaks
+    (``"must be positive, got 0"``), or None when every field is in range.
+    Shared by :func:`migrate_task` and the scenario reader's ``<defaults>``."""
+    if spec.speedup <= 0:
+        return "speedup", f"must be positive, got {spec.speedup}"
+    if spec.prefetch_time < 0:
+        return "prefetch_time", f"must not be negative, got {spec.prefetch_time}"
+    if spec.hw_buffer_tokens is not None and spec.hw_buffer_tokens < 0:
+        return "hw_buffer_tokens", f"must not be negative, got {spec.hw_buffer_tokens}"
+    for field, alpha in (("alpha_src", spec.alpha_src), ("alpha_dst", spec.alpha_dst)):
+        if alpha < 1:
+            return field, f"must be at least 1, got {alpha}"
+    return None
+
+
 def _check_spec(spec: MigrationSpec) -> None:
     """Reject out-of-range parameters before they turn into a graph that
     fails later under another name (a negative prefetch actor time, a
     deadlocking zero-size chain buffer)."""
-    if spec.speedup <= 0:
-        raise InvalidMigrationSpecError(f"speedup must be positive, got {spec.speedup}")
-    if spec.prefetch_time < 0:
-        raise InvalidMigrationSpecError(
-            f"prefetch_time must not be negative, got {spec.prefetch_time}")
-    if spec.hw_buffer_tokens is not None and spec.hw_buffer_tokens < 0:
-        raise InvalidMigrationSpecError(
-            f"hw_buffer_tokens must not be negative, got {spec.hw_buffer_tokens}")
-    for field, alpha in (("alpha_src", spec.alpha_src), ("alpha_dst", spec.alpha_dst)):
-        if alpha < 1:
-            raise InvalidMigrationSpecError(f"{field} must be at least 1, got {alpha}")
+    problem = spec_range_error(spec)
+    if problem is not None:
+        field, rule = problem
+        raise InvalidMigrationSpecError(f"{field} {rule}")
 
 
 def _template_connection(channel: Channel, platform: Platform,
@@ -289,12 +298,3 @@ def _template_connection(channel: Channel, platform: Platform,
         return sorted(platform.connections, key=lambda c: c.id)[0]
     raise SdfmigError(
         f"platform has no connection to model the hardware link for {channel.id!r}")
-
-
-def _unique(stem: str, taken: set[str]) -> str:
-    if stem not in taken:
-        return stem
-    n = 2
-    while f"{stem}_{n}" in taken:
-        n += 1
-    return f"{stem}_{n}"

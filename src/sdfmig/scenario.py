@@ -19,7 +19,7 @@ from xml.sax.saxutils import escape, quoteattr
 from .analysis import ThroughputResult, to_frames_per_second
 from .errors import ScenarioParseError, ScenarioValidationError
 from .graph import Actor, ActorKind, Channel, SDFG, validate
-from .migration import MigrationCandidate, MigrationSpec
+from .migration import MigrationCandidate, MigrationSpec, spec_range_error
 from .mpsoc import (
     BIND_LOCAL,
     BIND_PREFETCH,
@@ -335,7 +335,7 @@ def _read_defaults(node: _Node) -> MigrationSpec:
     r = _Reader(node, ["speedup", "prefetch-time", "hw-connection",
                        "hw-buffer-tokens", "alpha-src", "alpha-dst"])
     _expect_children(node, set())
-    return MigrationSpec(
+    spec = MigrationSpec(
         speedup=r.rational("speedup", Fraction(2)),
         prefetch_time=r.integer("prefetch-time", 10000),
         hw_connection=node.attrib.get("hw-connection"),
@@ -343,6 +343,11 @@ def _read_defaults(node: _Node) -> MigrationSpec:
         alpha_src=r.integer("alpha-src", 2),
         alpha_dst=r.integer("alpha-dst", 2),
     )
+    problem = spec_range_error(spec)
+    if problem is not None:
+        field_name, rule = problem
+        r.fail(f"attribute {field_name.replace('_', '-')!r} {rule}")
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,17 @@ Three rewrites:
   memory is split into an issue/execute pair overlapped with a memory actor,
   framed by batch gates.
 
-:func:`build_bound_graph` composes them into the analyzable graph for a full
-scenario.
+Each rewrite is written once, as a method of ``_WorkingGraph``: one mutable
+copy of a graph, its actors and channels held in insertion-ordered dicts.
+:func:`build_bound_graph` binds a whole scenario in one pass over one such
+copy and builds a single :class:`SDFG` at the end, so its work grows with the
+size of the graph rather than with channels times graph size. The public
+:func:`bind_local_channel`, :func:`bind_remote_channel` and
+:func:`memory_aware_transform` apply one rewrite each: they copy the graph,
+apply the method and freeze the result. Either way each rewrite draws its
+ids with the rule of :meth:`SDFG.unique_id` on the graph as it stood before
+that rewrite, so the bound graph is the one the step-by-step composition
+gives, in the same order.
 """
 
 from __future__ import annotations
@@ -21,7 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import BufferTooSmallError, SameTileError, UnknownActorError
+from .errors import (
+    BufferTooSmallError,
+    DuplicateIdError,
+    SameTileError,
+    UnknownActorError,
+)
 from .graph import (
     Actor,
     ActorKind,
@@ -29,6 +43,7 @@ from .graph import (
     SDFG,
     compute_repetition_vector,
     disable_auto_concurrency,
+    fresh_id,
 )
 from .mpsoc import (
     ChannelBinding,
@@ -54,9 +69,6 @@ class RemoteBindingParams:
     alpha_dst: int = 1
     latency_bound: int = 0
     token_size: int | None = None
-    # The consumer-side buffer release edge normally returns to the
-    # connection actor; "wait" re-targets it at the TDMA-wait actor instead.
-    dst_backedge_at: str = "connection"
 
 
 @dataclass(frozen=True)
@@ -79,6 +91,142 @@ def connection_actor_time(token_size: int, connection: NocConnection) -> int:
     return connection.latency + int(token_size / connection.bandwidth)
 
 
+def _by_id(elements, kind: str) -> dict:
+    """``elements`` keyed by id, in order. A repeated id would make one
+    element silently replace another, so it is an error."""
+    table = {e.id: e for e in elements}
+    if len(table) < len(elements):
+        seen: set[str] = set()
+        for e in elements:
+            if e.id in seen:
+                raise DuplicateIdError(f"{kind} id {e.id!r} occurs more than once")
+            seen.add(e.id)
+    return table
+
+
+class _WorkingGraph:
+    """A mutable copy of a graph that the rewrites edit in place.
+
+    ``actors`` and ``channels`` are insertion-ordered dicts keyed by id, so a
+    rewrite costs only what it touches and :meth:`freeze` yields the tuple
+    order that rebuilding the graph after every step would give. Each rewrite
+    draws all of its ids before it changes anything, so the ids follow
+    :meth:`SDFG.unique_id` on the graph as it stood before that rewrite.
+    """
+
+    def __init__(self, graph: SDFG):
+        self.actors = _by_id(graph.actors, "actor")
+        self.channels = _by_id(graph.channels, "channel")
+        self.reference = graph.reference_actor
+
+    def fresh(self, stem: str) -> str:
+        return fresh_id(stem, self.actors, self.channels)
+
+    def freeze(self) -> SDFG:
+        return SDFG(actors=self.actors.values(), channels=self.channels.values(),
+                    reference_actor=self.reference)
+
+    def bind_local(self, channel_id: str, buffer_tokens: int) -> None:
+        channel = self.channels[channel_id]
+        if buffer_tokens < channel.initial_tokens:
+            raise BufferTooSmallError(
+                f"buffer of {buffer_tokens} tokens cannot hold the "
+                f"{channel.initial_tokens} initial tokens of {channel_id!r}")
+        back = Channel(
+            id=self.fresh(f"{channel_id}__buf"),
+            src=channel.dst, dst=channel.src,
+            prod_rate=channel.cons_rate, cons_rate=channel.prod_rate,
+            initial_tokens=buffer_tokens - channel.initial_tokens,
+        )
+        self.channels[back.id] = back
+
+    def bind_remote(self, channel_id: str, params: RemoteBindingParams,
+                    dst_wait: int) -> None:
+        channel = self.channels[channel_id]
+        fresh = self.fresh
+        token_size = params.token_size if params.token_size is not None else channel.token_size
+        send = Actor(fresh(f"ac_{channel_id}"),
+                     connection_actor_time(token_size, params.connection),
+                     kind=ActorKind.INFRASTRUCTURE)
+        latency = Actor(fresh(f"a_{channel_id}"), params.latency_bound,
+                        kind=ActorKind.INFRASTRUCTURE)
+        wait = Actor(fresh(f"as_{channel_id}"), dst_wait, kind=ActorKind.INFRASTRUCTURE)
+        chain = [
+            Channel(fresh(f"{channel_id}__send"), channel.src, send.id,
+                    prod_rate=channel.prod_rate, cons_rate=1, token_size=token_size),
+            Channel(fresh(f"{channel_id}__lat"), send.id, latency.id),
+            Channel(fresh(f"{channel_id}__wait"), latency.id, wait.id),
+            Channel(fresh(f"{channel_id}__recv"), wait.id, channel.dst,
+                    prod_rate=1, cons_rate=channel.cons_rate,
+                    initial_tokens=channel.initial_tokens, token_size=token_size),
+            Channel(fresh(f"{channel_id}__srcbuf"), send.id, channel.src,
+                    prod_rate=1, cons_rate=channel.prod_rate,
+                    initial_tokens=params.alpha_src),
+            Channel(fresh(f"{channel_id}__dstbuf"), channel.dst, send.id,
+                    prod_rate=channel.cons_rate, cons_rate=1,
+                    initial_tokens=params.alpha_dst),
+        ]
+        chain += [Channel(fresh(f"{inserted.id}__self"), inserted.id, inserted.id, 1, 1, 1)
+                  for inserted in (send, latency, wait)]
+        # The channel's id is free again for later rewrites, not this one.
+        del self.channels[channel_id]
+        self.channels.update((c.id, c) for c in chain)
+        self.actors.update((a.id, a) for a in (send, latency, wait))
+
+    def prefetch(self, actor_id: str, params: MemoryAwareParams) -> None:
+        original = self.actors.get(actor_id)
+        if original is None:
+            raise UnknownActorError(f"no actor {actor_id!r} in graph")
+        fresh, n = self.fresh, params.n
+        gate_in = Actor(fresh(f"{actor_id}_ri"), 1, kind=ActorKind.INFRASTRUCTURE)
+        gate_out = Actor(fresh(f"{actor_id}_ro"), 1, kind=ActorKind.INFRASTRUCTURE)
+        issue = Actor(fresh(f"{actor_id}1"), params.prefetch_time,
+                      kind=ActorKind.INFRASTRUCTURE)
+        execute = Actor(fresh(f"{actor_id}2"), original.exec_time, kind=original.kind)
+        memory = Actor(fresh(f"{actor_id}_m1"), params.prefetch_time + params.transfer_time,
+                       kind=ActorKind.INFRASTRUCTURE)
+        added = [
+            Channel(fresh(f"{actor_id}__batch"), gate_in.id, memory.id,
+                    prod_rate=n, cons_rate=1),
+            Channel(fresh(f"{actor_id}__batch_ret"), memory.id, gate_in.id,
+                    prod_rate=1, cons_rate=n, initial_tokens=n),
+            Channel(fresh(f"{actor_id}__issue"), issue.id, memory.id),
+            Channel(fresh(f"{actor_id}__issue_ret"), memory.id, issue.id,
+                    initial_tokens=1),
+            Channel(fresh(f"{actor_id}__pipe"), issue.id, execute.id, initial_tokens=1),
+            Channel(fresh(f"{actor_id}__collect"), execute.id, gate_out.id,
+                    prod_rate=1, cons_rate=n),
+            Channel(fresh(f"{actor_id}__release"), gate_out.id, execute.id,
+                    prod_rate=n, cons_rate=1, initial_tokens=n),
+            Channel(fresh(f"{actor_id}__rearm"), gate_out.id, gate_in.id,
+                    initial_tokens=2),
+        ]
+        new_actors = [gate_in, issue, memory, execute, gate_out]
+        if params.enable_fetch_path:
+            fetch_memory = Actor(fresh(f"{actor_id}_m2"), params.transfer_time,
+                                 kind=ActorKind.INFRASTRUCTURE)
+            new_actors.append(fetch_memory)
+            added += [
+                Channel(fresh(f"{actor_id}__fetch"), execute.id, fetch_memory.id),
+                Channel(fresh(f"{actor_id}__fetch_ret"), fetch_memory.id, execute.id,
+                        initial_tokens=1),
+            ]
+
+        for c in [c for c in self.channels.values() if actor_id in (c.src, c.dst)]:
+            if c.src == c.dst:
+                c = replace(c, src=execute.id, dst=execute.id)
+            elif c.dst == actor_id:
+                c = replace(c, dst=gate_in.id, cons_rate=c.cons_rate * n)
+            else:
+                c = replace(c, src=execute.id)
+            self.channels[c.id] = c
+        self.channels.update((c.id, c) for c in added)
+        del self.actors[actor_id]
+        self.actors.update((a.id, a) for a in new_actors)
+        if self.reference == actor_id:
+            self.reference = execute.id
+
+
 def bind_local_channel(graph: SDFG, channel_id: str, buffer_tokens: int) -> SDFG:
     """Add the reversed buffer channel for a same-tile channel.
 
@@ -87,18 +235,9 @@ def bind_local_channel(graph: SDFG, channel_id: str, buffer_tokens: int) -> SDFG
     channel is untouched, so tokens(forward) + tokens(back) stays equal to
     ``buffer_tokens`` in every reachable state.
     """
-    channel = graph.channel(channel_id)
-    if buffer_tokens < channel.initial_tokens:
-        raise BufferTooSmallError(
-            f"buffer of {buffer_tokens} tokens cannot hold the "
-            f"{channel.initial_tokens} initial tokens of {channel_id!r}")
-    back = Channel(
-        id=graph.unique_id(f"{channel_id}__buf"),
-        src=channel.dst, dst=channel.src,
-        prod_rate=channel.cons_rate, cons_rate=channel.prod_rate,
-        initial_tokens=buffer_tokens - channel.initial_tokens,
-    )
-    return graph.with_channels(list(graph.channels) + [back])
+    work = _WorkingGraph(graph)
+    work.bind_local(channel_id, buffer_tokens)
+    return work.freeze()
 
 
 def bind_remote_channel(graph: SDFG, channel_id: str,
@@ -109,41 +248,13 @@ def bind_remote_channel(graph: SDFG, channel_id: str,
     The inserted actors carry the send time of one token, the guaranteed
     token latency, and the consumer's worst-case TDMA re-entry wait (zero for
     hardware consumers). Buffer back-edges hold ``alpha_src`` and
-    ``alpha_dst`` tokens; the channel's initial tokens carry over to the last
-    chain edge. All inserted actors get unit self-loops.
+    ``alpha_dst`` tokens; the consumer-side one returns to the send actor.
+    The channel's initial tokens carry over to the last chain edge. All
+    inserted actors get unit self-loops.
     """
-    channel = graph.channel(channel_id)
-    token_size = params.token_size if params.token_size is not None else channel.token_size
-    send = Actor(graph.unique_id(f"ac_{channel_id}"),
-                 connection_actor_time(token_size, params.connection),
-                 kind=ActorKind.INFRASTRUCTURE)
-    latency = Actor(graph.unique_id(f"a_{channel_id}"), params.latency_bound,
-                    kind=ActorKind.INFRASTRUCTURE)
-    wait = Actor(graph.unique_id(f"as_{channel_id}"), dst_wait,
-                 kind=ActorKind.INFRASTRUCTURE)
-    dst_backedge_target = wait.id if params.dst_backedge_at == "wait" else send.id
-    chain = [
-        Channel(graph.unique_id(f"{channel_id}__send"), channel.src, send.id,
-                prod_rate=channel.prod_rate, cons_rate=1, token_size=token_size),
-        Channel(graph.unique_id(f"{channel_id}__lat"), send.id, latency.id),
-        Channel(graph.unique_id(f"{channel_id}__wait"), latency.id, wait.id),
-        Channel(graph.unique_id(f"{channel_id}__recv"), wait.id, channel.dst,
-                prod_rate=1, cons_rate=channel.cons_rate,
-                initial_tokens=channel.initial_tokens, token_size=token_size),
-        Channel(graph.unique_id(f"{channel_id}__srcbuf"), send.id, channel.src,
-                prod_rate=1, cons_rate=channel.prod_rate,
-                initial_tokens=params.alpha_src),
-        Channel(graph.unique_id(f"{channel_id}__dstbuf"), channel.dst,
-                dst_backedge_target,
-                prod_rate=channel.cons_rate, cons_rate=1,
-                initial_tokens=params.alpha_dst),
-    ]
-    for inserted in (send, latency, wait):
-        chain.append(Channel(graph.unique_id(f"{inserted.id}__self"),
-                             inserted.id, inserted.id, 1, 1, 1))
-    channels = [c for c in graph.channels if c.id != channel_id] + chain
-    return SDFG(actors=list(graph.actors) + [send, latency, wait],
-                channels=channels, reference_actor=graph.reference_actor)
+    work = _WorkingGraph(graph)
+    work.bind_remote(channel_id, params, dst_wait)
+    return work.freeze()
 
 
 def memory_aware_transform(graph: SDFG, actor_id: str,
@@ -164,64 +275,9 @@ def memory_aware_transform(graph: SDFG, actor_id: str,
     X's input channels move to the input gate (consuming n times their rate),
     output channels and self-loops move to ``X2``.
     """
-    original = graph.actor_map.get(actor_id)
-    if original is None:
-        raise UnknownActorError(f"no actor {actor_id!r} in graph")
-    gate_in = Actor(graph.unique_id(f"{actor_id}_ri"), 1, kind=ActorKind.INFRASTRUCTURE)
-    gate_out = Actor(graph.unique_id(f"{actor_id}_ro"), 1, kind=ActorKind.INFRASTRUCTURE)
-    issue = Actor(graph.unique_id(f"{actor_id}1"), params.prefetch_time,
-                  kind=ActorKind.INFRASTRUCTURE)
-    execute = Actor(graph.unique_id(f"{actor_id}2"), original.exec_time,
-                    kind=original.kind)
-    memory = Actor(graph.unique_id(f"{actor_id}_m1"),
-                   params.prefetch_time + params.transfer_time,
-                   kind=ActorKind.INFRASTRUCTURE)
-
-    channels: list[Channel] = []
-    for c in graph.channels:
-        if c.src == actor_id and c.dst == actor_id:
-            channels.append(replace(c, src=execute.id, dst=execute.id))
-        elif c.dst == actor_id:
-            channels.append(replace(c, dst=gate_in.id,
-                                    cons_rate=c.cons_rate * params.n))
-        elif c.src == actor_id:
-            channels.append(replace(c, src=execute.id))
-        else:
-            channels.append(c)
-
-    n = params.n
-    channels += [
-        Channel(graph.unique_id(f"{actor_id}__batch"), gate_in.id, memory.id,
-                prod_rate=n, cons_rate=1),
-        Channel(graph.unique_id(f"{actor_id}__batch_ret"), memory.id, gate_in.id,
-                prod_rate=1, cons_rate=n, initial_tokens=n),
-        Channel(graph.unique_id(f"{actor_id}__issue"), issue.id, memory.id),
-        Channel(graph.unique_id(f"{actor_id}__issue_ret"), memory.id, issue.id,
-                initial_tokens=1),
-        Channel(graph.unique_id(f"{actor_id}__pipe"), issue.id, execute.id,
-                initial_tokens=1),
-        Channel(graph.unique_id(f"{actor_id}__collect"), execute.id, gate_out.id,
-                prod_rate=1, cons_rate=n),
-        Channel(graph.unique_id(f"{actor_id}__release"), gate_out.id, execute.id,
-                prod_rate=n, cons_rate=1, initial_tokens=n),
-        Channel(graph.unique_id(f"{actor_id}__rearm"), gate_out.id, gate_in.id,
-                initial_tokens=2),
-    ]
-    new_actors = [gate_in, issue, memory, execute, gate_out]
-    if params.enable_fetch_path:
-        fetch_memory = Actor(graph.unique_id(f"{actor_id}_m2"), params.transfer_time,
-                             kind=ActorKind.INFRASTRUCTURE)
-        new_actors.append(fetch_memory)
-        channels += [
-            Channel(graph.unique_id(f"{actor_id}__fetch"), execute.id, fetch_memory.id),
-            Channel(graph.unique_id(f"{actor_id}__fetch_ret"), fetch_memory.id,
-                    execute.id, initial_tokens=1),
-        ]
-    actors = [a for a in graph.actors if a.id != actor_id] + new_actors
-    reference = graph.reference_actor
-    if reference == actor_id:
-        reference = execute.id
-    return SDFG(actors=actors, channels=channels, reference_actor=reference)
+    work = _WorkingGraph(graph)
+    work.prefetch(actor_id, params)
+    return work.freeze()
 
 
 def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping,
@@ -234,7 +290,7 @@ def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping,
     Channels without a binding entry are left untouched.
     """
     repetition = compute_repetition_vector(graph)
-    bound = graph.with_exec_times(compute_etam(graph, platform, mapping))
+    work = _WorkingGraph(graph.with_exec_times(compute_etam(graph, platform, mapping)))
 
     waits = {a.id: (tdma_wait(a.id, platform, mapping)
                     if a.kind == ActorKind.SOFTWARE and mapping.tile_of(a.id) else 0)
@@ -248,14 +304,14 @@ def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping,
             continue
         connection = platform.connection(binding.connection)
         batch = prefetch_batch(repetition, channel.src, channel.dst)
-        bound = memory_aware_transform(bound, channel.dst, MemoryAwareParams(
+        work.prefetch(channel.dst, MemoryAwareParams(
             n=batch,
             prefetch_time=binding.prefetch_time or 0,
             transfer_time=connection_actor_time(channel.token_size, connection),
             enable_fetch_path=channel.cons_rate > 1,
         ))
         if binding.buffer_tokens is not None:
-            bound = bind_local_channel(bound, channel.id, binding.buffer_tokens)
+            work.bind_local(channel.id, binding.buffer_tokens)
 
     for channel in graph.channels:
         binding = mapping.channel_binding.get(channel.id)
@@ -268,7 +324,7 @@ def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping,
                     f"channel {channel.id!r} bound locally but endpoints sit on "
                     f"{src_tile!r} and {dst_tile!r}")
             if binding.buffer_tokens is not None:
-                bound = bind_local_channel(bound, channel.id, binding.buffer_tokens)
+                work.bind_local(channel.id, binding.buffer_tokens)
         else:
             src_tile, dst_tile = mapping.tile_of(channel.src), mapping.tile_of(channel.dst)
             if src_tile is not None and src_tile == dst_tile:
@@ -281,8 +337,8 @@ def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping,
                 alpha_dst=binding.alpha_dst if binding.alpha_dst is not None else 1,
                 latency_bound=resolve_latency_bound(channel.id, graph, platform, mapping),
             )
-            bound = bind_remote_channel(bound, channel.id, params,
-                                        dst_wait=waits[channel.dst])
+            work.bind_remote(channel.id, params, dst_wait=waits[channel.dst])
+    bound = work.freeze()
     if disable_concurrency:
         bound = disable_auto_concurrency(bound)
     return bound

@@ -3,8 +3,9 @@
 The cycle-ratio oracle here enumerates simple cycles directly and must stay
 independent of the package's analytical search, so the two can check each
 other. Likewise the scan-all reference simulator must stay independent of the
-package's event-driven one, and the ``Fraction`` repetition-vector solver of
-the package's integer one.
+package's event-driven one, the ``Fraction`` repetition-vector solver of the
+package's integer one, and the step-by-step binding composition of the
+package's one-pass binder.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 from sdfmig.errors import InconsistentGraphError
@@ -429,3 +431,178 @@ def reference_throughput(graph: SDFG):
             raise DeadlockError(f"deadlock at t={sim.time}")
         sim.advance()
         sim.settle()
+
+
+# ---------------------------------------------------------------------------
+# step-by-step binding composition, the reference for build_bound_graph
+
+def _set_union_id(graph: SDFG, stem: str) -> str:
+    """The id rule the package's binder must follow: ``stem``, else the first
+    free ``stem_2``, ``stem_3``, ... against every actor and channel id."""
+    taken = {a.id for a in graph.actors} | {c.id for c in graph.channels}
+    if stem not in taken:
+        return stem
+    n = 2
+    while f"{stem}_{n}" in taken:
+        n += 1
+    return f"{stem}_{n}"
+
+
+def _reference_local(graph: SDFG, channel_id: str, buffer_tokens: int) -> SDFG:
+    from sdfmig.errors import BufferTooSmallError
+
+    channel = graph.channel(channel_id)
+    if buffer_tokens < channel.initial_tokens:
+        raise BufferTooSmallError(
+            f"buffer of {buffer_tokens} tokens cannot hold the "
+            f"{channel.initial_tokens} initial tokens of {channel_id!r}")
+    back = Channel(_set_union_id(graph, f"{channel_id}__buf"), channel.dst, channel.src,
+                   prod_rate=channel.cons_rate, cons_rate=channel.prod_rate,
+                   initial_tokens=buffer_tokens - channel.initial_tokens)
+    return SDFG(graph.actors, list(graph.channels) + [back], graph.reference_actor)
+
+
+def _reference_remote(graph: SDFG, channel_id: str, params, dst_wait: int) -> SDFG:
+    from sdfmig.transforms import connection_actor_time
+
+    def fresh(stem):
+        return _set_union_id(graph, stem)
+
+    infra = ActorKind.INFRASTRUCTURE
+    channel = graph.channel(channel_id)
+    token_size = params.token_size if params.token_size is not None else channel.token_size
+    send = Actor(fresh(f"ac_{channel_id}"),
+                 connection_actor_time(token_size, params.connection), kind=infra)
+    latency = Actor(fresh(f"a_{channel_id}"), params.latency_bound, kind=infra)
+    wait = Actor(fresh(f"as_{channel_id}"), dst_wait, kind=infra)
+    chain = [
+        Channel(fresh(f"{channel_id}__send"), channel.src, send.id,
+                prod_rate=channel.prod_rate, cons_rate=1, token_size=token_size),
+        Channel(fresh(f"{channel_id}__lat"), send.id, latency.id),
+        Channel(fresh(f"{channel_id}__wait"), latency.id, wait.id),
+        Channel(fresh(f"{channel_id}__recv"), wait.id, channel.dst, prod_rate=1,
+                cons_rate=channel.cons_rate, initial_tokens=channel.initial_tokens,
+                token_size=token_size),
+        Channel(fresh(f"{channel_id}__srcbuf"), send.id, channel.src, prod_rate=1,
+                cons_rate=channel.prod_rate, initial_tokens=params.alpha_src),
+        Channel(fresh(f"{channel_id}__dstbuf"), channel.dst, send.id,
+                prod_rate=channel.cons_rate, cons_rate=1, initial_tokens=params.alpha_dst),
+    ]
+    for inserted in (send, latency, wait):
+        chain.append(Channel(fresh(f"{inserted.id}__self"), inserted.id, inserted.id,
+                             1, 1, 1))
+    channels = [c for c in graph.channels if c.id != channel_id] + chain
+    return SDFG(list(graph.actors) + [send, latency, wait], channels,
+                graph.reference_actor)
+
+
+def _reference_prefetch(graph: SDFG, actor_id: str, params) -> SDFG:
+    from sdfmig.errors import UnknownActorError
+
+    def fresh(stem):
+        return _set_union_id(graph, stem)
+
+    infra = ActorKind.INFRASTRUCTURE
+    original = graph.actor_map.get(actor_id)
+    if original is None:
+        raise UnknownActorError(f"no actor {actor_id!r} in graph")
+    gate_in = Actor(fresh(f"{actor_id}_ri"), 1, kind=infra)
+    gate_out = Actor(fresh(f"{actor_id}_ro"), 1, kind=infra)
+    issue = Actor(fresh(f"{actor_id}1"), params.prefetch_time, kind=infra)
+    execute = Actor(fresh(f"{actor_id}2"), original.exec_time, kind=original.kind)
+    memory = Actor(fresh(f"{actor_id}_m1"), params.prefetch_time + params.transfer_time,
+                   kind=infra)
+    n = params.n
+    channels = []
+    for c in graph.channels:
+        if c.src == actor_id and c.dst == actor_id:
+            channels.append(replace(c, src=execute.id, dst=execute.id))
+        elif c.dst == actor_id:
+            channels.append(replace(c, dst=gate_in.id, cons_rate=c.cons_rate * n))
+        elif c.src == actor_id:
+            channels.append(replace(c, src=execute.id))
+        else:
+            channels.append(c)
+    channels += [
+        Channel(fresh(f"{actor_id}__batch"), gate_in.id, memory.id, n, 1),
+        Channel(fresh(f"{actor_id}__batch_ret"), memory.id, gate_in.id, 1, n, n),
+        Channel(fresh(f"{actor_id}__issue"), issue.id, memory.id),
+        Channel(fresh(f"{actor_id}__issue_ret"), memory.id, issue.id, 1, 1, 1),
+        Channel(fresh(f"{actor_id}__pipe"), issue.id, execute.id, 1, 1, 1),
+        Channel(fresh(f"{actor_id}__collect"), execute.id, gate_out.id, 1, n),
+        Channel(fresh(f"{actor_id}__release"), gate_out.id, execute.id, n, 1, n),
+        Channel(fresh(f"{actor_id}__rearm"), gate_out.id, gate_in.id, 1, 1, 2),
+    ]
+    new_actors = [gate_in, issue, memory, execute, gate_out]
+    if params.enable_fetch_path:
+        fetch_memory = Actor(fresh(f"{actor_id}_m2"), params.transfer_time, kind=infra)
+        new_actors.append(fetch_memory)
+        channels += [
+            Channel(fresh(f"{actor_id}__fetch"), execute.id, fetch_memory.id),
+            Channel(fresh(f"{actor_id}__fetch_ret"), fetch_memory.id, execute.id, 1, 1, 1),
+        ]
+    actors = [a for a in graph.actors if a.id != actor_id] + new_actors
+    reference = execute.id if graph.reference_actor == actor_id else graph.reference_actor
+    return SDFG(actors, channels, reference)
+
+
+def reference_bound_graph(graph: SDFG, platform, mapping,
+                          disable_concurrency: bool = True) -> SDFG:
+    """``build_bound_graph`` as a composition of single rewrites, each building
+    a new graph and drawing its ids with :func:`_set_union_id` on the graph
+    before it. Same checks, errors and rewrite order as the package."""
+    from sdfmig.errors import SameTileError
+    from sdfmig.graph import compute_repetition_vector
+    from sdfmig.mpsoc import compute_etam, resolve_latency_bound, tdma_wait
+    from sdfmig.transforms import (MemoryAwareParams, RemoteBindingParams,
+                                   connection_actor_time, prefetch_batch)
+
+    repetition = compute_repetition_vector(graph)
+    bound = graph.with_exec_times(compute_etam(graph, platform, mapping))
+    waits = {a.id: (tdma_wait(a.id, platform, mapping)
+                    if a.kind == ActorKind.SOFTWARE and mapping.tile_of(a.id) else 0)
+             for a in graph.actors}
+    for channel in graph.channels:
+        binding = mapping.channel_binding.get(channel.id)
+        if binding is None or not binding.is_prefetch:
+            continue
+        connection = platform.connection(binding.connection)
+        bound = _reference_prefetch(bound, channel.dst, MemoryAwareParams(
+            n=prefetch_batch(repetition, channel.src, channel.dst),
+            prefetch_time=binding.prefetch_time or 0,
+            transfer_time=connection_actor_time(channel.token_size, connection),
+            enable_fetch_path=channel.cons_rate > 1))
+        if binding.buffer_tokens is not None:
+            bound = _reference_local(bound, channel.id, binding.buffer_tokens)
+    for channel in graph.channels:
+        binding = mapping.channel_binding.get(channel.id)
+        if binding is None or binding.is_prefetch:
+            continue
+        src_tile, dst_tile = mapping.tile_of(channel.src), mapping.tile_of(channel.dst)
+        if binding.is_local:
+            if src_tile != dst_tile:
+                raise SameTileError(
+                    f"channel {channel.id!r} bound locally but endpoints sit on "
+                    f"{src_tile!r} and {dst_tile!r}")
+            if binding.buffer_tokens is not None:
+                bound = _reference_local(bound, channel.id, binding.buffer_tokens)
+        else:
+            if src_tile is not None and src_tile == dst_tile:
+                raise SameTileError(
+                    f"channel {channel.id!r} bound to connection {binding.target!r} "
+                    f"but both endpoints sit on {src_tile!r}")
+            params = RemoteBindingParams(
+                connection=platform.connection(binding.target),
+                alpha_src=binding.alpha_src if binding.alpha_src is not None else 1,
+                alpha_dst=binding.alpha_dst if binding.alpha_dst is not None else 1,
+                latency_bound=resolve_latency_bound(channel.id, graph, platform, mapping))
+            bound = _reference_remote(bound, channel.id, params, waits[channel.dst])
+    if disable_concurrency:
+        loops = {c.src for c in bound.channels if c.is_self_loop}
+        channels = list(bound.channels)
+        for a in bound.actors:
+            if a.id not in loops:
+                channels.append(Channel(_set_union_id(bound, f"{a.id}__self"),
+                                        a.id, a.id, 1, 1, 1))
+        bound = SDFG(bound.actors, channels, bound.reference_actor)
+    return bound

@@ -56,6 +56,18 @@ def test_check_invalid_scenario(tmp_path, capsys):
     assert "invalid scenario" in err
 
 
+def test_check_out_of_range_defaults(tmp_path, capsys):
+    from sdfmig.scenario import bundled_scenario_path
+
+    text = bundled_scenario_path("two_stage_demo").read_text()
+    bad = tmp_path / "bad.xml"
+    bad.write_text(text.replace('<defaults prefetch-time="20"/>',
+                                '<defaults prefetch-time="20" alpha-src="0"/>'))
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert code == 1
+    assert "alpha-src" in err and "line 20" in err
+
+
 def test_migrate_reports_gain(capsys):
     code, out, _ = run_cli(capsys, "migrate", "mjpeg_base", "--task", "IDCT")
     assert code == 0

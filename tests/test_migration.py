@@ -171,6 +171,17 @@ def test_hh1_migration_with_unit_speedup_keeps_throughput():
     assert after.iterations_per_cycle == before.iterations_per_cycle
 
 
+def test_migration_ids_skip_taken_tile_and_connection_ids():
+    g, p, m = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
+    p = Platform(tiles=list(p.tiles) + [Tile("hw_IZZ", kind=TileKind.HARDWARE_BLOCK)],
+                 connections=list(p.connections)
+                 + [NocConnection("noc_izz_iq", "T1", "T2", latency=3)])
+    res = migrate_task(g, p, m, MigrationSpec(actor="IZZ"))
+    assert res.hw_tile == "hw_IZZ_2"
+    assert res.mapping.channel_binding["vld_izz"].connection_id == "noc_vld_izz"
+    assert res.mapping.channel_binding["izz_iq"].connection_id == "noc_izz_iq_2"
+
+
 def test_migration_gain_examples():
     assert Decimal("15.58") - Decimal("13.60") == Decimal("1.98")
     g, p, m = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()

@@ -127,6 +127,24 @@ def test_load_reports_malformed_xml_position(tmp_path):
     assert err.value.line is not None
 
 
+@pytest.mark.parametrize("attribute, value", [
+    ("speedup", "0"),
+    ("prefetch-time", "-1"),
+    ("hw-buffer-tokens", "-1"),
+    ("alpha-src", "0"),
+    ("alpha-dst", "0"),
+])
+def test_load_rejects_out_of_range_defaults(tmp_path, attribute, value):
+    # The same ranges migrate_task enforces, reported where the value is.
+    text = bundled_scenario_path("two_stage_demo").read_text()
+    bad = tmp_path / "bad.xml"
+    bad.write_text(text.replace('<defaults prefetch-time="20"/>',
+                                f'<defaults {attribute}="{value}"/>'))
+    with pytest.raises(ScenarioParseError, match=f"attribute '{attribute}'") as err:
+        load_scenario(bad)
+    assert (err.value.line, err.value.column) == (20, 3)
+
+
 def test_load_rejects_binding_mismatch(tmp_path):
     bad = tmp_path / "bad.xml"
     bad.write_text("""<scenario name="bad">

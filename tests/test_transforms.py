@@ -1,17 +1,38 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from helpers import build_graph, mjpeg_application, mjpeg_mapping, mjpeg_platform
+from helpers import (
+    build_graph,
+    mjpeg_application,
+    mjpeg_mapping,
+    mjpeg_platform,
+    random_scenario,
+    reference_bound_graph,
+)
+from sdfmig import migration
 from sdfmig.analysis import iterate_states, mcm_throughput, self_timed_throughput
-from sdfmig.errors import BufferTooSmallError, SameTileError, UnknownActorError
+from sdfmig.errors import (
+    BufferTooSmallError,
+    DuplicateIdError,
+    SameTileError,
+    SdfmigError,
+    UnknownActorError,
+)
 from sdfmig.graph import (
+    Actor,
+    ActorKind,
     Channel,
+    SDFG,
     compute_repetition_vector,
     disable_auto_concurrency,
     validate,
 )
-from sdfmig.mpsoc import ChannelBinding, NocConnection, PlatformMapping
+from sdfmig.migration import MigrationSpec, migrate_task
+from sdfmig.mpsoc import ChannelBinding, NocConnection, Platform, PlatformMapping, Tile
+from sdfmig.scenario import bundled_scenario_path, list_bundled_scenarios, load_scenario
 from sdfmig.transforms import (
     MemoryAwareParams,
     RemoteBindingParams,
@@ -120,13 +141,6 @@ def test_bind_remote_chain_topology():
         ("B", "ac_c0", 2, 2)
     for inserted in ("ac_c0", "a_c0", "as_c0"):
         assert bound.has_self_loop(inserted)
-
-
-def test_bind_remote_dst_backedge_switch():
-    g = build_graph({"A": 1, "B": 1}, [("A", "B")])
-    bound = bind_remote_channel(g, "c0", remote_params(dst_backedge_at="wait"),
-                                dst_wait=0)
-    assert bound.channel("c0__dstbuf").dst == "as_c0"
 
 
 def test_bind_remote_hardware_destination_wait_zero():
@@ -246,6 +260,21 @@ def test_build_bound_graph_mjpeg_structure():
     assert all(bound.has_self_loop(a.id) for a in bound.actors)
 
 
+@pytest.mark.parametrize("actors, channels, message", [
+    (["A", "B", "A"], [("c", "A", "B")], "actor id 'A'"),
+    (["A", "B"], [("c", "A", "B"), ("d", "B", "A"), ("c", "B", "A")], "channel id 'c'"),
+])
+def test_rewrites_reject_repeated_ids(actors, channels, message):
+    # One dict entry per id would silently drop the repeated element.
+    g = SDFG([Actor(a, 1) for a in actors], [Channel(*row) for row in channels])
+    with pytest.raises(DuplicateIdError, match=message):
+        bind_local_channel(g, "c", buffer_tokens=1)
+    mapping = PlatformMapping(actor_tile={"A": "T1", "B": "T1"},
+                              tdma_slice={"A": 1, "B": 1}, channel_binding={})
+    with pytest.raises(DuplicateIdError, match=message):
+        build_bound_graph(g, Platform([Tile("T1", tdma_wheel=10)]), mapping)
+
+
 def test_build_bound_graph_rejects_misplaced_local_binding():
     graph, platform = mjpeg_application(), mjpeg_platform()
     mapping = mjpeg_mapping()
@@ -275,3 +304,139 @@ def test_memory_aware_preserves_unrelated_elements():
     assert out.actor("A") == g.actor("A")
     assert out.actor("D") == g.actor("D")
     assert out.channel("c2") == g.channel("c2")
+
+
+# --- one-pass binder against the step-by-step composition -----------------
+
+def assert_binds_like_reference(graph, platform, mapping):
+    """build_bound_graph gives the reference composition's graph, tuple for
+    tuple in the same order, or fails with the same error."""
+    try:
+        expected = reference_bound_graph(graph, platform, mapping)
+    except SdfmigError as exc:
+        with pytest.raises(type(exc)) as raised:
+            build_bound_graph(graph, platform, mapping)
+        assert str(raised.value) == str(exc)
+        return None
+    bound = build_bound_graph(graph, platform, mapping)
+    assert bound.actors == expected.actors
+    assert bound.channels == expected.channels
+    assert bound.reference_actor == expected.reference_actor
+    return bound
+
+
+def migration_bind_inputs(monkeypatch, graph, platform, mapping, defaults):
+    """The (graph, platform, mapping) that migrate_task hands to the binder for
+    each single-task migration of a software actor, failed ones included."""
+    seen = []
+
+    def recording(*args):
+        seen.append(args)
+        return build_bound_graph(*args)
+
+    monkeypatch.setattr(migration, "build_bound_graph", recording)
+    for actor in graph.actors:
+        if actor.kind == ActorKind.SOFTWARE:
+            try:
+                migrate_task(graph, platform, mapping, replace(defaults, actor=actor.id))
+            except SdfmigError:
+                pass
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("name", list_bundled_scenarios())
+def test_binder_matches_reference_on_bundled_scenarios(monkeypatch, name):
+    s = load_scenario(bundled_scenario_path(name))
+    assert assert_binds_like_reference(s.graph, s.platform, s.mapping) is not None
+    software = sum(a.kind == ActorKind.SOFTWARE for a in s.graph.actors)
+    for speedup in (2, 4):
+        inputs = migration_bind_inputs(monkeypatch, s.graph, s.platform, s.mapping,
+                                       replace(s.defaults, speedup=Fraction(speedup)))
+        assert len(inputs) == software
+        for args in inputs:
+            assert assert_binds_like_reference(*args) is not None
+
+
+def test_binder_matches_reference_on_random_scenarios(monkeypatch):
+    rng = random.Random(4242)
+    bound = prefetched = 0
+    for _ in range(40):
+        graph, platform, mapping = random_scenario(rng)
+        assert_binds_like_reference(graph, platform, mapping)
+        for args in migration_bind_inputs(monkeypatch, graph, platform, mapping,
+                                          MigrationSpec()):
+            bound += assert_binds_like_reference(*args) is not None
+            prefetched += any(b.is_prefetch for b in args[2].channel_binding.values())
+    assert bound > 100 and prefetched > 50
+
+
+def two_tile_scenario(actors, channels, tiles, remote=(), buffers=None):
+    """Graph on tiles T1/T2 joined by n12/n21: ``actors`` maps id -> exec time,
+    ``channels`` rows are (id, src, dst, tokens); ids in ``remote`` cross the
+    NoC, every other channel is local with ``buffers[id]`` tokens (default 4)."""
+    graph = SDFG([Actor(a, t) for a, t in actors.items()],
+                 [Channel(cid, src, dst, initial_tokens=tokens)
+                  for cid, src, dst, tokens in channels])
+    platform = Platform(
+        [Tile("T1", tdma_wheel=100), Tile("T2", tdma_wheel=100)],
+        [NocConnection("n12", "T1", "T2", latency=2, bandwidth=Fraction(1)),
+         NocConnection("n21", "T2", "T1", latency=2, bandwidth=Fraction(1))])
+    bindings = {}
+    for cid, src, dst, _ in channels:
+        if cid in remote:
+            bindings[cid] = ChannelBinding(target=f"n{tiles[src][1]}{tiles[dst][1]}",
+                                           alpha_src=1, alpha_dst=1)
+        else:
+            bindings[cid] = ChannelBinding(buffer_tokens=(buffers or {}).get(cid, 4))
+    mapping = PlatformMapping(actor_tile=tiles, tdma_slice={a: 10 for a in actors},
+                              channel_binding=bindings)
+    return graph, platform, mapping
+
+
+def test_binder_skips_ids_the_application_holds():
+    # Actor ac_c0 takes the send actor's stem; actor c0 meets channel c0__self.
+    graph, platform, mapping = two_tile_scenario(
+        {"A": 3, "B": 4, "ac_c0": 5, "c0": 6},
+        [("c0", "A", "B", 0), ("c1", "B", "ac_c0", 0), ("c0__self", "c0", "A", 0),
+         ("back", "ac_c0", "c0", 1), ("ret", "B", "A", 2)],
+        {"A": "T1", "B": "T2", "ac_c0": "T2", "c0": "T1"},
+        remote=("c0", "back", "ret"))
+    bound = assert_binds_like_reference(graph, platform, mapping)
+    assert bound.actor("ac_c0").exec_time == 5 + 10
+    assert bound.channel("c0__send").dst == "ac_c0_2"
+    assert bound.channel("ac_c0_2__self").src == "ac_c0_2"
+    assert bound.channel("c0__self_2").src == "c0"
+
+
+def test_binder_skips_ids_the_application_holds_in_prefetch(monkeypatch):
+    # Migrating P makes X a prefetch consumer; X1 and X_ri are taken.
+    graph, platform, mapping = two_tile_scenario(
+        {"P": 3, "X": 4, "X1": 5},
+        [("px", "P", "X", 0), ("X_ri", "X", "X1", 0), ("back", "X1", "P", 2)],
+        {"P": "T1", "X": "T1", "X1": "T1"})
+    inputs = migration_bind_inputs(monkeypatch, graph, platform, mapping,
+                                   MigrationSpec())
+    assert len(inputs) == 3
+    bounds = [assert_binds_like_reference(*args) for args in inputs]
+    migrated_p = inputs[0][2].channel_binding
+    assert migrated_p["px"].is_prefetch
+    assert {"X1_2", "X_ri_2", "X2"} <= bounds[0].actor_map.keys()
+    assert bounds[0].channel("px").dst == "X_ri_2"
+    assert bounds[0].channel("X_ri").src == "X2"
+
+
+def test_binder_reuses_ids_a_remote_rewrite_frees():
+    # c1__buf and B__self cross the NoC, so their ids are free again when the
+    # local binding of c1 and the self-loop of B draw them.
+    graph, platform, mapping = two_tile_scenario(
+        {"A": 3, "B": 4},
+        [("c1__buf", "A", "B", 0), ("B__self", "A", "B", 0), ("c1", "A", "A", 1),
+         ("ret", "B", "A", 2)],
+        {"A": "T1", "B": "T2"},
+        remote=("c1__buf", "B__self", "ret"), buffers={"c1": 3})
+    bound = assert_binds_like_reference(graph, platform, mapping)
+    back = bound.channel("c1__buf")
+    assert (back.src, back.dst, back.initial_tokens) == ("A", "A", 2)
+    assert bound.channel("B__self").src == bound.channel("B__self").dst == "B"
+    assert "c1__buf_2" not in bound.channel_map
