@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .analysis import DEFAULT_STATE_BUDGET, self_timed_throughput, to_frames_per_second
 from .errors import (
-    AlreadyHardwareError,
     ScenarioParseError,
     ScenarioValidationError,
     SdfmigError,
@@ -230,7 +229,7 @@ def main(argv=None) -> int:
     except UnknownActorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SdfmigError, AlreadyHardwareError) as exc:
+    except SdfmigError as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
 

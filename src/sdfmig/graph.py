@@ -142,7 +142,7 @@ class SDFG:
     def with_exec_times(self, exec_times: Mapping[str, int]) -> "SDFG":
         """Copy of the graph with the listed actors' execution times replaced."""
         actors = tuple(
-            replace(a, exec_time=exec_times[a.id]) if a.id in exec_times else a
+            Actor(a.id, exec_times[a.id], a.kind, a.name) if a.id in exec_times else a
             for a in self.actors
         )
         return replace(self, actors=actors)
@@ -233,7 +233,11 @@ def compute_repetition_vector(graph: SDFG) -> RepetitionVector:
 def _solve_repetition_vector(graph: SDFG) -> RepetitionVector:
     """Propagate firing-rate ratios as reduced integer (num, den) pairs over
     each weakly-connected component, then scale each component to the
-    smallest positive integers."""
+    smallest positive integers.
+
+    Every actor is popped once and compares each incident channel, so each
+    channel is checked after both of its endpoints have their final ratios:
+    one pass finds every unbalanced channel."""
     ratios: dict[str, tuple[int, int]] = {}
     adjacency: dict[str, list[Channel]] = {a.id: [] for a in graph.actors}
     for c in graph.channels:
@@ -268,18 +272,6 @@ def _solve_repetition_vector(graph: SDFG) -> RepetitionVector:
                 elif ratios[other] != implied and c.id not in bad:
                     bad.append(c.id)
         components.append(component)
-
-    # Re-check every channel: DFS only detects mismatches on tree-closing
-    # edges of the traversal order it happened to take.
-    for c in graph.channels:
-        if c.prod_rate <= 0 or c.cons_rate <= 0:
-            continue
-        if c.src not in ratios or c.dst not in ratios:
-            continue
-        (src_num, src_den), (dst_num, dst_den) = ratios[c.src], ratios[c.dst]
-        if src_num * c.prod_rate * dst_den != dst_num * c.cons_rate * src_den:
-            if c.id not in bad:
-                bad.append(c.id)
     if bad:
         raise InconsistentGraphError(
             f"balance equations unsolvable, offending channels: {', '.join(sorted(bad))}",
@@ -342,9 +334,10 @@ def validate(graph: SDFG) -> list[Diagnostic]:
 def disable_auto_concurrency(graph: SDFG) -> SDFG:
     """Give every actor without a self-loop a rate-1 self-loop with one token,
     so no actor ever has two overlapping firings. Idempotent."""
+    looped = {c.src for c in graph.channels if c.src == c.dst}
     channels = list(graph.channels)
     for a in graph.actors:
-        if not graph.has_self_loop(a.id):
+        if a.id not in looped:
             channels.append(Channel(
                 id=graph.unique_id(f"{a.id}__self"),
                 src=a.id, dst=a.id,

@@ -3,7 +3,11 @@
 TDMA arbitration is modeled analytically: sharing a processor inflates each
 actor's execution time by the co-mapped actors' slices (the worst case where
 a token arrives right at the end of the actor's own slot). There is no
-slot-level simulation.
+slot-level simulation. A mapping sums its slices per tile once
+(:attr:`PlatformMapping.tile_slices`, cached like :attr:`Platform.tile_map`),
+so an actor's wait is its tile's total minus its own slice, and one
+slice-overflow check over those totals serves both :func:`compute_etam` and
+:func:`validate_mapping`.
 """
 
 from __future__ import annotations
@@ -135,19 +139,16 @@ class PlatformMapping:
     tdma_slice: TMapping[str, int]
     channel_binding: TMapping[str, ChannelBinding]
 
-    @property
-    def channel_latency_bound(self) -> dict[str, int]:
-        """Explicitly configured latency bounds (defaults are resolved against
-        the platform, see :func:`resolve_latency_bound`)."""
-        return {cid: b.latency_bound
-                for cid, b in self.channel_binding.items()
-                if b.latency_bound is not None}
+    @cached_property
+    def tile_slices(self) -> dict[str, int]:
+        """Tile id -> total TDMA slice of the actors placed on it."""
+        totals: dict[str, int] = {}
+        for actor_id, tile_id in self.actor_tile.items():
+            totals[tile_id] = totals.get(tile_id, 0) + self.tdma_slice.get(actor_id, 0)
+        return totals
 
     def tile_of(self, actor_id: str) -> str | None:
         return self.actor_tile.get(actor_id)
-
-    def actors_on(self, tile_id: str) -> list[str]:
-        return sorted(a for a, t in self.actor_tile.items() if t == tile_id)
 
 
 def tdma_wait(actor_id: str, platform: Platform, mapping: PlatformMapping) -> int:
@@ -158,8 +159,7 @@ def tdma_wait(actor_id: str, platform: Platform, mapping: PlatformMapping) -> in
         raise UnmappedActorError(f"actor {actor_id!r} is not mapped to a tile")
     if platform.tile(tile_id).kind != TileKind.PROCESSOR:
         return 0
-    return sum(mapping.tdma_slice.get(other, 0)
-               for other in mapping.actors_on(tile_id) if other != actor_id)
+    return mapping.tile_slices[tile_id] - mapping.tdma_slice.get(actor_id, 0)
 
 
 def compute_etam(graph: SDFG, platform: Platform,
@@ -167,7 +167,11 @@ def compute_etam(graph: SDFG, platform: Platform,
     """Execution time after mapping for every actor: software actors pay the
     co-mapped actors' TDMA slices on top of their own execution time, other
     kinds are unchanged."""
-    _check_slices(platform, mapping)
+    overflows = _slice_overflows(platform, mapping)
+    if overflows:
+        tile, used = overflows[0]
+        raise SliceOverflowError(
+            f"tile {tile.id!r}: slices total {used} exceed wheel {tile.tdma_wheel}")
     etam: dict[str, int] = {}
     for actor in graph.actors:
         if actor.kind == ActorKind.SOFTWARE:
@@ -181,14 +185,14 @@ def compute_etam(graph: SDFG, platform: Platform,
     return etam
 
 
-def _check_slices(platform: Platform, mapping: PlatformMapping) -> None:
-    for tile in platform.tiles:
-        if tile.kind != TileKind.PROCESSOR:
-            continue
-        used = sum(mapping.tdma_slice.get(a, 0) for a in mapping.actors_on(tile.id))
-        if used > tile.tdma_wheel:
-            raise SliceOverflowError(
-                f"tile {tile.id!r}: slices total {used} exceed wheel {tile.tdma_wheel}")
+def _slice_overflows(platform: Platform,
+                     mapping: PlatformMapping) -> list[tuple[Tile, int]]:
+    """Every processor tile whose slices total more than its wheel, with that
+    total, in platform order."""
+    totals = mapping.tile_slices
+    return [(tile, totals.get(tile.id, 0)) for tile in platform.tiles
+            if tile.kind == TileKind.PROCESSOR
+            and totals.get(tile.id, 0) > tile.tdma_wheel]
 
 
 def validate_mapping(graph: SDFG, platform: Platform,
@@ -206,13 +210,9 @@ def validate_mapping(graph: SDFG, platform: Platform,
         if actor.kind == ActorKind.SOFTWARE and mapping.tile_of(actor.id) is None:
             diags.append(Diagnostic("UnmappedActor", actor.id,
                                     "software actor has no tile"))
-    for tile in platform.tiles:
-        if tile.kind != TileKind.PROCESSOR:
-            continue
-        used = sum(mapping.tdma_slice.get(a, 0) for a in mapping.actors_on(tile.id))
-        if used > tile.tdma_wheel:
-            diags.append(Diagnostic("SliceOverflow", tile.id,
-                                    f"slices total {used} exceed wheel {tile.tdma_wheel}"))
+    for tile, used in _slice_overflows(platform, mapping):
+        diags.append(Diagnostic("SliceOverflow", tile.id,
+                                f"slices total {used} exceed wheel {tile.tdma_wheel}"))
     for channel_id, binding in mapping.channel_binding.items():
         channel = graph.channel_map.get(channel_id)
         if channel is None:

@@ -13,8 +13,6 @@ import xml.parsers.expat
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
-from xml.sax.saxutils import escape, quoteattr
 
 from .analysis import ThroughputResult, to_frames_per_second
 from .errors import ScenarioParseError, ScenarioValidationError
@@ -70,11 +68,12 @@ class _Node:
 
 def _parse_tree(text: str) -> _Node:
     parser = xml.parsers.expat.ParserCreate()
+    parser.buffer_text = True
     root: list[_Node] = []
     stack: list[_Node] = []
 
     def start(tag, attrs):
-        node = _Node(tag, dict(attrs), parser.CurrentLineNumber,
+        node = _Node(tag, attrs, parser.CurrentLineNumber,
                      parser.CurrentColumnNumber + 1)
         if stack:
             stack[-1].children.append(node)
@@ -101,17 +100,33 @@ def _parse_tree(text: str) -> _Node:
     return root[0]
 
 
+# Attributes each element accepts; anything else is an unknown attribute.
+_SCENARIO_ATTRS = frozenset({"name", "clock-hz", "auto-concurrency"})
+_APPLICATION_ATTRS = frozenset({"reference-actor"})
+_ACTOR_ATTRS = frozenset({"id", "exec-time", "kind", "name"})
+_CHANNEL_ATTRS = frozenset({"id", "src", "dst", "prod-rate", "cons-rate",
+                            "initial-tokens", "token-size"})
+_TILE_ATTRS = frozenset({"id", "kind", "tdma-wheel", "clock-hz"})
+_CONNECTION_ATTRS = frozenset({"id", "src-tile", "dst-tile", "latency", "bandwidth"})
+_PLACE_ATTRS = frozenset({"actor", "tile", "tdma-slice"})
+_BIND_ATTRS = frozenset({"channel", "connection", "prefetch", "buffer-tokens",
+                         "alpha-src", "alpha-dst", "latency-bound", "prefetch-time"})
+_DEFAULTS_ATTRS = frozenset({"speedup", "prefetch-time", "hw-connection",
+                             "hw-buffer-tokens", "alpha-src", "alpha-dst"})
+_SDF3_CHANNEL_ATTRS = frozenset({"name", "srcActor", "srcPort", "dstActor", "dstPort",
+                                 "initialTokens", "size"})
+
+
 class _Reader:
     """Attribute access with position-aware errors and exact number parsing."""
 
-    def __init__(self, node: _Node, allowed: Iterable[str]):
+    def __init__(self, node: _Node, allowed: frozenset[str]):
         self.node = node
-        unknown = set(node.attrib) - set(allowed)
-        if unknown:
+        if not node.attrib.keys() <= allowed:
+            unknown = sorted(set(node.attrib) - allowed)[0]
             line, column = node.where()
-            raise ScenarioParseError(
-                f"unknown attribute {sorted(unknown)[0]!r} on <{node.tag}>",
-                line=line, column=column)
+            raise ScenarioParseError(f"unknown attribute {unknown!r} on <{node.tag}>",
+                                     line=line, column=column)
 
     def fail(self, message: str):
         line, column = self.node.where()
@@ -124,14 +139,18 @@ class _Reader:
             self.fail(f"missing attribute {name!r}")
         return value
 
-    def integer(self, name: str, default: int | None = None) -> int | None:
+    def integer(self, name: str, default: int | None = None,
+                minimum: int | None = None) -> int | None:
         raw = self.node.attrib.get(name)
         if raw is None:
             return default
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             self.fail(f"attribute {name!r} must be an integer, got {raw!r}")
+        if minimum is not None and value < minimum:
+            self.fail(f"attribute {name!r} must be at least {minimum}, got {value}")
+        return value
 
     def rational(self, name: str, default: Fraction | None = None) -> Fraction | None:
         raw = self.node.attrib.get(name)
@@ -170,7 +189,7 @@ def load_scenario(path) -> Scenario:
         line, column = root.where()
         raise ScenarioParseError(f"expected <scenario> root, got <{root.tag}>",
                                  line=line, column=column)
-    reader = _Reader(root, ["name", "clock-hz", "auto-concurrency"])
+    reader = _Reader(root, _SCENARIO_ATTRS)
     name = reader.text("name", Path(path).stem)
     clock = reader.rational("clock-hz", DEFAULT_CLOCK_HZ)
     _expect_children(root, {"description", "application", "platform", "mapping",
@@ -219,13 +238,13 @@ def _validate_scenario(scenario: Scenario) -> None:
 
 
 def _read_application(node: _Node) -> SDFG:
-    _Reader(node, ["reference-actor"])
+    _Reader(node, _APPLICATION_ATTRS)
     _expect_children(node, {"actor", "channel"})
     actors: list[Actor] = []
     channels: list[Channel] = []
     for child in node.children:
         if child.tag == "actor":
-            r = _Reader(child, ["id", "exec-time", "kind", "name"])
+            r = _Reader(child, _ACTOR_ATTRS)
             kind_text = r.text("kind", ActorKind.SOFTWARE.value)
             try:
                 kind = ActorKind(kind_text)
@@ -238,8 +257,7 @@ def _read_application(node: _Node) -> SDFG:
                 name=r.text("name", "") or r.text("id"),
             ))
         else:
-            r = _Reader(child, ["id", "src", "dst", "prod-rate", "cons-rate",
-                                "initial-tokens", "token-size"])
+            r = _Reader(child, _CHANNEL_ATTRS)
             channels.append(Channel(
                 id=r.text("id"),
                 src=r.text("src"),
@@ -247,20 +265,20 @@ def _read_application(node: _Node) -> SDFG:
                 prod_rate=r.integer("prod-rate", 1),
                 cons_rate=r.integer("cons-rate", 1),
                 initial_tokens=r.integer("initial-tokens", 0),
-                token_size=r.integer("token-size", 0),
+                token_size=r.integer("token-size", 0, minimum=0),
             ))
     return SDFG(actors=actors, channels=channels,
                 reference_actor=node.attrib.get("reference-actor"))
 
 
 def _read_platform(node: _Node) -> Platform:
-    _Reader(node, [])
+    _Reader(node, frozenset())
     _expect_children(node, {"tile", "connection"})
     tiles: list[Tile] = []
     connections: list[NocConnection] = []
     for child in node.children:
         if child.tag == "tile":
-            r = _Reader(child, ["id", "kind", "tdma-wheel", "clock-hz"])
+            r = _Reader(child, _TILE_ATTRS)
             kind_text = r.text("kind", TileKind.PROCESSOR.value)
             try:
                 kind = TileKind(kind_text)
@@ -268,11 +286,11 @@ def _read_platform(node: _Node) -> Platform:
                 r.fail(f"unknown tile kind {kind_text!r}")
             tiles.append(Tile(
                 id=r.text("id"), kind=kind,
-                tdma_wheel=r.integer("tdma-wheel", 0),
+                tdma_wheel=r.integer("tdma-wheel", 0, minimum=0),
                 clock_hz=r.rational("clock-hz", DEFAULT_CLOCK_HZ),
             ))
         else:
-            r = _Reader(child, ["id", "src-tile", "dst-tile", "latency", "bandwidth"])
+            r = _Reader(child, _CONNECTION_ATTRS)
             bandwidth = r.rational("bandwidth", Fraction(1))
             if bandwidth <= 0:
                 r.fail("bandwidth must be positive")
@@ -280,30 +298,28 @@ def _read_platform(node: _Node) -> Platform:
                 id=r.text("id"),
                 src_tile=r.text("src-tile"),
                 dst_tile=r.text("dst-tile"),
-                latency=r.integer("latency", 0),
+                latency=r.integer("latency", 0, minimum=0),
                 bandwidth=bandwidth,
             ))
     return Platform(tiles=tiles, connections=connections)
 
 
 def _read_mapping(node: _Node) -> PlatformMapping:
-    _Reader(node, [])
+    _Reader(node, frozenset())
     _expect_children(node, {"place", "bind"})
     actor_tile: dict[str, str] = {}
     tdma_slice: dict[str, int] = {}
     bindings: dict[str, ChannelBinding] = {}
     for child in node.children:
         if child.tag == "place":
-            r = _Reader(child, ["actor", "tile", "tdma-slice"])
+            r = _Reader(child, _PLACE_ATTRS)
             actor = r.text("actor")
             actor_tile[actor] = r.text("tile")
-            slice_cycles = r.integer("tdma-slice")
+            slice_cycles = r.integer("tdma-slice", minimum=0)
             if slice_cycles is not None:
                 tdma_slice[actor] = slice_cycles
         else:
-            r = _Reader(child, ["channel", "connection", "prefetch",
-                                "buffer-tokens", "alpha-src", "alpha-dst",
-                                "latency-bound", "prefetch-time"])
+            r = _Reader(child, _BIND_ATTRS)
             channel = r.text("channel")
             prefetch = r.text("prefetch", "false")
             if prefetch not in ("true", "false"):
@@ -321,19 +337,18 @@ def _read_mapping(node: _Node) -> PlatformMapping:
             bindings[channel] = ChannelBinding(
                 target=target,
                 connection=connection,
-                buffer_tokens=r.integer("buffer-tokens"),
+                buffer_tokens=r.integer("buffer-tokens", minimum=0),
                 alpha_src=r.integer("alpha-src"),
                 alpha_dst=r.integer("alpha-dst"),
-                latency_bound=r.integer("latency-bound"),
-                prefetch_time=r.integer("prefetch-time"),
+                latency_bound=r.integer("latency-bound", minimum=0),
+                prefetch_time=r.integer("prefetch-time", minimum=0),
             )
     return PlatformMapping(actor_tile=actor_tile, tdma_slice=tdma_slice,
                            channel_binding=bindings)
 
 
 def _read_defaults(node: _Node) -> MigrationSpec:
-    r = _Reader(node, ["speedup", "prefetch-time", "hw-connection",
-                       "hw-buffer-tokens", "alpha-src", "alpha-dst"])
+    r = _Reader(node, _DEFAULTS_ATTRS)
     _expect_children(node, set())
     spec = MigrationSpec(
         speedup=r.rational("speedup", Fraction(2)),
@@ -383,7 +398,12 @@ def _read_sdf3(root: _Node) -> SDFG:
     for properties in find_all(root, "channelProperties"):
         channel_name = properties.attrib.get("channel", "")
         for size in find_all(properties, "tokenSize"):
-            token_sizes[channel_name] = int(size.attrib.get("sz", "0"))
+            try:
+                token_sizes[channel_name] = int(size.attrib.get("sz", "0"))
+            except ValueError:
+                line, column = size.where()
+                raise ScenarioParseError("tokenSize must be an integer",
+                                         line=line, column=column)
 
     actors = []
     for node in actor_nodes:
@@ -404,8 +424,7 @@ def _read_sdf3(root: _Node) -> SDFG:
 
     channels = []
     for node in channel_nodes:
-        r = _Reader(node, ["name", "srcActor", "srcPort", "dstActor", "dstPort",
-                           "initialTokens", "size"])
+        r = _Reader(node, _SDF3_CHANNEL_ATTRS)
         src, dst = r.text("srcActor"), r.text("dstActor")
         name = r.text("name")
         channels.append(Channel(
@@ -433,60 +452,83 @@ def save_scenario(scenario: Scenario, path) -> None:
     Path(path).write_text(scenario_to_text(scenario), encoding="utf-8")
 
 
+_NEEDS_ESCAPE = frozenset('&<>"\n\r\t')
+
+
+def _escape(text: str) -> str:
+    """Character data with ``&``, ``<`` and ``>`` escaped, as
+    ``xml.sax.saxutils.escape`` does."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quote(value: str) -> str:
+    """An attribute value quoted and escaped exactly as
+    ``xml.sax.saxutils.quoteattr`` does: in double quotes, or in single
+    quotes when it holds ``"`` but no ``'``."""
+    if _NEEDS_ESCAPE.isdisjoint(value):
+        return f'"{value}"'
+    value = (_escape(value).replace("\n", "&#10;").replace("\r", "&#13;")
+             .replace("\t", "&#9;"))
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"' + value.replace('"', "&quot;") + '"'
+
+
 def scenario_to_text(scenario: Scenario) -> str:
     out: list[str] = []
-    head = [f"name={quoteattr(scenario.name)}"]
+    head = [f"name={_quote(scenario.name)}"]
     if scenario.clock_hz != DEFAULT_CLOCK_HZ:
-        head.append(f"clock-hz={quoteattr(format_rational(scenario.clock_hz))}")
+        head.append(f"clock-hz={_quote(format_rational(scenario.clock_hz))}")
     out.append(f"<scenario {' '.join(head)}>")
     if scenario.description:
-        out.append(f"  <description>{escape(scenario.description)}</description>")
+        out.append(f"  <description>{_escape(scenario.description)}</description>")
 
     graph = scenario.graph
-    ref = (f" reference-actor={quoteattr(graph.reference_actor)}"
+    ref = (f" reference-actor={_quote(graph.reference_actor)}"
            if graph.reference_actor else "")
     out.append(f"  <application{ref}>")
     for actor in sorted(graph.actors, key=lambda a: a.id):
-        attrs = [f"id={quoteattr(actor.id)}",
-                 f"exec-time={quoteattr(str(actor.exec_time))}"]
+        attrs = [f"id={_quote(actor.id)}", f'exec-time="{actor.exec_time}"']
         if actor.kind != ActorKind.SOFTWARE:
-            attrs.append(f"kind={quoteattr(actor.kind.value)}")
+            attrs.append(f"kind={_quote(actor.kind.value)}")
         if actor.name != actor.id:
-            attrs.append(f"name={quoteattr(actor.name)}")
+            attrs.append(f"name={_quote(actor.name)}")
         out.append(f"    <actor {' '.join(attrs)}/>")
     for channel in sorted(graph.channels, key=lambda c: c.id):
-        attrs = [f"id={quoteattr(channel.id)}",
-                 f"src={quoteattr(channel.src)}",
-                 f"dst={quoteattr(channel.dst)}"]
+        attrs = [f"id={_quote(channel.id)}",
+                 f"src={_quote(channel.src)}",
+                 f"dst={_quote(channel.dst)}"]
         if channel.prod_rate != 1:
-            attrs.append(f"prod-rate={quoteattr(str(channel.prod_rate))}")
+            attrs.append(f'prod-rate="{channel.prod_rate}"')
         if channel.cons_rate != 1:
-            attrs.append(f"cons-rate={quoteattr(str(channel.cons_rate))}")
+            attrs.append(f'cons-rate="{channel.cons_rate}"')
         if channel.initial_tokens:
-            attrs.append(f"initial-tokens={quoteattr(str(channel.initial_tokens))}")
+            attrs.append(f'initial-tokens="{channel.initial_tokens}"')
         if channel.token_size:
-            attrs.append(f"token-size={quoteattr(str(channel.token_size))}")
+            attrs.append(f'token-size="{channel.token_size}"')
         out.append(f"    <channel {' '.join(attrs)}/>")
     out.append("  </application>")
 
     if scenario.platform is not None:
         out.append("  <platform>")
         for tile in sorted(scenario.platform.tiles, key=lambda t: t.id):
-            attrs = [f"id={quoteattr(tile.id)}"]
+            attrs = [f"id={_quote(tile.id)}"]
             if tile.kind != TileKind.PROCESSOR:
-                attrs.append(f"kind={quoteattr(tile.kind.value)}")
+                attrs.append(f"kind={_quote(tile.kind.value)}")
             if tile.tdma_wheel:
-                attrs.append(f"tdma-wheel={quoteattr(str(tile.tdma_wheel))}")
+                attrs.append(f'tdma-wheel="{tile.tdma_wheel}"')
             if tile.clock_hz != DEFAULT_CLOCK_HZ:
-                attrs.append(f"clock-hz={quoteattr(format_rational(tile.clock_hz))}")
+                attrs.append(f"clock-hz={_quote(format_rational(tile.clock_hz))}")
             out.append(f"    <tile {' '.join(attrs)}/>")
         for conn in sorted(scenario.platform.connections, key=lambda c: c.id):
-            attrs = [f"id={quoteattr(conn.id)}",
-                     f"src-tile={quoteattr(conn.src_tile)}",
-                     f"dst-tile={quoteattr(conn.dst_tile)}"]
+            attrs = [f"id={_quote(conn.id)}",
+                     f"src-tile={_quote(conn.src_tile)}",
+                     f"dst-tile={_quote(conn.dst_tile)}"]
             if conn.latency:
-                attrs.append(f"latency={quoteattr(str(conn.latency))}")
-            attrs.append(f"bandwidth={quoteattr(format_rational(conn.bandwidth))}")
+                attrs.append(f'latency="{conn.latency}"')
+            attrs.append(f"bandwidth={_quote(format_rational(conn.bandwidth))}")
             out.append(f"    <connection {' '.join(attrs)}/>")
         out.append("  </platform>")
 
@@ -494,43 +536,43 @@ def scenario_to_text(scenario: Scenario) -> str:
         out.append("  <mapping>")
         mapping = scenario.mapping
         for actor_id in sorted(mapping.actor_tile):
-            attrs = [f"actor={quoteattr(actor_id)}",
-                     f"tile={quoteattr(mapping.actor_tile[actor_id])}"]
+            attrs = [f"actor={_quote(actor_id)}",
+                     f"tile={_quote(mapping.actor_tile[actor_id])}"]
             if actor_id in mapping.tdma_slice:
-                attrs.append(f"tdma-slice={quoteattr(str(mapping.tdma_slice[actor_id]))}")
+                attrs.append(f'tdma-slice="{mapping.tdma_slice[actor_id]}"')
             out.append(f"    <place {' '.join(attrs)}/>")
         for channel_id in sorted(mapping.channel_binding):
             binding = mapping.channel_binding[channel_id]
-            attrs = [f"channel={quoteattr(channel_id)}"]
+            attrs = [f"channel={_quote(channel_id)}"]
             if binding.is_prefetch:
                 attrs.append('prefetch="true"')
-                attrs.append(f"connection={quoteattr(binding.connection)}")
+                attrs.append(f"connection={_quote(binding.connection)}")
             elif not binding.is_local:
-                attrs.append(f"connection={quoteattr(binding.target)}")
+                attrs.append(f"connection={_quote(binding.target)}")
             for label, value in (("buffer-tokens", binding.buffer_tokens),
                                  ("alpha-src", binding.alpha_src),
                                  ("alpha-dst", binding.alpha_dst),
                                  ("latency-bound", binding.latency_bound),
                                  ("prefetch-time", binding.prefetch_time)):
                 if value is not None:
-                    attrs.append(f"{label}={quoteattr(str(value))}")
+                    attrs.append(f'{label}="{value}"')
             out.append(f"    <bind {' '.join(attrs)}/>")
         out.append("  </mapping>")
 
     defaults = scenario.defaults
     attrs = []
     if defaults.speedup != Fraction(2):
-        attrs.append(f"speedup={quoteattr(format_rational(defaults.speedup))}")
+        attrs.append(f"speedup={_quote(format_rational(defaults.speedup))}")
     if defaults.prefetch_time != 10000:
-        attrs.append(f"prefetch-time={quoteattr(str(defaults.prefetch_time))}")
+        attrs.append(f'prefetch-time="{defaults.prefetch_time}"')
     if defaults.hw_connection is not None:
-        attrs.append(f"hw-connection={quoteattr(defaults.hw_connection)}")
+        attrs.append(f"hw-connection={_quote(defaults.hw_connection)}")
     if defaults.hw_buffer_tokens is not None:
-        attrs.append(f"hw-buffer-tokens={quoteattr(str(defaults.hw_buffer_tokens))}")
+        attrs.append(f'hw-buffer-tokens="{defaults.hw_buffer_tokens}"')
     if defaults.alpha_src != 2:
-        attrs.append(f"alpha-src={quoteattr(str(defaults.alpha_src))}")
+        attrs.append(f'alpha-src="{defaults.alpha_src}"')
     if defaults.alpha_dst != 2:
-        attrs.append(f"alpha-dst={quoteattr(str(defaults.alpha_dst))}")
+        attrs.append(f'alpha-dst="{defaults.alpha_dst}"')
     if attrs:
         out.append(f"  <defaults {' '.join(attrs)}/>")
     out.append("</scenario>")

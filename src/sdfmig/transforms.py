@@ -85,10 +85,12 @@ class MemoryAwareParams:
 
 def connection_actor_time(token_size: int, connection: NocConnection) -> int:
     """Cycles to push one token through a connection: latency plus the
-    truncated size/bandwidth quotient."""
-    if connection.bandwidth <= 0:
+    size/bandwidth quotient truncated toward zero, computed in integers."""
+    bandwidth = connection.bandwidth
+    if bandwidth <= 0:
         raise ValueError(f"connection {connection.id!r} has non-positive bandwidth")
-    return connection.latency + int(token_size / connection.bandwidth)
+    cycles = abs(token_size) * bandwidth.denominator // bandwidth.numerator
+    return connection.latency + (cycles if token_size >= 0 else -cycles)
 
 
 def _by_id(elements, kind: str) -> dict:

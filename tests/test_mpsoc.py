@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
-from helpers import mjpeg_application, mjpeg_mapping, mjpeg_platform
+from helpers import mjpeg_application, mjpeg_mapping, mjpeg_platform, random_scenario
 from sdfmig.errors import SliceOverflowError, UnmappedActorError
 from sdfmig.graph import Actor, ActorKind, Channel, SDFG
+from sdfmig.migration import MigrationSpec, migrate_task
 from sdfmig.mpsoc import (
     ChannelBinding,
     PlatformMapping,
@@ -82,6 +85,31 @@ def test_tdma_wait_hardware_tile_is_zero():
     mapping = PlatformMapping(actor_tile={"X": "HW"}, tdma_slice={},
                               channel_binding={})
     assert tdma_wait("X", platform, mapping) == 0
+
+
+def brute_force_wait(actor_id, platform, mapping):
+    """The sum of the other co-mapped actors' slices, by a scan of every
+    placement."""
+    tile = platform.tile(mapping.actor_tile[actor_id])
+    if tile.kind != TileKind.PROCESSOR:
+        return 0
+    return sum(mapping.tdma_slice.get(other, 0)
+               for other, tile_id in mapping.actor_tile.items()
+               if tile_id == tile.id and other != actor_id)
+
+
+def test_tdma_wait_matches_brute_force_sum():
+    rng = random.Random(23)
+    for _ in range(40):
+        graph, platform, mapping = random_scenario(rng)
+        cases = [(platform, mapping)]
+        for actor in graph.actors:
+            migrated = migrate_task(graph, platform, mapping, MigrationSpec(actor=actor.id))
+            cases.append((migrated.platform, migrated.mapping))
+        for case_platform, case_mapping in cases:
+            for actor_id in case_mapping.actor_tile:
+                assert (tdma_wait(actor_id, case_platform, case_mapping)
+                        == brute_force_wait(actor_id, case_platform, case_mapping))
 
 
 def test_tdma_wait_unmapped_actor():

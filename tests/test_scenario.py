@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
@@ -11,6 +12,8 @@ from sdfmig.analysis import self_timed_throughput
 from sdfmig.scenario import (
     ExplorationReport,
     Scenario,
+    _escape,
+    _quote,
     bundled_scenario_path,
     emit_report,
     list_bundled_scenarios,
@@ -145,6 +148,39 @@ def test_load_rejects_out_of_range_defaults(tmp_path, attribute, value):
     assert (err.value.line, err.value.column) == (20, 3)
 
 
+@pytest.mark.parametrize("attribute, original, line", [
+    ("tdma-slice", 'tdma-slice="50000"', 40),
+    ("tdma-wheel", 'tdma-wheel="100000"', 33),
+    ("latency", 'latency="3"', 36),
+    ("latency-bound", 'latency-bound="100000"', 47),
+    ("token-size", 'token-size="1024"', 26),
+    ("buffer-tokens", 'buffer-tokens="13"', 46),
+    ("prefetch-time", 'buffer-tokens="2"', 48),
+])
+def test_load_rejects_negative_integer_attributes(tmp_path, attribute, original, line):
+    # Each of these ends up as a cycle count, a byte count or a token count.
+    # A negative one used to give a wrong figure (tdma-slice) or an error
+    # naming a generated actor, not the attribute.
+    text = bundled_scenario_path("mjpeg_base").read_text()
+    assert original in text
+    edited = tmp_path / "edited.xml"
+    for value in ("0", "-1"):
+        replacement = (f'{original} prefetch-time="{value}"'
+                       if attribute == "prefetch-time" else f'{attribute}="{value}"')
+        edited.write_text(text.replace(original, replacement, 1))
+        if value == "0":
+            try:
+                load_scenario(edited)
+            except ScenarioValidationError:
+                pass  # in range; a zero wheel is then too small for its slices
+            continue
+        with pytest.raises(ScenarioParseError,
+                           match=f"attribute '{attribute}' must be at least 0, got -1"
+                           ) as err:
+            load_scenario(edited)
+        assert (err.value.line, err.value.column) == (line, 5)
+
+
 def test_load_rejects_binding_mismatch(tmp_path):
     bad = tmp_path / "bad.xml"
     bad.write_text("""<scenario name="bad">
@@ -169,9 +205,7 @@ def test_load_rejects_binding_mismatch(tmp_path):
     assert any(d.code == "BindingMismatch" for d in err.value.diagnostics)
 
 
-def test_sdf3_import_shim(tmp_path):
-    sdf3 = tmp_path / "app.xml"
-    sdf3.write_text("""<sdf3 type="sdf" version="1.0">
+SDF3_APP = """<sdf3 type="sdf" version="1.0">
   <applicationGraph name="demo">
     <sdf name="demo" type="demo">
       <actor name="A" type="a">
@@ -201,7 +235,12 @@ def test_sdf3_import_shim(tmp_path):
       </channelProperties>
     </sdfProperties>
   </applicationGraph>
-</sdf3>""")
+</sdf3>"""
+
+
+def test_sdf3_import_shim(tmp_path):
+    sdf3 = tmp_path / "app.xml"
+    sdf3.write_text(SDF3_APP)
     scenario = load_scenario(sdf3)
     g = scenario.graph
     assert g.actor("A").exec_time == 100
@@ -211,6 +250,34 @@ def test_sdf3_import_shim(tmp_path):
     assert g.channel("ch1").token_size == 512
     assert g.channel("ch2").initial_tokens == 3
     assert scenario.platform is None and scenario.mapping is None
+
+
+def test_sdf3_rejects_non_integer_token_size(tmp_path):
+    sdf3 = tmp_path / "app.xml"
+    sdf3.write_text(SDF3_APP.replace('<tokenSize sz="512"/>', '<tokenSize sz="big"/>'))
+    with pytest.raises(ScenarioParseError, match="tokenSize must be an integer") as err:
+        load_scenario(sdf3)
+    assert (err.value.line, err.value.column) == (27, 9)
+
+
+QUOTING_SAMPLES = ["", "plain", "a b", 'say "hi"', "it's", """both ' and \"""",
+                   "&", "a&b;", "<tag>", "x > y", "line\nbreak", "cr\rlf", "tab\tstop",
+                   "&\"'<>\n\r\t", "\"'", "'\"", "naïve Ünïcödé", "漢字 \"引用\"",
+                   "&amp;", "\u2028", "€'"]
+
+
+@pytest.mark.parametrize("value", QUOTING_SAMPLES)
+def test_quoting_matches_saxutils(value):
+    assert _quote(value) == quoteattr(value)
+    assert _escape(value) == escape(value)
+
+
+def test_save_escapes_special_characters(tmp_path):
+    for value in QUOTING_SAMPLES[1:]:
+        scenario = Scenario(name=value, graph=load_mjpeg().graph)
+        target = tmp_path / "s.xml"
+        save_scenario(scenario, target)
+        assert load_scenario(target) == scenario
 
 
 def test_save_is_deterministic():

@@ -61,6 +61,23 @@ def test_connection_actor_time_truncates():
     assert connection_actor_time(10, c) == 3  # 10/3 rounds down
 
 
+BUNDLED_BANDWIDTHS = sorted({c.bandwidth
+                             for name in list_bundled_scenarios()
+                             for c in load_scenario(bundled_scenario_path(name))
+                             .platform.connections})
+
+
+@pytest.mark.parametrize("bandwidth", BUNDLED_BANDWIDTHS + [
+    Fraction(1), Fraction(3), Fraction(1, 3), Fraction(7, 2), Fraction(10**12 + 1, 7)])
+def test_connection_actor_time_matches_fraction_quotient(bandwidth):
+    # Truncation toward zero, as int() of the exact quotient gives, also for
+    # negative sizes (the scenario reader rejects those, the API does not).
+    c = NocConnection("c", "A", "B", latency=5, bandwidth=bandwidth)
+    for size in (0, 1, 2, 3, 511, 512, 1024, 10**30 + 7,
+                 -1, -2, -3, -1024, -1025, -(10**30 + 7)):
+        assert connection_actor_time(size, c) == 5 + int(Fraction(size) / bandwidth)
+
+
 def test_bind_local_adds_reversed_buffer_edge():
     g = build_graph({"A": 1, "B": 1}, [("A", "B", 3, 2)])
     bound = bind_local_channel(g, "c0", buffer_tokens=6)
