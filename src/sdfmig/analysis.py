@@ -15,9 +15,10 @@ Two independent routes:
   which decode uniquely, so two keys are equal exactly when the states
   hold the same tokens and the same multiset of (actor, remaining)
   firings.
-* :func:`mcm_throughput` computes the maximum cycle ratio analytically via a
-  parametric longest-path search. Only valid for homogeneous (all rates 1),
-  strongly connected graphs, where it must agree with the simulation exactly.
+* :func:`mcm_throughput` computes the maximum cycle ratio analytically with
+  Howard's policy iteration over integer edge weights, with an exact
+  ``Fraction`` result. Only valid for homogeneous (all rates 1), strongly
+  connected graphs, where it must agree with the simulation exactly.
 
 All results are exact rationals.
 """
@@ -86,6 +87,13 @@ def resolve_reference_actor(graph: SDFG, repetition: RepetitionVector) -> str:
     return min(a for a, q in repetition.items() if q == best)
 
 
+def _check_exec_times(actor_ids: list[str], exec_times: list[int]) -> None:
+    negative = [a for a, t in zip(actor_ids, exec_times) if t < 0]
+    if negative:
+        raise NegativeExecutionTimeError(
+            f"negative execution time on actor(s) {', '.join(negative)}")
+
+
 class _Simulator:
     """Event-driven self-timed executor over integer-indexed actors and
     channels.
@@ -102,10 +110,7 @@ class _Simulator:
         index = {a: i for i, a in enumerate(self.actor_ids)}
         self.exec_time = [graph.actor_map[a].exec_time for a in self.actor_ids]
         # Time must never run backwards in the completion queue.
-        negative = [a for a, t in zip(self.actor_ids, self.exec_time) if t < 0]
-        if negative:
-            raise NegativeExecutionTimeError(
-                f"negative execution time on actor(s) {', '.join(negative)}")
+        _check_exec_times(self.actor_ids, self.exec_time)
         self.channel_ids = [c.id for c in graph.channels]
         self.tokens = [c.initial_tokens for c in graph.channels]
         self.consume: list[list[tuple[int, int]]] = [[] for _ in self.actor_ids]
@@ -323,24 +328,78 @@ def _has_token_free_cycle(n: int, edges: list[tuple[int, int, int, int]]) -> boo
     return False
 
 
-def _has_positive_cycle(n: int, edges: list[tuple[int, int, int, int]],
-                        lam: Fraction) -> bool:
-    """True iff some cycle has positive total weight under w(e) - lam * t(e).
+def _max_cycle_ratio(n: int, edges: list[tuple[int, int, int, int]]) -> Fraction:
+    """Maximum over cycles of (sum of ``w``) / (sum of ``t``) for edges
+    ``(u, v, w, t)`` over nodes ``0..n-1``, by Howard's policy iteration.
 
-    Longest-path relaxation from an all-zero potential; if an edge still
-    relaxes after n-1 full passes a positive cycle exists.
+    Every node needs an out-edge and every cycle a positive ``t`` total.
+    A policy keeps one out-edge per node, so each node leads to exactly one
+    policy cycle. Value determination gives each node the ratio ``eta`` of
+    its policy cycle and a potential ``x`` with ``x(u) = w - eta * t + x(v)``
+    along its policy edge, counted from the cycle's smallest node, where
+    ``x`` is 0. Improvement first moves a node to the out-edge whose head has
+    the largest ``eta``; when no node can, it moves a node, among out-edges
+    whose head has its own ``eta``, to the one with the largest
+    ``w - eta * t + x(v)``. Both moves need a strict gain, so a tie keeps
+    the current edge and the iteration stops once no node moves.
     """
-    dist = [Fraction(0)] * n
-    for _ in range(max(n - 1, 1)):
+    out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    for edge in edges:
+        out[edge[0]].append(edge)
+    # Start from the heaviest, then least-token, out-edge of every node.
+    policy = [max(choices, key=lambda e: (e[2], -e[3])) for choices in out]
+    while True:
+        # Value determination: walk each node's policy path to a known node
+        # or to a new cycle, then fill the path in backwards.
+        eta: list[Fraction | None] = [None] * n
+        x: list[Fraction] = [Fraction(0)] * n
+        walked = [-1] * n  # the start of the walk that reached each node
+        for start in range(n):
+            path = []
+            u = start
+            while eta[u] is None and walked[u] != start:
+                walked[u] = start
+                path.append(u)
+                u = policy[u][1]
+            if eta[u] is None:  # the walk closed a new policy cycle at u
+                k = path.index(u)
+                cycle = path[k:]
+                root = cycle.index(min(cycle))
+                eta[cycle[root]] = Fraction(sum(policy[c][2] for c in cycle),
+                                            sum(policy[c][3] for c in cycle))
+                # Reversed, each node comes after the head of its policy edge.
+                path = path[:k] + cycle[root + 1:] + cycle[:root]
+            for p in reversed(path):
+                _, v, w, t = policy[p]
+                eta[p] = eta[v]
+                x[p] = w - eta[v] * t + x[v]
+
+        # Phase 1: head with the largest eta.
         changed = False
-        for u, v, w, t in edges:
-            candidate = dist[u] + w - lam * t
-            if candidate > dist[v]:
-                dist[v] = candidate
+        for u in range(n):
+            best = policy[u]
+            for edge in out[u]:
+                if eta[edge[1]] > eta[best[1]]:
+                    best = edge
+            if best is not policy[u]:
+                policy[u] = best
+                changed = True
+        if changed:
+            continue
+        # Phase 2: at equal eta, the largest potential through the edge.
+        for u in range(n):
+            lam, best, value = eta[u], policy[u], x[u]
+            for edge in out[u]:
+                _, v, w, t = edge
+                if eta[v] == lam:
+                    candidate = w - lam * t + x[v]
+                    if candidate > value:
+                        best, value = edge, candidate
+            if best is not policy[u]:
+                policy[u] = best
                 changed = True
         if not changed:
-            return False
-    return any(dist[u] + w - lam * t > dist[v] for u, v, w, t in edges)
+            return max(eta)
 
 
 def mcm_throughput(graph: SDFG) -> Fraction:
@@ -348,15 +407,20 @@ def mcm_throughput(graph: SDFG) -> Fraction:
     of the maximum cycle ratio max over cycles of (sum of execution times /
     sum of initial tokens).
 
-    The ratio is found by exact binary search on the parametric longest-path
-    feasibility predicate, then snapped to the unique rational with
-    denominator bounded by the total token count.
+    The ratio comes exactly from Howard's policy iteration
+    (:func:`_max_cycle_ratio`) over integer edge weights. Raises, in this
+    order, :class:`NotHomogeneousError`, :class:`SdfmigError` for an empty
+    graph, :class:`NegativeExecutionTimeError`,
+    :class:`NotStronglyConnectedError`, :class:`DeadlockError` for a cycle
+    without tokens, and :class:`SdfmigError` when there is no cycle or every
+    cycle takes zero time (throughput unbounded).
     """
     if any(c.prod_rate != 1 or c.cons_rate != 1 for c in graph.channels):
         raise NotHomogeneousError("all rates must be 1 for cycle-mean analysis")
     if not graph.actors:
         raise SdfmigError("empty graph has no cycle mean")
     actor_ids = sorted(a.id for a in graph.actors)
+    _check_exec_times(actor_ids, [graph.actor_map[a].exec_time for a in actor_ids])
     index = {a: i for i, a in enumerate(actor_ids)}
     n = len(actor_ids)
     # Edge weight is the execution time of the producing actor, so a cycle's
@@ -370,20 +434,7 @@ def mcm_throughput(graph: SDFG) -> Fraction:
         raise DeadlockError("a cycle without initial tokens can never fire")
     if not edges:
         raise SdfmigError("graph has no cycles; throughput is unbounded")
-
-    total_tokens = sum(t for _, _, _, t in edges)
-    weight_bound = sum(w for _, _, w, _ in edges)
-    low, high = Fraction(-1), Fraction(weight_bound + 1)
-    gap = Fraction(1, 2 * total_tokens * total_tokens)
-    while high - low > gap:
-        mid = (low + high) / 2
-        if _has_positive_cycle(n, edges, mid):
-            low = mid
-        else:
-            high = mid
-    ratio = ((low + high) / 2).limit_denominator(total_tokens)
-    if _has_positive_cycle(n, edges, ratio) or not _has_positive_cycle(n, edges, ratio - gap):
-        raise SdfmigError("cycle ratio search failed to converge")  # pragma: no cover
+    ratio = _max_cycle_ratio(n, edges)
     if ratio == 0:
         raise SdfmigError("every cycle has zero total execution time; "
                           "throughput is unbounded")

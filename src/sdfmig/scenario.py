@@ -101,7 +101,7 @@ def _parse_tree(text: str) -> _Node:
 
 
 # Attributes each element accepts; anything else is an unknown attribute.
-_SCENARIO_ATTRS = frozenset({"name", "clock-hz", "auto-concurrency"})
+_SCENARIO_ATTRS = frozenset({"name", "clock-hz"})
 _APPLICATION_ATTRS = frozenset({"reference-actor"})
 _ACTOR_ATTRS = frozenset({"id", "exec-time", "kind", "name"})
 _CHANNEL_ATTRS = frozenset({"id", "src", "dst", "prod-rate", "cons-rate",
@@ -338,8 +338,8 @@ def _read_mapping(node: _Node) -> PlatformMapping:
                 target=target,
                 connection=connection,
                 buffer_tokens=r.integer("buffer-tokens", minimum=0),
-                alpha_src=r.integer("alpha-src"),
-                alpha_dst=r.integer("alpha-dst"),
+                alpha_src=r.integer("alpha-src", minimum=1),
+                alpha_dst=r.integer("alpha-dst", minimum=1),
                 latency_bound=r.integer("latency-bound", minimum=0),
                 prefetch_time=r.integer("prefetch-time", minimum=0),
             )
@@ -457,8 +457,10 @@ _NEEDS_ESCAPE = frozenset('&<>"\n\r\t')
 
 def _escape(text: str) -> str:
     """Character data with ``&``, ``<`` and ``>`` escaped, as
-    ``xml.sax.saxutils.escape`` does."""
-    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    ``xml.sax.saxutils.escape`` does, and ``\r`` written as ``&#13;``, which
+    a parser would otherwise read back as ``\n``."""
+    return (text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+            .replace("\r", "&#13;"))
 
 
 def _quote(value: str) -> str:
@@ -467,8 +469,7 @@ def _quote(value: str) -> str:
     quotes when it holds ``"`` but no ``'``."""
     if _NEEDS_ESCAPE.isdisjoint(value):
         return f'"{value}"'
-    value = (_escape(value).replace("\n", "&#10;").replace("\r", "&#13;")
-             .replace("\t", "&#9;"))
+    value = _escape(value).replace("\n", "&#10;").replace("\t", "&#9;")
     if '"' not in value:
         return f'"{value}"'
     if "'" not in value:
@@ -482,8 +483,10 @@ def scenario_to_text(scenario: Scenario) -> str:
     if scenario.clock_hz != DEFAULT_CLOCK_HZ:
         head.append(f"clock-hz={_quote(format_rational(scenario.clock_hz))}")
     out.append(f"<scenario {' '.join(head)}>")
-    if scenario.description:
-        out.append(f"  <description>{_escape(scenario.description)}</description>")
+    # Loading strips the description, so saving writes it stripped.
+    description = scenario.description.strip()
+    if description:
+        out.append(f"  <description>{_escape(description)}</description>")
 
     graph = scenario.graph
     ref = (f" reference-actor={_quote(graph.reference_actor)}"

@@ -192,6 +192,14 @@ def test_mcm_rejects_disconnected():
         mcm_throughput(g)
 
 
+@pytest.mark.parametrize("times", [{"A": -3, "B": 1}, {"A": -5, "B": -1}])
+def test_mcm_rejects_negative_exec_time(times):
+    # Before the check these rings came out as throughput -1 and -1/3.
+    g = build_graph(times, [("A", "B"), ("B", "A", 1, 1, 1)])
+    with pytest.raises(NegativeExecutionTimeError, match="A"):
+        mcm_throughput(g)
+
+
 def test_mcm_matches_enumeration_oracle():
     rng = random.Random(12)
     for _ in range(60):

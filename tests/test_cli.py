@@ -87,6 +87,19 @@ def test_check_negative_tdma_slice(tmp_path, capsys):
     assert "tdma-slice" in err and "line 40" in err
 
 
+def test_check_bind_alpha_below_one(tmp_path, capsys):
+    # Before it was rejected, alpha-src="0" on izz_iq ended as a deadlock (exit 2).
+    from sdfmig.scenario import bundled_scenario_path
+
+    text = bundled_scenario_path("mjpeg_base").read_text()
+    bad = tmp_path / "bad.xml"
+    bad.write_text(text.replace('channel="izz_iq" connection="n1" alpha-src="2"',
+                                'channel="izz_iq" connection="n1" alpha-src="0"'))
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert code == 1
+    assert "alpha-src" in err and "line 47" in err
+
+
 def test_migrate_reports_gain(capsys):
     code, out, _ = run_cli(capsys, "migrate", "mjpeg_base", "--task", "IDCT")
     assert code == 0

@@ -1,0 +1,50 @@
+"""Property tests over generated inputs (Hypothesis).
+
+Hypothesis is a test dependency (the ``test`` extra), imported directly so a
+missing install fails collection instead of skipping.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import build_graph, oracle_throughput
+from sdfmig.analysis import mcm_throughput, self_timed_throughput
+from sdfmig.graph import Actor, Channel, SDFG, disable_auto_concurrency
+
+
+@st.composite
+def live_homogeneous_graphs(draw) -> SDFG:
+    """A homogeneous, strongly connected, live graph with positive total time.
+
+    A ring over every actor, in a drawn order, makes it strongly connected.
+    Extra edges may repeat an edge or loop on one actor. An edge that does
+    not advance along the ring order carries at least one token, so every
+    cycle does. Execution times may be zero, but not all of them: a graph
+    of zero-time actors only has no finite cycle ratio.
+    """
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    position = {node: p for p, node in enumerate(order)}
+    times = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+    times[order[0]] = draw(st.integers(1, 20))
+    node = st.integers(0, n - 1)
+    pairs = [(order[p], order[(p + 1) % n]) for p in range(n)]
+    pairs += draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    channels = [Channel(f"c{i}", f"a{u}", f"a{v}", 1, 1,
+                        draw(st.integers(1 if position[v] <= position[u] else 0, 3)))
+                for i, (u, v) in enumerate(pairs)]
+    graph = SDFG(actors=[Actor(f"a{i}", t) for i, t in enumerate(times)],
+                 channels=channels)
+    return disable_auto_concurrency(graph) if draw(st.booleans()) else graph
+
+
+@settings(max_examples=300, deadline=None)
+@given(live_homogeneous_graphs())
+@example(build_graph(  # a zero-time actor, a parallel edge and a self-loop
+    {"A": 4, "B": 0, "C": 7},
+    [("A", "B"), ("B", "C"), ("C", "A", 1, 1, 2), ("A", "B", 1, 1, 1),
+     ("B", "B", 1, 1, 1), ("C", "B", 1, 1, 1)]))
+def test_cycle_ratio_routes_agree(graph):
+    analytical = mcm_throughput(graph)
+    assert analytical == oracle_throughput(graph)
+    assert analytical == self_timed_throughput(graph).iterations_per_cycle

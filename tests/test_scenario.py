@@ -181,6 +181,37 @@ def test_load_rejects_negative_integer_attributes(tmp_path, attribute, original,
         assert (err.value.line, err.value.column) == (line, 5)
 
 
+@pytest.mark.parametrize("attribute, original", [
+    pytest.param("alpha-src", 'alpha-src="2"', id="alpha-src"),
+    pytest.param("alpha-dst", 'alpha-dst="1"', id="alpha-dst"),
+])
+def test_load_rejects_bind_alpha_below_one(tmp_path, attribute, original):
+    # A chain with no buffer space used to load and then deadlock.
+    text = bundled_scenario_path("mjpeg_base").read_text()
+    assert original in text  # first on the izz_iq binding, line 47
+    edited = tmp_path / "edited.xml"
+    for value in ("1", "0", "-1"):
+        edited.write_text(text.replace(original, f'{attribute}="{value}"', 1))
+        if value == "1":
+            load_scenario(edited)
+            continue
+        with pytest.raises(ScenarioParseError,
+                           match=f"attribute '{attribute}' must be at least 1, got {value}"
+                           ) as err:
+            load_scenario(edited)
+        assert (err.value.line, err.value.column) == (47, 5)
+
+
+def test_load_rejects_auto_concurrency_attribute(tmp_path):
+    # Nothing reads it, so it is an unknown attribute like any other.
+    bad = tmp_path / "bad.xml"
+    bad.write_text('<scenario name="bad" auto-concurrency="bogus">\n'
+                   '  <application><actor id="A" exec-time="1"/></application>\n'
+                   '</scenario>')
+    with pytest.raises(ScenarioParseError, match="unknown attribute 'auto-concurrency'"):
+        load_scenario(bad)
+
+
 def test_load_rejects_binding_mismatch(tmp_path):
     bad = tmp_path / "bad.xml"
     bad.write_text("""<scenario name="bad">
@@ -269,7 +300,8 @@ QUOTING_SAMPLES = ["", "plain", "a b", 'say "hi"', "it's", """both ' and \"""",
 @pytest.mark.parametrize("value", QUOTING_SAMPLES)
 def test_quoting_matches_saxutils(value):
     assert _quote(value) == quoteattr(value)
-    assert _escape(value) == escape(value)
+    # Text escaping adds one entity, so a carriage return survives a reload.
+    assert _escape(value) == escape(value, {"\r": "&#13;"})
 
 
 def test_save_escapes_special_characters(tmp_path):
@@ -278,6 +310,18 @@ def test_save_escapes_special_characters(tmp_path):
         target = tmp_path / "s.xml"
         save_scenario(scenario, target)
         assert load_scenario(target) == scenario
+
+
+@pytest.mark.parametrize("description", ["cr\rlf", " x ", "\r\n", "a\r\nb \t",
+                                         "\t&<>\r\n\"'\n", "naïve\u2028"])
+def test_description_save_load_save_is_byte_identical(tmp_path, description):
+    # Saving writes the description stripped, as loading reads it.
+    scenario = Scenario(name="d", graph=load_mjpeg().graph, description=description)
+    target = tmp_path / "s.xml"
+    save_scenario(scenario, target)
+    loaded = load_scenario(target)
+    assert loaded.description == description.strip()
+    assert scenario_to_text(loaded) == scenario_to_text(scenario)
 
 
 def test_save_is_deterministic():
