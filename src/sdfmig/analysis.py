@@ -5,16 +5,21 @@ Two independent routes:
 * :func:`self_timed_throughput` simulates self-timed execution (fire as soon
   as enabled, consume at start, produce at completion) until the execution
   state recurs, then reads the throughput off the periodic phase. Works for
-  any consistent, bounded SDF graph. The simulator is event driven: a
-  worklist holds the actors whose inputs gained tokens, so settling an
-  instant checks only those. Each firing in flight is one integer code,
-  ``finish * n_actors + actor``, kept in an ascending list; the completion
-  time is ``codes[0] // n_actors`` and every code below the next multiple
-  of ``n_actors`` completes then. The recurrence key is flat: the token
-  counts plus the codes relative to now, ``remaining * n_actors + actor``,
-  which decode uniquely, so two keys are equal exactly when the states
-  hold the same tokens and the same multiset of (actor, remaining)
-  firings.
+  any consistent, bounded SDF graph. The simulator is one event-driven
+  loop, a generator that settles an instant, yields that stable state's
+  recurrence key, and advances to the next completion time;
+  :func:`iterate_states` drives the same loop. A worklist holds the actors
+  whose inputs gained tokens, so settling an instant checks only those.
+  Each firing in flight is one integer code, ``finish * n_actors + actor``,
+  kept in an ascending list; the completion time is
+  ``codes[0] // n_actors`` and every code below the next multiple of
+  ``n_actors`` completes then. The recurrence key is one flat tuple: the
+  token counts of a spanning forest of the channels that are not
+  self-loops, then the codes relative to now, ``remaining * n_actors +
+  actor``, which decode uniquely. Two states with the same firings in
+  flight and the same forest tokens differ in completions by a multiple of
+  the repetition vector on each component, so by the balance equations
+  they hold the same tokens on every channel: equal keys mean equal states.
 * :func:`mcm_throughput` computes the maximum cycle ratio analytically with
   Howard's policy iteration over integer edge weights, with an exact
   ``Fraction`` result. Only valid for homogeneous (all rates 1), strongly
@@ -29,6 +34,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -39,11 +45,14 @@ from .errors import (
     NotStronglyConnectedError,
     SdfmigError,
     StateSpaceBudgetExceededError,
+    UnknownActorError,
 )
 from .graph import SDFG, RepetitionVector, compute_repetition_vector
 from .rational import to_decimal, to_fraction
 
 DEFAULT_STATE_BUDGET = 1_000_000
+# Firings started in one instant before the simulator reports a livelock.
+_INSTANT_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,20 @@ def resolve_reference_actor(graph: SDFG, repetition: RepetitionVector) -> str:
     return min(a for a, q in repetition.items() if q == best)
 
 
+def _check_budget(name: str, value) -> None:
+    if not isinstance(value, int) or value < 1:
+        raise InvalidStateBudgetError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_endpoints(graph: SDFG) -> None:
+    actors = graph.actor_map
+    for c in graph.channels:
+        if c.src not in actors or c.dst not in actors:
+            missing = c.src if c.src not in actors else c.dst
+            raise UnknownActorError(
+                f"channel {c.id!r} names actor {missing!r}, which is not in the graph")
+
+
 def _check_exec_times(actor_ids: list[str], exec_times: list[int]) -> None:
     negative = [a for a, t in zip(actor_ids, exec_times) if t < 0]
     if negative:
@@ -96,127 +119,174 @@ def _check_exec_times(actor_ids: list[str], exec_times: list[int]) -> None:
 
 class _Simulator:
     """Event-driven self-timed executor over integer-indexed actors and
-    channels.
+    channels, run as one loop by :meth:`run`.
 
-    Actors whose input channels gained tokens wait on a worklist until
-    :meth:`settle` starts them. Each firing in flight is one integer code,
-    ``finish * n_actors + actor``, in an ascending list, so the earliest
-    completions lead the list until :meth:`advance` reaches them.
+    Each pass of the loop settles the current instant, yields, and advances
+    to the next completion time. Settling starts every enabled firing and
+    runs zero-time completions to a fixpoint, checking only the actors on a
+    worklist of those whose inputs gained tokens. Each channel has one
+    consumer and enabling is monotone in tokens, so the firings started in
+    one instant, and the stable state they leave, do not depend on the
+    order the worklist is drained in. Each firing in flight is one integer
+    code, ``finish * n_actors + actor``, in an ascending list; advancing
+    jumps to the first code's finish time and completes every code below
+    the next multiple of ``n_actors``.
+
+    The recurrence key is one flat tuple: the tokens of the spanning forest
+    chosen by :func:`_key_channels`, then the codes in flight relative to
+    now, ``remaining * n_actors + actor``, which decode uniquely. Channels
+    are held forest first, so the key reads one slice of the token list;
+    :meth:`snapshot` reports them in the graph's order. Every channel's
+    tokens still decide enabling.
     """
 
     def __init__(self, graph: SDFG):
         self.actor_ids = sorted(a.id for a in graph.actors)
-        self.n_actors = len(self.actor_ids)
+        self.n_actors = n_actors = len(self.actor_ids)
         index = {a: i for i, a in enumerate(self.actor_ids)}
-        self.exec_time = [graph.actor_map[a].exec_time for a in self.actor_ids]
+        exec_time = [graph.actor_map[a].exec_time for a in self.actor_ids]
         # Time must never run backwards in the completion queue.
-        _check_exec_times(self.actor_ids, self.exec_time)
+        _check_exec_times(self.actor_ids, exec_time)
+        # A firing of actor i started at now_code ends at now_code + step[i];
+        # 0 marks a zero-time actor.
+        self.step = [t * n_actors + ai if t else 0 for ai, t in enumerate(exec_time)]
+        key_channels = _key_channels(graph, index)
+        self.n_key = len(key_channels)
+        in_key = set(key_channels)
+        order = key_channels + [p for p in range(len(graph.channels)) if p not in in_key]
+        # Graph position -> simulator position, the inverse of order.
+        self.slot = sorted(range(len(order)), key=order.__getitem__)
         self.channel_ids = [c.id for c in graph.channels]
-        self.tokens = [c.initial_tokens for c in graph.channels]
+        self.tokens = [graph.channels[p].initial_tokens for p in order]
         self.consume: list[list[tuple[int, int]]] = [[] for _ in self.actor_ids]
         # (channel, rate, consumer of the channel) per output channel.
         self.produce: list[list[tuple[int, int, int]]] = [[] for _ in self.actor_ids]
-        for ci, c in enumerate(graph.channels):
+        for ci, position in enumerate(order):
+            c = graph.channels[position]
             self.consume[index[c.dst]].append((ci, c.cons_rate))
             self.produce[index[c.src]].append((ci, c.prod_rate, index[c.dst]))
-        self.pending = list(range(self.n_actors))  # worklist for settle
-        self.queued = [True] * self.n_actors
         self.codes: list[int] = []  # finish * n_actors + actor, ascending
         self.time = 0
-        self.completions = [0] * self.n_actors
-        self._instant_cap = 1_000_000
+        self.completions = [0] * n_actors
 
-    def settle(self) -> None:
-        """Start every enabled firing, running zero-time completions to a
-        fixpoint before time may advance.
-
-        Only actors on the worklist are checked. Each channel has one
-        consumer and enabling is monotone in tokens, so the firings started
-        in one instant, and the stable state they leave, do not depend on the
-        order the worklist is drained in."""
-        tokens, pending, queued = self.tokens, self.pending, self.queued
-        codes, exec_time, produce = self.codes, self.exec_time, self.produce
-        now_code = self.time * self.n_actors
-        instant = 0
-        while pending:
-            ai = pending.pop()
-            queued[ai] = False
-            inputs = self.consume[ai]
-            while True:
-                for ci, rate in inputs:
-                    if tokens[ci] < rate:
-                        break
-                else:  # enabled: start one firing, then check again
+    def run(self) -> Iterator[tuple]:
+        """Simulate from time 0, yielding the recurrence key of each stable
+        state; return once no firing is in flight. Call once per simulator."""
+        n_actors, n_key = self.n_actors, self.n_key
+        tokens, codes, completions = self.tokens, self.codes, self.completions
+        consume, produce, step = self.consume, self.produce, self.step
+        pending = list(range(n_actors))  # worklist: actors to check
+        queued = [True] * n_actors
+        now_code = 0
+        while True:
+            instant = 0
+            while pending:
+                ai = pending.pop()
+                queued[ai] = False
+                inputs = consume[ai]
+                while True:
                     for ci, rate in inputs:
-                        tokens[ci] -= rate
-                    instant += 1
-                    if instant > self._instant_cap:
-                        raise StateSpaceBudgetExceededError(
-                            "unbounded zero-time firing sequence at "
-                            f"t={self.time} (livelock)")
-                    duration = exec_time[ai]
-                    if duration:
-                        insort(codes, now_code + duration * self.n_actors + ai)
-                    else:
-                        for ci, rate, consumer in produce[ai]:
-                            tokens[ci] += rate
-                            if not queued[consumer]:
-                                queued[consumer] = True
-                                pending.append(consumer)
-                        self.completions[ai] += 1
-                    continue
-                break
-
-    def advance(self) -> None:
-        """Jump to the earliest finish time and produce the tokens of every
-        firing that completes then."""
-        codes, n_actors = self.codes, self.n_actors
-        time = self.time = codes[0] // n_actors
-        now_code = time * n_actors
-        done = bisect_left(codes, now_code + n_actors)
-        tokens, pending, queued = self.tokens, self.pending, self.queued
-        completions = self.completions
-        for code in codes[:done]:
-            ai = code - now_code
-            for ci, rate, consumer in self.produce[ai]:
-                tokens[ci] += rate
-                if not queued[consumer]:
-                    queued[consumer] = True
-                    pending.append(consumer)
-            completions[ai] += 1
-        del codes[:done]
-
-    def key(self) -> tuple:
-        """Recurrence key: token counts plus the ascending codes of the
-        firings in flight, relative to now. A relative code is
-        ``remaining * n_actors + actor``, so equal keys mean equal multisets
-        of (actor, remaining) firings."""
-        now_code = self.time * self.n_actors
-        return tuple(self.tokens), tuple([code - now_code for code in self.codes])
+                        if tokens[ci] < rate:
+                            break
+                    else:  # enabled: start one firing, then check again
+                        for ci, rate in inputs:
+                            tokens[ci] -= rate
+                        instant += 1
+                        if instant > _INSTANT_CAP:
+                            raise StateSpaceBudgetExceededError(
+                                "unbounded zero-time firing sequence at "
+                                f"t={self.time} (livelock)")
+                        if step[ai]:
+                            insort(codes, now_code + step[ai])
+                        else:
+                            for ci, rate, consumer in produce[ai]:
+                                tokens[ci] += rate
+                                if not queued[consumer]:
+                                    queued[consumer] = True
+                                    pending.append(consumer)
+                            completions[ai] += 1
+                        continue
+                    break
+            yield tuple(tokens[:n_key] + [code - now_code for code in codes])
+            if not codes:
+                return
+            first = codes[0]
+            now_code = first - first % n_actors
+            self.time = first // n_actors
+            done = bisect_left(codes, now_code + n_actors)
+            for code in codes[:done]:
+                ai = code - now_code
+                for ci, rate, consumer in produce[ai]:
+                    tokens[ci] += rate
+                    if not queued[consumer]:
+                        queued[consumer] = True
+                        pending.append(consumer)
+                completions[ai] += 1
+            del codes[:done]
 
     def snapshot(self) -> ExecutionState:
-        n_actors, now = self.n_actors, self.time
+        n_actors, now, tokens = self.n_actors, self.time, self.tokens
         in_flight = sorted((code % n_actors, code // n_actors - now) for code in self.codes)
         return ExecutionState(
             time=now,
-            channel_tokens=dict(zip(self.channel_ids, self.tokens)),
+            channel_tokens={cid: tokens[ci]
+                            for cid, ci in zip(self.channel_ids, self.slot)},
             active_firings=tuple((self.actor_ids[ai], remaining)
                                  for ai, remaining in in_flight),
         )
 
 
+def _key_channels(graph: SDFG, index: Mapping[str, int]) -> list[int]:
+    """Positions, in graph order, of the channels whose tokens go into the
+    recurrence key: a spanning forest of the channels that are not
+    self-loops, plus every channel with a rate below 1.
+
+    Why the forest is enough: a channel holds
+    ``initial + prod * completed(src) - cons * started(dst)`` tokens, and a
+    stable state's started count is its completed count plus its firings in
+    flight. Take two states with the same firings in flight and the same
+    tokens on the forest. Their completion counts differ by some ``d`` with
+    ``prod * d(src) == cons * d(dst)`` on every forest channel, so on each
+    component ``d`` is one rational multiple of the repetition vector. The
+    balance equations then make every other channel of the component hold
+    equal tokens too; a self-loop is covered because consistency forces its
+    two rates to be equal. Inconsistent graphs are rejected before
+    simulation. The balance equations skip a channel with a rate below 1,
+    so such a channel goes into the key itself and links no component.
+    """
+    parent = list(range(len(index)))
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    chosen = []
+    for position, c in enumerate(graph.channels):
+        if c.prod_rate < 1 or c.cons_rate < 1:
+            chosen.append(position)
+            continue
+        u, v = root(index[c.src]), root(index[c.dst])
+        if u != v:
+            parent[u] = v
+            chosen.append(position)
+    return chosen
+
+
 def iterate_states(graph: SDFG, max_states: int = 10_000) -> Iterator[ExecutionState]:
-    """Yield the stable execution state at each event timestamp, starting at
-    time 0, for at most ``max_states`` events. Intended for invariant checks
+    """Iterate over the stable execution state at each event timestamp,
+    starting at time 0, for at most ``max_states`` events. Intended for invariant checks
     and debugging; throughput extraction lives in
-    :func:`self_timed_throughput`."""
+    :func:`self_timed_throughput`.
+
+    The arguments are checked on the call: :class:`InvalidStateBudgetError`
+    unless ``max_states`` is a positive integer, :class:`UnknownActorError`
+    for a channel whose endpoint is not in the graph, and
+    :class:`NegativeExecutionTimeError`."""
+    _check_budget("max_states", max_states)
+    _check_endpoints(graph)
     sim = _Simulator(graph)
-    for _ in range(max_states):
-        sim.settle()
-        yield sim.snapshot()
-        if not sim.codes:
-            return
-        sim.advance()
+    return (sim.snapshot() for _ in islice(sim.run(), max_states))
 
 
 def self_timed_throughput(graph: SDFG,
@@ -225,31 +295,30 @@ def self_timed_throughput(graph: SDFG,
     throughput of the periodic phase.
 
     Raises :class:`InvalidStateBudgetError` unless ``state_budget`` is a
-    positive integer, :class:`DeadlockError` when execution stops (or never
-    turns the reference actor), :class:`InconsistentGraphError` for
-    unsolvable balance equations, and :class:`StateSpaceBudgetExceededError`
-    when more than ``state_budget`` distinct states are visited, which is the
-    usual symptom of unbounded token accumulation.
+    positive integer, :class:`UnknownActorError` for a channel whose
+    endpoint is not in the graph, :class:`DeadlockError` when execution
+    stops (or never turns the reference actor),
+    :class:`InconsistentGraphError` for unsolvable balance equations, and
+    :class:`StateSpaceBudgetExceededError` when more than ``state_budget``
+    distinct states are visited, which is the usual symptom of unbounded
+    token accumulation.
     """
-    if not isinstance(state_budget, int) or state_budget < 1:
-        raise InvalidStateBudgetError(
-            f"state budget must be a positive integer, got {state_budget!r}")
+    _check_budget("state budget", state_budget)
+    _check_endpoints(graph)
     repetition = compute_repetition_vector(graph)
     reference = resolve_reference_actor(graph, repetition)
 
     sim = _Simulator(graph)
     ref_index = sim.actor_ids.index(reference)
-    completions, codes = sim.completions, sim.codes
-    key, advance, settle = sim.key, sim.advance, sim.settle
+    completions = sim.completions
     # State key -> index into first_times/first_counts, the time and the
     # reference completions at which that state was first reached.
     seen: dict[tuple, int] = {}
     first_times: list[int] = []
     first_counts: list[int] = []
-    settle()
-    while True:
+    for key in sim.run():
         stored = len(first_times)
-        first = seen.setdefault(key(), stored)
+        first = seen.setdefault(key, stored)
         if first < stored:
             period = sim.time - first_times[first]
             firings = completions[ref_index] - first_counts[first]
@@ -271,11 +340,7 @@ def self_timed_throughput(graph: SDFG,
             raise StateSpaceBudgetExceededError(
                 f"more than {state_budget} states explored; "
                 "graph is likely unbounded")
-        if not codes:
-            raise DeadlockError(
-                f"no enabled actor and no running firing at t={sim.time}")
-        advance()
-        settle()
+    raise DeadlockError(f"no enabled actor and no running firing at t={sim.time}")
 
 
 def _strongly_connected(n: int, edges: list[tuple[int, int]]) -> bool:
@@ -409,12 +474,14 @@ def mcm_throughput(graph: SDFG) -> Fraction:
 
     The ratio comes exactly from Howard's policy iteration
     (:func:`_max_cycle_ratio`) over integer edge weights. Raises, in this
-    order, :class:`NotHomogeneousError`, :class:`SdfmigError` for an empty
+    order, :class:`UnknownActorError` for a channel whose endpoint is not in
+    the graph, :class:`NotHomogeneousError`, :class:`SdfmigError` for an empty
     graph, :class:`NegativeExecutionTimeError`,
     :class:`NotStronglyConnectedError`, :class:`DeadlockError` for a cycle
     without tokens, and :class:`SdfmigError` when there is no cycle or every
     cycle takes zero time (throughput unbounded).
     """
+    _check_endpoints(graph)
     if any(c.prod_rate != 1 or c.cons_rate != 1 for c in graph.channels):
         raise NotHomogeneousError("all rates must be 1 for cycle-mean analysis")
     if not graph.actors:

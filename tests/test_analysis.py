@@ -28,8 +28,9 @@ from sdfmig.errors import (
     NotHomogeneousError,
     NotStronglyConnectedError,
     StateSpaceBudgetExceededError,
+    UnknownActorError,
 )
-from sdfmig.graph import disable_auto_concurrency
+from sdfmig.graph import SDFG, Actor, Channel, disable_auto_concurrency
 from sdfmig.migration import MigrationSpec, migrate_task
 from sdfmig.transforms import build_bound_graph
 
@@ -82,6 +83,21 @@ def test_self_timed_rejects_bad_state_budget(budget):
     with pytest.raises(InvalidStateBudgetError, match="state budget"):
         self_timed_throughput(disable_auto_concurrency(two_actor_cycle()),
                               state_budget=budget)
+
+
+@pytest.mark.parametrize("max_states", [0, -1, 2.5, "3", None])
+def test_iterate_states_rejects_bad_max_states(max_states):
+    # Checked on the call, before the first state is asked for.
+    with pytest.raises(InvalidStateBudgetError, match="max_states"):
+        iterate_states(two_actor_cycle(), max_states=max_states)
+
+
+@pytest.mark.parametrize("entry", [self_timed_throughput, iterate_states, mcm_throughput])
+@pytest.mark.parametrize("ends", [("A", "ghost"), ("ghost", "A")])
+def test_unknown_actor_rejected_before_graph_work(entry, ends):
+    g = SDFG(actors=[Actor("A", 1)], channels=[Channel("c", *ends, 1, 1, 1)])
+    with pytest.raises(UnknownActorError, match="'c'.*'ghost'"):
+        entry(g)
 
 
 def test_self_timed_empty_graph_deadlocks():
@@ -153,6 +169,46 @@ def test_engine_matches_reference_with_identical_firings_in_flight():
     g = build_graph({"A": 5, "B": 3}, [("A", "B"), ("B", "A", 1, 1, 2)])
     assert next(iterate_states(g)).active_firings == (("A", 5), ("A", 5))
     assert_matches_reference(g)
+
+
+# The recurrence key holds the tokens of a spanning forest of the channels
+# that are not self-loops; these graphs put every other channel's tokens,
+# and a second component, outside that forest.
+
+def test_engine_matches_reference_on_disconnected_components():
+    # Two components of different periods; the second's queue fills up over
+    # a transient while its firings in flight repeat.
+    g = build_graph({"A": 3, "X": 2, "Y": 7},
+                    [("A", "A", 1, 1, 1), ("X", "Y"), ("Y", "X", 1, 1, 3),
+                     ("X", "X", 1, 1, 1), ("Y", "Y", 1, 1, 1)])
+    assert_matches_reference(g)
+
+
+def test_engine_matches_reference_on_multirate_parallel_edges():
+    g = build_graph({"A": 3, "B": 2},
+                    [("A", "B", 2, 3), ("A", "B", 4, 6, 5), ("B", "A", 3, 2, 6),
+                     ("B", "A", 3, 2, 7)])
+    assert_matches_reference(g)
+    assert_matches_reference(disable_auto_concurrency(g))
+
+
+def test_engine_matches_reference_with_only_a_self_loop_cycle():
+    # A chain whose only cycle is the source's self-loop; B and C overlap
+    # their own firings.
+    g = build_graph({"A": 5, "B": 7, "C": 4},
+                    [("A", "B", 2, 1), ("B", "C", 1, 2), ("A", "A", 1, 1, 1)])
+    assert_matches_reference(g)
+
+
+def test_snapshots_keep_graph_channel_order():
+    # Self-loops and a channel that closes a cycle come first in the graph,
+    # but last among the simulator's channels.
+    g = build_graph({"A": 2, "B": 3, "C": 1},
+                    [("A", "A", 1, 1, 1), ("C", "A", 1, 1, 2), ("B", "B", 1, 1, 1),
+                     ("A", "B"), ("B", "C")])
+    ids = [c.id for c in g.channels]
+    for state in iterate_states(g, max_states=20):
+        assert list(state.channel_tokens) == ids
 
 
 def test_iterate_states_conserves_cycle_tokens():

@@ -4,10 +4,12 @@ Hypothesis is a test dependency (the ``test`` extra), imported directly so a
 missing install fails collection instead of skipping.
 """
 
+import math
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_graph, oracle_throughput
+from helpers import build_graph, oracle_throughput, reference_throughput
 from sdfmig.analysis import mcm_throughput, self_timed_throughput
 from sdfmig.graph import Actor, Channel, SDFG, disable_auto_concurrency
 
@@ -48,3 +50,46 @@ def test_cycle_ratio_routes_agree(graph):
     analytical = mcm_throughput(graph)
     assert analytical == oracle_throughput(graph)
     assert analytical == self_timed_throughput(graph).iterations_per_cycle
+
+
+@st.composite
+def consistent_multirate_graphs(draw) -> SDFG:
+    """A consistent, live, bounded multirate graph of one or two components.
+
+    Rates come from a drawn repetition vector, so the balance equations
+    hold by construction. Each component is a chain plus extra forward
+    channels, which may run parallel to others. Every forward channel gets
+    a reversed channel holding two iterations of tokens, which keeps the
+    graph live and bounded (as in ``random_consistent_graph``). Self-loops
+    are drawn per actor. At most one actor takes zero time, and every
+    component has two actors or more, so no zero-time cycle can livelock.
+    """
+    n = draw(st.integers(2, 6))
+    # Actors below split form the first component, the rest the second.
+    split = draw(st.sampled_from([n] + list(range(2, n - 1))))
+    reps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    times = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    zero_time = draw(st.none() | st.integers(0, n - 1))
+    if zero_time is not None:
+        times[zero_time] = 0
+    pairs = [(u, u + 1) for u in range(n - 1) if u + 1 != split]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n))
+    pairs += [(u, v) for u, v in extra if u < v and (u < split) == (v < split)]
+    channels = []
+    for i, (u, v) in enumerate(pairs):
+        m, g = draw(st.integers(1, 2)), math.gcd(reps[u], reps[v])
+        prod, cons = m * reps[v] // g, m * reps[u] // g
+        channels.append(Channel(f"f{i}", f"a{u}", f"a{v}", prod, cons, 0))
+        channels.append(Channel(f"b{i}", f"a{v}", f"a{u}", cons, prod, 2 * reps[u] * prod))
+    for a in range(n):
+        if draw(st.booleans()):
+            channels.append(Channel(f"s{a}", f"a{a}", f"a{a}", 1, 1, 1))
+    return SDFG(actors=[Actor(f"a{i}", t) for i, t in enumerate(times)],
+                channels=channels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(consistent_multirate_graphs())
+def test_self_timed_matches_reference_simulator(graph):
+    assert self_timed_throughput(graph) == reference_throughput(graph)
