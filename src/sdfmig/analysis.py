@@ -39,6 +39,7 @@ from typing import Iterator, Mapping
 
 from .errors import (
     DeadlockError,
+    InvalidRateError,
     InvalidStateBudgetError,
     NegativeExecutionTimeError,
     NotHomogeneousError,
@@ -101,13 +102,17 @@ def _check_budget(name: str, value) -> None:
         raise InvalidStateBudgetError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _check_endpoints(graph: SDFG) -> None:
+def _check_channels(graph: SDFG) -> None:
     actors = graph.actor_map
     for c in graph.channels:
         if c.src not in actors or c.dst not in actors:
             missing = c.src if c.src not in actors else c.dst
             raise UnknownActorError(
                 f"channel {c.id!r} names actor {missing!r}, which is not in the graph")
+        if c.prod_rate < 1 or c.cons_rate < 1:
+            raise InvalidRateError(
+                f"channel {c.id!r} has production rate {c.prod_rate} and consumption "
+                f"rate {c.cons_rate}; both must be at least 1")
 
 
 def _check_exec_times(actor_ids: list[str], exec_times: list[int]) -> None:
@@ -281,10 +286,11 @@ def iterate_states(graph: SDFG, max_states: int = 10_000) -> Iterator[ExecutionS
 
     The arguments are checked on the call: :class:`InvalidStateBudgetError`
     unless ``max_states`` is a positive integer, :class:`UnknownActorError`
-    for a channel whose endpoint is not in the graph, and
+    for a channel whose endpoint is not in the graph,
+    :class:`InvalidRateError` for a channel with a rate below 1, and
     :class:`NegativeExecutionTimeError`."""
     _check_budget("max_states", max_states)
-    _check_endpoints(graph)
+    _check_channels(graph)
     sim = _Simulator(graph)
     return (sim.snapshot() for _ in islice(sim.run(), max_states))
 
@@ -296,7 +302,8 @@ def self_timed_throughput(graph: SDFG,
 
     Raises :class:`InvalidStateBudgetError` unless ``state_budget`` is a
     positive integer, :class:`UnknownActorError` for a channel whose
-    endpoint is not in the graph, :class:`DeadlockError` when execution
+    endpoint is not in the graph, :class:`InvalidRateError` for a channel
+    with a rate below 1, :class:`DeadlockError` when execution
     stops (or never turns the reference actor),
     :class:`InconsistentGraphError` for unsolvable balance equations, and
     :class:`StateSpaceBudgetExceededError` when more than ``state_budget``
@@ -304,7 +311,7 @@ def self_timed_throughput(graph: SDFG,
     token accumulation.
     """
     _check_budget("state budget", state_budget)
-    _check_endpoints(graph)
+    _check_channels(graph)
     repetition = compute_repetition_vector(graph)
     reference = resolve_reference_actor(graph, repetition)
 
@@ -475,13 +482,14 @@ def mcm_throughput(graph: SDFG) -> Fraction:
     The ratio comes exactly from Howard's policy iteration
     (:func:`_max_cycle_ratio`) over integer edge weights. Raises, in this
     order, :class:`UnknownActorError` for a channel whose endpoint is not in
-    the graph, :class:`NotHomogeneousError`, :class:`SdfmigError` for an empty
+    the graph, :class:`InvalidRateError` for a rate below 1,
+    :class:`NotHomogeneousError`, :class:`SdfmigError` for an empty
     graph, :class:`NegativeExecutionTimeError`,
     :class:`NotStronglyConnectedError`, :class:`DeadlockError` for a cycle
     without tokens, and :class:`SdfmigError` when there is no cycle or every
     cycle takes zero time (throughput unbounded).
     """
-    _check_endpoints(graph)
+    _check_channels(graph)
     if any(c.prod_rate != 1 or c.cons_rate != 1 for c in graph.channels):
         raise NotHomogeneousError("all rates must be 1 for cycle-mean analysis")
     if not graph.actors:

@@ -25,6 +25,10 @@ class InvalidStateBudgetError(SdfmigError):
     """The state budget is not a positive integer."""
 
 
+class InvalidRateError(SdfmigError):
+    """A channel's production or consumption rate is below 1."""
+
+
 class NegativeExecutionTimeError(SdfmigError):
     """An actor's execution time is negative, so simulated time would run
     backwards."""
@@ -52,6 +56,16 @@ class BufferTooSmallError(SdfmigError):
 
 class SameTileError(SdfmigError):
     """Remote binding requested for a channel whose endpoints share a tile."""
+
+
+class InvalidBindingError(SdfmigError):
+    """A channel binding's kind is not a ``BindingKind``, it lacks the
+    connection its kind needs, or it sets a field its kind never reads."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field} {rule}")
+        self.field = field
+        self.rule = rule
 
 
 class DuplicateIdError(SdfmigError):

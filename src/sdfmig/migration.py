@@ -26,7 +26,7 @@ from .errors import (
 )
 from .graph import ActorKind, Channel, SDFG, compute_repetition_vector, fresh_id
 from .mpsoc import (
-    BIND_PREFETCH,
+    BindingKind,
     ChannelBinding,
     NocConnection,
     Platform,
@@ -133,19 +133,19 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
 
     tiles = list(platform.tiles)
     hw_tile = Tile(fresh_id(f"hw_{actor.id}", platform.tile_map),
-                   kind=TileKind.HARDWARE_BLOCK,
-                   clock_hz=platform.tile(old_tile).clock_hz)
+                   kind=TileKind.HARDWARE_BLOCK)
     tiles.append(hw_tile)
     connections = list(platform.connections)
     bindings = dict(mapping.channel_binding)
     actor_tile = {**mapping.actor_tile, actor.id: hw_tile.id}
     tdma_slice = {a: s for a, s in mapping.tdma_slice.items() if a != actor.id}
 
-    def add_connection(channel: Channel, src_tile: str, dst_tile: str) -> NocConnection:
+    def add_connection(channel: Channel) -> NocConnection:
+        # Joins the channel's endpoint tiles after the move.
         template = _template_connection(channel, platform, mapping, spec, old_tile)
         conn = NocConnection(
             id=fresh_id(f"noc_{channel.id}", {c.id for c in connections}),
-            src_tile=src_tile, dst_tile=dst_tile,
+            src_tile=actor_tile.get(channel.src), dst_tile=actor_tile.get(channel.dst),
             latency=template.latency, bandwidth=template.bandwidth,
         )
         connections.append(conn)
@@ -154,54 +154,31 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
     for channel in graph.channels:
         if channel.is_self_loop or actor.id not in (channel.src, channel.dst):
             continue
-        comm = classify_channel(channel, app_graph)
-        previous = mapping.channel_binding.get(channel.id)
-        was_remote = previous is not None and previous.connection_id is not None
-
-        # Default buffer sizes for chains that did not exist before scale
-        # with the channel rates: a buffer must hold at least one firing's
-        # burst to be usable at all.
-        default_alpha_src = spec.alpha_src * channel.prod_rate
-        default_alpha_dst = spec.alpha_dst * channel.cons_rate
-
-        if comm == CommClass.SH1:
-            # Software producer writes into the block's buffer over the NoC.
-            # A previously local channel turns into a genuinely new chain; a
-            # previously remote one is retargeted with its old buffer sizes.
-            conn = add_connection(channel, mapping.tile_of(channel.src), hw_tile.id)
-            bindings[channel.id] = ChannelBinding(
-                target=conn.id,
-                alpha_src=(previous.alpha_src if was_remote else None) or default_alpha_src,
-                alpha_dst=(previous.alpha_dst if was_remote else None) or default_alpha_dst,
-                latency_bound=previous.latency_bound if previous else None,
-            )
-        elif comm == CommClass.HS1:
+        conn = add_connection(channel)
+        if classify_channel(channel, app_graph) == CommClass.HS1:
             # Software consumer must fetch its input from the block's memory:
             # prefetch template, transfer time taken over the hardware link.
-            conn = add_connection(channel, hw_tile.id, mapping.tile_of(channel.dst))
             batch = prefetch_batch(repetition, channel.src, channel.dst)
             buffer_tokens = spec.hw_buffer_tokens
             if buffer_tokens is None:
                 buffer_tokens = channel.initial_tokens + 2 * batch * channel.cons_rate
             bindings[channel.id] = ChannelBinding(
-                target=BIND_PREFETCH,
+                kind=BindingKind.PREFETCH,
                 connection=conn.id,
                 prefetch_time=spec.prefetch_time,
                 buffer_tokens=buffer_tokens,
             )
         else:
-            # HH1: the peer is already a hardware block and the data already
-            # crosses the NoC; retarget the chain without new overhead.
-            if channel.src == actor.id:
-                endpoints = (hw_tile.id, actor_tile.get(channel.dst))
-            else:
-                endpoints = (actor_tile.get(channel.src), hw_tile.id)
-            conn = add_connection(channel, *endpoints)
+            # SH1 or HH1: a chain onto the new connection. A remote chain keeps
+            # its buffer sizes and latency bound (no other kind sets them); a
+            # new chain's buffers hold at least one firing's burst.
+            previous = mapping.channel_binding.get(channel.id, ChannelBinding())
             bindings[channel.id] = ChannelBinding(
-                target=conn.id,
-                alpha_src=(previous.alpha_src if previous else None) or default_alpha_src,
-                alpha_dst=(previous.alpha_dst if previous else None) or default_alpha_dst,
-                latency_bound=previous.latency_bound if previous else None,
+                kind=BindingKind.REMOTE,
+                connection=conn.id,
+                alpha_src=previous.alpha_src or spec.alpha_src * channel.prod_rate,
+                alpha_dst=previous.alpha_dst or spec.alpha_dst * channel.cons_rate,
+                latency_bound=previous.latency_bound,
             )
 
     new_platform = Platform(tiles=tiles, connections=connections)
@@ -285,8 +262,8 @@ def _template_connection(channel: Channel, platform: Platform,
                          vacated_tile: str) -> NocConnection:
     """Connection whose latency/bandwidth the new hardware link copies."""
     previous = mapping.channel_binding.get(channel.id)
-    if previous is not None and previous.connection_id in platform.connection_map:
-        return platform.connection(previous.connection_id)
+    if previous is not None and previous.connection in platform.connection_map:
+        return platform.connection(previous.connection)
     if spec.hw_connection is not None:
         return platform.connection(spec.hw_connection)
     touching = sorted((c for c in platform.connections

@@ -8,24 +8,21 @@ slot-level simulation. A mapping sums its slices per tile once
 so an actor's wait is its tile's total minus its own slice, and one
 slice-overflow check over those totals serves both :func:`compute_etam` and
 :func:`validate_mapping`.
+
+A channel binding is a :class:`BindingKind` plus the connection it uses,
+if any, and only the other fields that kind reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping as TMapping
 
-from .errors import SliceOverflowError, UnmappedActorError
+from .errors import InvalidBindingError, SliceOverflowError, UnmappedActorError
 from .graph import ActorKind, Diagnostic, SDFG
-
-BIND_LOCAL = "local"
-# Binding kind used after a hardware migration for channels whose consumer
-# reads from the hardware block's memory (modeled by the prefetch template
-# in transforms, not by a connection chain).
-BIND_PREFETCH = "prefetch"
 
 
 class TileKind(str, Enum):
@@ -42,7 +39,6 @@ class Tile:
     id: str
     kind: TileKind = TileKind.PROCESSOR
     tdma_wheel: int = 0
-    clock_hz: Fraction = Fraction(100_000_000)
 
 
 @dataclass(frozen=True)
@@ -89,45 +85,60 @@ class Platform:
     def tile(self, tile_id: str) -> Tile:
         return self.tile_map[tile_id]
 
-    def connection(self, connection_id: str) -> NocConnection:
-        return self.connection_map[connection_id]
+    def connection(self, conn_id: str) -> NocConnection:
+        return self.connection_map[conn_id]
+
+
+class BindingKind(str, Enum):
+    """How a channel is realized: a buffer in the memory of the tile both
+    endpoints share, a NoC connection chain, or a prefetch by the consumer
+    from a hardware block's memory over a connection."""
+
+    LOCAL = "local"
+    REMOTE = "remote"
+    PREFETCH = "prefetch"
+
+
+# The fields each binding kind reads; setting any other one is an error.
+_BINDING_FIELDS = {
+    BindingKind.LOCAL: ("buffer_tokens",),
+    BindingKind.REMOTE: ("connection", "alpha_src", "alpha_dst", "latency_bound"),
+    BindingKind.PREFETCH: ("connection", "buffer_tokens", "prefetch_time"),
+}
 
 
 @dataclass(frozen=True)
 class ChannelBinding:
     """How one application channel is realized on the platform.
 
-    ``target`` is ``"local"`` (endpoints share a tile, buffer reserved in the
-    tile memory), a connection id (endpoints on different tiles, NoC chain),
-    or ``"prefetch"`` (consumer reads from a hardware block's memory).
+    ``connection`` is the connection id a REMOTE or PREFETCH binding needs.
     ``latency_bound`` is the guaranteed token latency over the connection; it
     is an input produced by the surrounding design flow, defaulting to the
-    consumer tile's TDMA wheel.
+    consumer tile's TDMA wheel. Each kind takes only the fields it reads.
     """
 
-    target: str = BIND_LOCAL
+    kind: BindingKind = BindingKind.LOCAL
+    connection: str | None = None
     buffer_tokens: int | None = None
     alpha_src: int | None = None
     alpha_dst: int | None = None
     latency_bound: int | None = None
-    connection: str | None = None
     prefetch_time: int | None = None
 
-    @property
-    def is_local(self) -> bool:
-        return self.target == BIND_LOCAL
+    def __post_init__(self):
+        kind = self.kind
+        if not isinstance(kind, BindingKind):
+            raise InvalidBindingError("kind", f"must be a BindingKind, got {kind!r}")
+        if kind is not BindingKind.LOCAL and self.connection is None:
+            raise InvalidBindingError("connection",
+                                      f"is required by a {kind.value} binding")
+        for name in _UNREAD_FIELDS[kind]:
+            if getattr(self, name) is not None:
+                raise InvalidBindingError(name, f"is not read by a {kind.value} binding")
 
-    @property
-    def is_prefetch(self) -> bool:
-        return self.target == BIND_PREFETCH
 
-    @property
-    def connection_id(self) -> str | None:
-        if self.is_local:
-            return None
-        if self.is_prefetch:
-            return self.connection
-        return self.target
+_UNREAD_FIELDS = {kind: [f.name for f in fields(ChannelBinding)[1:] if f.name not in reads]
+                  for kind, reads in _BINDING_FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -221,21 +232,21 @@ def validate_mapping(graph: SDFG, platform: Platform,
             continue
         src_tile = mapping.tile_of(channel.src)
         dst_tile = mapping.tile_of(channel.dst)
-        if binding.is_local:
+        if binding.kind == BindingKind.LOCAL:
             if src_tile is not None and dst_tile is not None and src_tile != dst_tile:
                 diags.append(Diagnostic("BindingMismatch", channel_id,
                                         f"local binding but endpoints on {src_tile!r} "
                                         f"and {dst_tile!r}"))
-        elif not binding.is_prefetch:
-            connection = platform.connection_map.get(binding.target)
-            if connection is None:
-                diags.append(Diagnostic("UnknownConnection", channel_id,
-                                        f"bound to unknown connection {binding.target!r}"))
-            elif (src_tile, dst_tile) != (connection.src_tile, connection.dst_tile):
-                diags.append(Diagnostic("BindingMismatch", channel_id,
-                                        f"connection {connection.id!r} joins "
-                                        f"{connection.src_tile!r}->{connection.dst_tile!r} "
-                                        f"but endpoints sit on {src_tile!r}->{dst_tile!r}"))
+            continue
+        connection = platform.connection_map.get(binding.connection)
+        if connection is None:
+            diags.append(Diagnostic("UnknownConnection", channel_id,
+                                    f"bound to unknown connection {binding.connection!r}"))
+        elif (src_tile, dst_tile) != (connection.src_tile, connection.dst_tile):
+            diags.append(Diagnostic("BindingMismatch", channel_id,
+                                    f"connection {connection.id!r} joins "
+                                    f"{connection.src_tile!r}->{connection.dst_tile!r} "
+                                    f"but endpoints sit on {src_tile!r}->{dst_tile!r}"))
     return diags
 
 
@@ -244,8 +255,8 @@ def resolve_latency_bound(channel_id: str, graph: SDFG, platform: Platform,
     """Latency bound for a channel's connection chain: the explicit value when
     configured, else the consumer tile's TDMA wheel (falling back to the
     producer tile's for hardware consumers)."""
-    binding = mapping.channel_binding.get(channel_id, ChannelBinding())
-    if binding.latency_bound is not None:
+    binding = mapping.channel_binding.get(channel_id)
+    if binding is not None and binding.latency_bound is not None:
         return binding.latency_bound
     channel = graph.channel(channel_id)
     for endpoint in (channel.dst, channel.src):

@@ -15,12 +15,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analysis import ThroughputResult, to_frames_per_second
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import InvalidBindingError, ScenarioParseError, ScenarioValidationError
 from .graph import Actor, ActorKind, Channel, SDFG, validate
 from .migration import MigrationCandidate, MigrationSpec, spec_range_error
 from .mpsoc import (
-    BIND_LOCAL,
-    BIND_PREFETCH,
+    BindingKind,
     ChannelBinding,
     NocConnection,
     Platform,
@@ -106,7 +105,7 @@ _APPLICATION_ATTRS = frozenset({"reference-actor"})
 _ACTOR_ATTRS = frozenset({"id", "exec-time", "kind", "name"})
 _CHANNEL_ATTRS = frozenset({"id", "src", "dst", "prod-rate", "cons-rate",
                             "initial-tokens", "token-size"})
-_TILE_ATTRS = frozenset({"id", "kind", "tdma-wheel", "clock-hz"})
+_TILE_ATTRS = frozenset({"id", "kind", "tdma-wheel"})
 _CONNECTION_ATTRS = frozenset({"id", "src-tile", "dst-tile", "latency", "bandwidth"})
 _PLACE_ATTRS = frozenset({"actor", "tile", "tdma-slice"})
 _BIND_ATTRS = frozenset({"channel", "connection", "prefetch", "buffer-tokens",
@@ -287,7 +286,6 @@ def _read_platform(node: _Node) -> Platform:
             tiles.append(Tile(
                 id=r.text("id"), kind=kind,
                 tdma_wheel=r.integer("tdma-wheel", 0, minimum=0),
-                clock_hz=r.rational("clock-hz", DEFAULT_CLOCK_HZ),
             ))
         else:
             r = _Reader(child, _CONNECTION_ATTRS)
@@ -325,24 +323,20 @@ def _read_mapping(node: _Node) -> PlatformMapping:
             if prefetch not in ("true", "false"):
                 r.fail("prefetch must be 'true' or 'false'")
             connection = child.attrib.get("connection")
-            if prefetch == "true":
-                if connection is None:
-                    r.fail("prefetch binding needs a connection")
-                target = BIND_PREFETCH
-            elif connection is not None:
-                target = connection
-                connection = None
-            else:
-                target = BIND_LOCAL
-            bindings[channel] = ChannelBinding(
-                target=target,
-                connection=connection,
-                buffer_tokens=r.integer("buffer-tokens", minimum=0),
-                alpha_src=r.integer("alpha-src", minimum=1),
-                alpha_dst=r.integer("alpha-dst", minimum=1),
-                latency_bound=r.integer("latency-bound", minimum=0),
-                prefetch_time=r.integer("prefetch-time", minimum=0),
-            )
+            kind = (BindingKind.PREFETCH if prefetch == "true" else
+                    BindingKind.LOCAL if connection is None else BindingKind.REMOTE)
+            try:
+                bindings[channel] = ChannelBinding(
+                    kind=kind,
+                    connection=connection,
+                    buffer_tokens=r.integer("buffer-tokens", minimum=0),
+                    alpha_src=r.integer("alpha-src", minimum=1),
+                    alpha_dst=r.integer("alpha-dst", minimum=1),
+                    latency_bound=r.integer("latency-bound", minimum=0),
+                    prefetch_time=r.integer("prefetch-time", minimum=0),
+                )
+            except InvalidBindingError as exc:
+                r.fail(f"attribute {exc.field.replace('_', '-')!r} {exc.rule}")
     return PlatformMapping(actor_tile=actor_tile, tdma_slice=tdma_slice,
                            channel_binding=bindings)
 
@@ -522,8 +516,6 @@ def scenario_to_text(scenario: Scenario) -> str:
                 attrs.append(f"kind={_quote(tile.kind.value)}")
             if tile.tdma_wheel:
                 attrs.append(f'tdma-wheel="{tile.tdma_wheel}"')
-            if tile.clock_hz != DEFAULT_CLOCK_HZ:
-                attrs.append(f"clock-hz={_quote(format_rational(tile.clock_hz))}")
             out.append(f"    <tile {' '.join(attrs)}/>")
         for conn in sorted(scenario.platform.connections, key=lambda c: c.id):
             attrs = [f"id={_quote(conn.id)}",
@@ -547,11 +539,10 @@ def scenario_to_text(scenario: Scenario) -> str:
         for channel_id in sorted(mapping.channel_binding):
             binding = mapping.channel_binding[channel_id]
             attrs = [f"channel={_quote(channel_id)}"]
-            if binding.is_prefetch:
+            if binding.kind == BindingKind.PREFETCH:
                 attrs.append('prefetch="true"')
+            if binding.kind != BindingKind.LOCAL:
                 attrs.append(f"connection={_quote(binding.connection)}")
-            elif not binding.is_local:
-                attrs.append(f"connection={_quote(binding.target)}")
             for label, value in (("buffer-tokens", binding.buffer_tokens),
                                  ("alpha-src", binding.alpha_src),
                                  ("alpha-dst", binding.alpha_dst),

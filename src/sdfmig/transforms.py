@@ -1,14 +1,14 @@
 """Graph rewrites that embed platform mapping decisions into an SDF graph.
 
-Three rewrites:
+One rewrite per :class:`BindingKind`:
 
-* local binding: a reversed buffer channel models the finite memory a
-  same-tile channel lives in;
-* remote binding: a channel crossing tiles becomes a chain of three
-  infrastructure actors (connection send time, guaranteed token latency,
-  worst-case TDMA re-entry wait of the consumer) plus buffer back-edges on
-  both sides;
-* prefetch (memory-aware) rewrite: a consumer that reads from a remote
+* LOCAL: a reversed buffer channel models the finite memory a same-tile
+  channel lives in;
+* REMOTE: a channel crossing tiles becomes a chain of three infrastructure
+  actors (connection send time, guaranteed token latency, worst-case TDMA
+  re-entry wait of the consumer, which is what mapping added to its
+  execution time) plus buffer back-edges on both sides;
+* PREFETCH (memory-aware rewrite): a consumer that reads from a remote
   memory is split into an issue/execute pair overlapped with a memory actor,
   framed by batch gates.
 
@@ -46,14 +46,12 @@ from .graph import (
     fresh_id,
 )
 from .mpsoc import (
-    ChannelBinding,
+    BindingKind,
     NocConnection,
     Platform,
     PlatformMapping,
-    TileKind,
     compute_etam,
     resolve_latency_bound,
-    tdma_wait,
 )
 
 
@@ -68,7 +66,6 @@ class RemoteBindingParams:
     alpha_src: int = 1
     alpha_dst: int = 1
     latency_bound: int = 0
-    token_size: int | None = None
 
 
 @dataclass(frozen=True)
@@ -146,7 +143,7 @@ class _WorkingGraph:
                     dst_wait: int) -> None:
         channel = self.channels[channel_id]
         fresh = self.fresh
-        token_size = params.token_size if params.token_size is not None else channel.token_size
+        token_size = channel.token_size
         send = Actor(fresh(f"ac_{channel_id}"),
                      connection_actor_time(token_size, params.connection),
                      kind=ActorKind.INFRASTRUCTURE)
@@ -282,27 +279,23 @@ def memory_aware_transform(graph: SDFG, actor_id: str,
     return work.freeze()
 
 
-def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping,
-                      disable_concurrency: bool = True) -> SDFG:
+def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping) -> SDFG:
     """Turn an application graph plus mapping into the analyzable graph:
     execution times inflated to their after-mapping values, every bound
-    channel rewritten per its binding, and (by default) a unit self-loop on
-    every actor.
+    channel rewritten per its binding kind, and a unit self-loop on every
+    actor.
 
     Channels without a binding entry are left untouched.
     """
     repetition = compute_repetition_vector(graph)
-    work = _WorkingGraph(graph.with_exec_times(compute_etam(graph, platform, mapping)))
-
-    waits = {a.id: (tdma_wait(a.id, platform, mapping)
-                    if a.kind == ActorKind.SOFTWARE and mapping.tile_of(a.id) else 0)
-             for a in graph.actors}
+    etam = compute_etam(graph, platform, mapping)
+    work = _WorkingGraph(graph.with_exec_times(etam))
 
     # Prefetch rewrites first: they re-point the affected channels, and the
     # remaining bindings then attach to the split actors transparently.
     for channel in graph.channels:
         binding = mapping.channel_binding.get(channel.id)
-        if binding is None or not binding.is_prefetch:
+        if binding is None or binding.kind != BindingKind.PREFETCH:
             continue
         connection = platform.connection(binding.connection)
         batch = prefetch_batch(repetition, channel.src, channel.dst)
@@ -317,10 +310,10 @@ def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping,
 
     for channel in graph.channels:
         binding = mapping.channel_binding.get(channel.id)
-        if binding is None or binding.is_prefetch:
+        if binding is None or binding.kind == BindingKind.PREFETCH:
             continue
-        if binding.is_local:
-            src_tile, dst_tile = mapping.tile_of(channel.src), mapping.tile_of(channel.dst)
+        src_tile, dst_tile = mapping.tile_of(channel.src), mapping.tile_of(channel.dst)
+        if binding.kind == BindingKind.LOCAL:
             if src_tile != dst_tile:
                 raise SameTileError(
                     f"channel {channel.id!r} bound locally but endpoints sit on "
@@ -328,22 +321,19 @@ def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping,
             if binding.buffer_tokens is not None:
                 work.bind_local(channel.id, binding.buffer_tokens)
         else:
-            src_tile, dst_tile = mapping.tile_of(channel.src), mapping.tile_of(channel.dst)
             if src_tile is not None and src_tile == dst_tile:
                 raise SameTileError(
-                    f"channel {channel.id!r} bound to connection {binding.target!r} "
+                    f"channel {channel.id!r} bound to connection {binding.connection!r} "
                     f"but both endpoints sit on {src_tile!r}")
             params = RemoteBindingParams(
-                connection=platform.connection(binding.target),
+                connection=platform.connection(binding.connection),
                 alpha_src=binding.alpha_src if binding.alpha_src is not None else 1,
                 alpha_dst=binding.alpha_dst if binding.alpha_dst is not None else 1,
                 latency_bound=resolve_latency_bound(channel.id, graph, platform, mapping),
             )
-            work.bind_remote(channel.id, params, dst_wait=waits[channel.dst])
-    bound = work.freeze()
-    if disable_concurrency:
-        bound = disable_auto_concurrency(bound)
-    return bound
+            dst_wait = etam[channel.dst] - graph.actor(channel.dst).exec_time
+            work.bind_remote(channel.id, params, dst_wait=dst_wait)
+    return disable_auto_concurrency(work.freeze())
 
 
 def prefetch_batch(repetition, producer: str, consumer: str) -> int:

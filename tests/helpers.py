@@ -237,7 +237,7 @@ def mjpeg_mapping(vld_izz_buffer=13, iq_idct_buffer=2, cc_re_buffer=24,
     frame plus one slack block) and the single consumer-side buffer token on
     the first chain pin the baseline throughput; see the bundled scenario
     for the full rationale."""
-    from sdfmig.mpsoc import ChannelBinding, PlatformMapping
+    from sdfmig.mpsoc import BindingKind, ChannelBinding, PlatformMapping
     return PlatformMapping(
         actor_tile={"VLD": "T1", "IZZ": "T1", "IQ": "T2", "IDCT": "T2",
                     "CC": "T3", "RE": "T3"},
@@ -245,10 +245,10 @@ def mjpeg_mapping(vld_izz_buffer=13, iq_idct_buffer=2, cc_re_buffer=24,
                     "CC": 20000, "RE": 80000},
         channel_binding={
             "vld_izz": ChannelBinding(buffer_tokens=vld_izz_buffer),
-            "izz_iq": ChannelBinding(target="n1", alpha_src=izz_iq_alpha[0],
+            "izz_iq": ChannelBinding(BindingKind.REMOTE, "n1", alpha_src=izz_iq_alpha[0],
                                      alpha_dst=izz_iq_alpha[1], latency_bound=100000),
             "iq_idct": ChannelBinding(buffer_tokens=iq_idct_buffer),
-            "idct_cc": ChannelBinding(target="n2", alpha_src=idct_cc_alpha[0],
+            "idct_cc": ChannelBinding(BindingKind.REMOTE, "n2", alpha_src=idct_cc_alpha[0],
                                       alpha_dst=idct_cc_alpha[1], latency_bound=100000),
             "cc_re": ChannelBinding(buffer_tokens=cc_re_buffer),
         },
@@ -264,7 +264,7 @@ def random_scenario(rng: random.Random, max_actors: int = 5):
     only need consistency).
     """
     from sdfmig.graph import compute_repetition_vector
-    from sdfmig.mpsoc import (ChannelBinding, NocConnection, Platform,
+    from sdfmig.mpsoc import (BindingKind, ChannelBinding, NocConnection, Platform,
                               PlatformMapping, Tile)
 
     graph = random_consistent_graph(rng, max_actors=max_actors, self_loops=False)
@@ -301,7 +301,7 @@ def random_scenario(rng: random.Random, max_actors: int = 5):
         else:
             conn = f"n{actor_tile[c.src][1:]}_{actor_tile[c.dst][1:]}"
             bindings[c.id] = ChannelBinding(
-                target=conn,
+                kind=BindingKind.REMOTE, connection=conn,
                 alpha_src=c.prod_rate + rng.randint(0, 2),
                 alpha_dst=c.cons_rate + rng.randint(0, 2),
                 latency_bound=rng.randint(0, 50))
@@ -470,7 +470,7 @@ def _reference_remote(graph: SDFG, channel_id: str, params, dst_wait: int) -> SD
 
     infra = ActorKind.INFRASTRUCTURE
     channel = graph.channel(channel_id)
-    token_size = params.token_size if params.token_size is not None else channel.token_size
+    token_size = channel.token_size
     send = Actor(fresh(f"ac_{channel_id}"),
                  connection_actor_time(token_size, params.connection), kind=infra)
     latency = Actor(fresh(f"a_{channel_id}"), params.latency_bound, kind=infra)
@@ -553,7 +553,7 @@ def reference_bound_graph(graph: SDFG, platform, mapping,
     before it. Same checks, errors and rewrite order as the package."""
     from sdfmig.errors import SameTileError
     from sdfmig.graph import compute_repetition_vector
-    from sdfmig.mpsoc import compute_etam, resolve_latency_bound, tdma_wait
+    from sdfmig.mpsoc import BindingKind, compute_etam, resolve_latency_bound, tdma_wait
     from sdfmig.transforms import (MemoryAwareParams, RemoteBindingParams,
                                    connection_actor_time, prefetch_batch)
 
@@ -564,7 +564,7 @@ def reference_bound_graph(graph: SDFG, platform, mapping,
              for a in graph.actors}
     for channel in graph.channels:
         binding = mapping.channel_binding.get(channel.id)
-        if binding is None or not binding.is_prefetch:
+        if binding is None or binding.kind != BindingKind.PREFETCH:
             continue
         connection = platform.connection(binding.connection)
         bound = _reference_prefetch(bound, channel.dst, MemoryAwareParams(
@@ -576,10 +576,10 @@ def reference_bound_graph(graph: SDFG, platform, mapping,
             bound = _reference_local(bound, channel.id, binding.buffer_tokens)
     for channel in graph.channels:
         binding = mapping.channel_binding.get(channel.id)
-        if binding is None or binding.is_prefetch:
+        if binding is None or binding.kind == BindingKind.PREFETCH:
             continue
         src_tile, dst_tile = mapping.tile_of(channel.src), mapping.tile_of(channel.dst)
-        if binding.is_local:
+        if binding.kind == BindingKind.LOCAL:
             if src_tile != dst_tile:
                 raise SameTileError(
                     f"channel {channel.id!r} bound locally but endpoints sit on "
@@ -589,10 +589,10 @@ def reference_bound_graph(graph: SDFG, platform, mapping,
         else:
             if src_tile is not None and src_tile == dst_tile:
                 raise SameTileError(
-                    f"channel {channel.id!r} bound to connection {binding.target!r} "
+                    f"channel {channel.id!r} bound to connection {binding.connection!r} "
                     f"but both endpoints sit on {src_tile!r}")
             params = RemoteBindingParams(
-                connection=platform.connection(binding.target),
+                connection=platform.connection(binding.connection),
                 alpha_src=binding.alpha_src if binding.alpha_src is not None else 1,
                 alpha_dst=binding.alpha_dst if binding.alpha_dst is not None else 1,
                 latency_bound=resolve_latency_bound(channel.id, graph, platform, mapping))

@@ -23,6 +23,7 @@ from sdfmig.analysis import (
 )
 from sdfmig.errors import (
     DeadlockError,
+    InvalidRateError,
     InvalidStateBudgetError,
     NegativeExecutionTimeError,
     NotHomogeneousError,
@@ -98,6 +99,33 @@ def test_unknown_actor_rejected_before_graph_work(entry, ends):
     g = SDFG(actors=[Actor("A", 1)], channels=[Channel("c", *ends, 1, 1, 1)])
     with pytest.raises(UnknownActorError, match="'c'.*'ghost'"):
         entry(g)
+
+
+# The ring A (2 cycles) <-> B (3 cycles) with a self-loop on A, with a rate of
+# 0 on A->B. The consumption-rate case used to end in a livelock report at
+# t=0, the production-rate case in a deadlock at t=9; neither named c0.
+RATE_BELOW_ONE = [
+    pytest.param(("A", "B", 1, 0), "production rate 1 and consumption rate 0",
+                 id="cons-rate-0"),
+    pytest.param(("A", "B", 0, 1, 3), "production rate 0 and consumption rate 1",
+                 id="prod-rate-0"),
+]
+
+
+def ring_with_rate_below_one(row):
+    return build_graph({"A": 2, "B": 3}, [row, ("B", "A", 1, 1, 1), ("A", "A", 1, 1, 1)])
+
+
+@pytest.mark.parametrize("row, rates", RATE_BELOW_ONE)
+def test_self_timed_rejects_rate_below_one(row, rates):
+    with pytest.raises(InvalidRateError, match=f"channel 'c0' has {rates}"):
+        self_timed_throughput(ring_with_rate_below_one(row))
+
+
+@pytest.mark.parametrize("row, rates", RATE_BELOW_ONE)
+def test_iterate_states_rejects_rate_below_one(row, rates):
+    with pytest.raises(InvalidRateError, match=f"channel 'c0' has {rates}"):
+        iterate_states(ring_with_rate_below_one(row))
 
 
 def test_self_timed_empty_graph_deadlocks():

@@ -185,3 +185,49 @@ def test_cli_import_stays_light():
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+def mjpeg_variant(tmp_path, old, new):
+    """mjpeg_base with every ``old`` replaced by ``new``."""
+    from sdfmig.scenario import bundled_scenario_path
+
+    text = bundled_scenario_path("mjpeg_base").read_text()
+    assert old in text
+    variant = tmp_path / "variant.xml"
+    variant.write_text(text.replace(old, new))
+    return str(variant)
+
+
+def test_connection_named_local_explores_like_mjpeg_base(tmp_path, capsys):
+    # A connection id used to double as the local binding kind, so this
+    # variant failed check with a false BindingMismatch.
+    variant = mjpeg_variant(tmp_path, '"n1"', '"local"')
+    code, expected, _ = run_cli(capsys, "explore", "mjpeg_base")
+    assert code == 0
+    assert run_cli(capsys, "explore", variant) == (0, expected, "")
+
+
+def test_connection_named_prefetch_loads(tmp_path, capsys):
+    # This variant used to end in a KeyError traceback.
+    variant = mjpeg_variant(tmp_path, '"n1"', '"prefetch"')
+    code, out, _ = run_cli(capsys, "throughput", variant)
+    assert code == 0
+    assert "throughput: 13.91 f/s" in out
+
+
+IZZ_IQ_REMOTE = 'connection="n1" alpha-src="2" alpha-dst="1" latency-bound="100000"'
+
+
+def test_check_prefetch_bind_unknown_connection(tmp_path, capsys):
+    variant = mjpeg_variant(tmp_path, IZZ_IQ_REMOTE, 'prefetch="true" connection="nope"')
+    code, _, err = run_cli(capsys, "check", variant)
+    assert code == 1
+    assert "[UnknownConnection] izz_iq" in err
+
+
+def test_check_prefetch_bind_connection_not_joining_endpoints(tmp_path, capsys):
+    # n2 joins T2->T3; izz_iq runs from T1 to T2.
+    variant = mjpeg_variant(tmp_path, IZZ_IQ_REMOTE, 'prefetch="true" connection="n2"')
+    code, _, err = run_cli(capsys, "check", variant)
+    assert code == 1
+    assert "[BindingMismatch] izz_iq" in err

@@ -28,6 +28,7 @@ from sdfmig.migration import (
     migration_gain,
 )
 from sdfmig.mpsoc import (
+    BindingKind,
     ChannelBinding,
     NocConnection,
     Platform,
@@ -144,8 +145,10 @@ def hh1_scenario():
         actor_tile={"SW": "T1", "HW": "TH"},
         tdma_slice={"SW": 100},
         channel_binding={
-            "fwd": ChannelBinding(target="up", alpha_src=2, alpha_dst=2, latency_bound=5),
-            "rev": ChannelBinding(target="down", alpha_src=2, alpha_dst=2, latency_bound=5),
+            "fwd": ChannelBinding(BindingKind.REMOTE, "up", alpha_src=2, alpha_dst=2,
+                                  latency_bound=5),
+            "rev": ChannelBinding(BindingKind.REMOTE, "down", alpha_src=2, alpha_dst=2,
+                                  latency_bound=5),
         },
     )
     return g, platform, mapping
@@ -178,8 +181,8 @@ def test_migration_ids_skip_taken_tile_and_connection_ids():
                  + [NocConnection("noc_izz_iq", "T1", "T2", latency=3)])
     res = migrate_task(g, p, m, MigrationSpec(actor="IZZ"))
     assert res.hw_tile == "hw_IZZ_2"
-    assert res.mapping.channel_binding["vld_izz"].connection_id == "noc_vld_izz"
-    assert res.mapping.channel_binding["izz_iq"].connection_id == "noc_izz_iq_2"
+    assert res.mapping.channel_binding["vld_izz"].connection == "noc_vld_izz"
+    assert res.mapping.channel_binding["izz_iq"].connection == "noc_izz_iq_2"
 
 
 def test_migration_gain_examples():

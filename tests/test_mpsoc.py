@@ -7,6 +7,7 @@ from sdfmig.errors import SliceOverflowError, UnmappedActorError
 from sdfmig.graph import Actor, ActorKind, Channel, SDFG
 from sdfmig.migration import MigrationSpec, migrate_task
 from sdfmig.mpsoc import (
+    BindingKind,
     ChannelBinding,
     PlatformMapping,
     Tile,
@@ -161,7 +162,7 @@ def test_validate_mapping_binding_mismatch():
              channels=[Channel("c", "A", "B")])
     mapping = PlatformMapping(actor_tile={"A": "T2", "B": "T3"},
                               tdma_slice={"A": 1, "B": 1},
-                              channel_binding={"c": ChannelBinding(target="n1")})
+                              channel_binding={"c": ChannelBinding(BindingKind.REMOTE, "n1")})
     codes = [d.code for d in validate_mapping(g, mjpeg_platform(), mapping)]
     assert "BindingMismatch" in codes
 

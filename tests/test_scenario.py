@@ -5,8 +5,9 @@ from xml.sax.saxutils import escape, quoteattr
 import pytest
 
 from helpers import random_scenario
-from sdfmig.errors import ScenarioParseError, ScenarioValidationError
+from sdfmig.errors import InvalidBindingError, ScenarioParseError, ScenarioValidationError
 from sdfmig.graph import ActorKind
+from sdfmig.mpsoc import BindingKind, ChannelBinding
 from sdfmig.migration import MigrationCandidate, MigrationSpec, migrate_task
 from sdfmig.analysis import self_timed_throughput
 from sdfmig.scenario import (
@@ -165,14 +166,18 @@ def test_load_rejects_negative_integer_attributes(tmp_path, attribute, original,
     assert original in text
     edited = tmp_path / "edited.xml"
     for value in ("0", "-1"):
-        replacement = (f'{original} prefetch-time="{value}"'
+        # Only a prefetch bind reads prefetch-time, so that case turns the
+        # local iq_idct bind into one.
+        replacement = (f'prefetch="true" connection="n1" {original} prefetch-time="{value}"'
                        if attribute == "prefetch-time" else f'{attribute}="{value}"')
         edited.write_text(text.replace(original, replacement, 1))
         if value == "0":
             try:
                 load_scenario(edited)
             except ScenarioValidationError:
-                pass  # in range; a zero wheel is then too small for its slices
+                # In range. A zero wheel is then too small for its slices, and
+                # n1 does not join the tiles of iq_idct.
+                pass
             continue
         with pytest.raises(ScenarioParseError,
                            match=f"attribute '{attribute}' must be at least 0, got -1"
@@ -200,6 +205,57 @@ def test_load_rejects_bind_alpha_below_one(tmp_path, attribute, original):
                            ) as err:
             load_scenario(edited)
         assert (err.value.line, err.value.column) == (47, 5)
+
+
+@pytest.mark.parametrize("original, edited, message, line", [
+    pytest.param('buffer-tokens="13"', 'buffer-tokens="13" alpha-src="2"',
+                 "attribute 'alpha-src' is not read by a local binding", 46,
+                 id="alpha-src-on-local"),
+    pytest.param('latency-bound="100000"', 'latency-bound="100000" buffer-tokens="4"',
+                 "attribute 'buffer-tokens' is not read by a remote binding", 47,
+                 id="buffer-tokens-on-remote"),
+    pytest.param('connection="n1"', 'prefetch="true"',
+                 "attribute 'connection' is required by a prefetch binding", 47,
+                 id="prefetch-without-connection"),
+])
+def test_load_rejects_bind_attribute_its_kind_never_reads(tmp_path, original, edited,
+                                                          message, line):
+    # Such attributes used to load and then change nothing.
+    text = bundled_scenario_path("mjpeg_base").read_text()
+    assert original in text
+    bad = tmp_path / "bad.xml"
+    bad.write_text(text.replace(original, edited, 1))
+    with pytest.raises(ScenarioParseError, match=message) as err:
+        load_scenario(bad)
+    assert (err.value.line, err.value.column) == (line, 5)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    pytest.param({"kind": BindingKind.REMOTE}, "connection", id="remote-no-connection"),
+    pytest.param({"kind": BindingKind.PREFETCH}, "connection", id="prefetch-no-connection"),
+    pytest.param({"connection": "n1"}, "connection", id="local-with-connection"),
+    pytest.param({"alpha_src": 2}, "alpha_src", id="local-with-alpha"),
+    pytest.param({"kind": BindingKind.REMOTE, "connection": "n1", "prefetch_time": 5},
+                 "prefetch_time", id="remote-with-prefetch-time"),
+    pytest.param({"kind": BindingKind.PREFETCH, "connection": "n1", "latency_bound": 5},
+                 "latency_bound", id="prefetch-with-latency-bound"),
+    pytest.param({"kind": "remote", "connection": "n1"}, "kind", id="kind-not-enum"),
+])
+def test_channel_binding_rejects_fields_its_kind_does_not_take(kwargs, field):
+    with pytest.raises(InvalidBindingError) as err:
+        ChannelBinding(**kwargs)
+    assert err.value.field == field
+
+
+def test_load_rejects_tile_clock_attribute(tmp_path):
+    # Nothing reads a tile clock; the scenario's clock-hz sets the frame rate.
+    text = bundled_scenario_path("mjpeg_base").read_text()
+    bad = tmp_path / "bad.xml"
+    bad.write_text(text.replace('<tile id="T2" tdma-wheel="100000"/>',
+                                '<tile id="T2" tdma-wheel="100000" clock-hz="50e6"/>'))
+    with pytest.raises(ScenarioParseError, match="unknown attribute 'clock-hz'") as err:
+        load_scenario(bad)
+    assert (err.value.line, err.value.column) == (34, 5)
 
 
 def test_load_rejects_auto_concurrency_attribute(tmp_path):

@@ -31,7 +31,14 @@ from sdfmig.graph import (
     validate,
 )
 from sdfmig.migration import MigrationSpec, migrate_task
-from sdfmig.mpsoc import ChannelBinding, NocConnection, Platform, PlatformMapping, Tile
+from sdfmig.mpsoc import (
+    BindingKind,
+    ChannelBinding,
+    NocConnection,
+    Platform,
+    PlatformMapping,
+    Tile,
+)
 from sdfmig.scenario import bundled_scenario_path, list_bundled_scenarios, load_scenario
 from sdfmig.transforms import (
     MemoryAwareParams,
@@ -308,7 +315,7 @@ def test_build_bound_graph_rejects_remote_binding_on_shared_tile():
     mapping = mjpeg_mapping()
     bad = PlatformMapping(
         actor_tile=mapping.actor_tile, tdma_slice=mapping.tdma_slice,
-        channel_binding={"vld_izz": ChannelBinding(target="n1")},
+        channel_binding={"vld_izz": ChannelBinding(BindingKind.REMOTE, "n1")},
     )
     with pytest.raises(SameTileError):
         build_bound_graph(graph, platform, bad)
@@ -384,7 +391,8 @@ def test_binder_matches_reference_on_random_scenarios(monkeypatch):
         for args in migration_bind_inputs(monkeypatch, graph, platform, mapping,
                                           MigrationSpec()):
             bound += assert_binds_like_reference(*args) is not None
-            prefetched += any(b.is_prefetch for b in args[2].channel_binding.values())
+            prefetched += any(b.kind == BindingKind.PREFETCH
+                              for b in args[2].channel_binding.values())
     assert bound > 100 and prefetched > 50
 
 
@@ -402,7 +410,8 @@ def two_tile_scenario(actors, channels, tiles, remote=(), buffers=None):
     bindings = {}
     for cid, src, dst, _ in channels:
         if cid in remote:
-            bindings[cid] = ChannelBinding(target=f"n{tiles[src][1]}{tiles[dst][1]}",
+            bindings[cid] = ChannelBinding(BindingKind.REMOTE,
+                                           f"n{tiles[src][1]}{tiles[dst][1]}",
                                            alpha_src=1, alpha_dst=1)
         else:
             bindings[cid] = ChannelBinding(buffer_tokens=(buffers or {}).get(cid, 4))
@@ -437,7 +446,7 @@ def test_binder_skips_ids_the_application_holds_in_prefetch(monkeypatch):
     assert len(inputs) == 3
     bounds = [assert_binds_like_reference(*args) for args in inputs]
     migrated_p = inputs[0][2].channel_binding
-    assert migrated_p["px"].is_prefetch
+    assert migrated_p["px"].kind == BindingKind.PREFETCH
     assert {"X1_2", "X_ri_2", "X2"} <= bounds[0].actor_map.keys()
     assert bounds[0].channel("px").dst == "X_ri_2"
     assert bounds[0].channel("X_ri").src == "X2"
