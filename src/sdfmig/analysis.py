@@ -39,16 +39,13 @@ from typing import Iterator, Mapping
 
 from .errors import (
     DeadlockError,
-    InvalidRateError,
     InvalidStateBudgetError,
-    NegativeExecutionTimeError,
     NotHomogeneousError,
     NotStronglyConnectedError,
     SdfmigError,
     StateSpaceBudgetExceededError,
-    UnknownActorError,
 )
-from .graph import SDFG, RepetitionVector, compute_repetition_vector
+from .graph import SDFG, RepetitionVector, check_graph, compute_repetition_vector
 from .rational import to_decimal, to_fraction
 
 DEFAULT_STATE_BUDGET = 1_000_000
@@ -88,8 +85,6 @@ def resolve_reference_actor(graph: SDFG, repetition: RepetitionVector) -> str:
     else the smallest-id actor with repetition count 1 (falling back to the
     smallest repetition count present)."""
     if graph.reference_actor is not None:
-        if graph.reference_actor not in graph.actor_map:
-            raise SdfmigError(f"reference actor {graph.reference_actor!r} not in graph")
         return graph.reference_actor
     if not graph.actors:
         raise SdfmigError("empty graph has no reference actor")
@@ -100,26 +95,6 @@ def resolve_reference_actor(graph: SDFG, repetition: RepetitionVector) -> str:
 def _check_budget(name: str, value) -> None:
     if not isinstance(value, int) or value < 1:
         raise InvalidStateBudgetError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _check_channels(graph: SDFG) -> None:
-    actors = graph.actor_map
-    for c in graph.channels:
-        if c.src not in actors or c.dst not in actors:
-            missing = c.src if c.src not in actors else c.dst
-            raise UnknownActorError(
-                f"channel {c.id!r} names actor {missing!r}, which is not in the graph")
-        if c.prod_rate < 1 or c.cons_rate < 1:
-            raise InvalidRateError(
-                f"channel {c.id!r} has production rate {c.prod_rate} and consumption "
-                f"rate {c.cons_rate}; both must be at least 1")
-
-
-def _check_exec_times(actor_ids: list[str], exec_times: list[int]) -> None:
-    negative = [a for a, t in zip(actor_ids, exec_times) if t < 0]
-    if negative:
-        raise NegativeExecutionTimeError(
-            f"negative execution time on actor(s) {', '.join(negative)}")
 
 
 class _Simulator:
@@ -150,8 +125,6 @@ class _Simulator:
         self.n_actors = n_actors = len(self.actor_ids)
         index = {a: i for i, a in enumerate(self.actor_ids)}
         exec_time = [graph.actor_map[a].exec_time for a in self.actor_ids]
-        # Time must never run backwards in the completion queue.
-        _check_exec_times(self.actor_ids, exec_time)
         # A firing of actor i started at now_code ends at now_code + step[i];
         # 0 marks a zero-time actor.
         self.step = [t * n_actors + ai if t else 0 for ai, t in enumerate(exec_time)]
@@ -244,7 +217,7 @@ class _Simulator:
 def _key_channels(graph: SDFG, index: Mapping[str, int]) -> list[int]:
     """Positions, in graph order, of the channels whose tokens go into the
     recurrence key: a spanning forest of the channels that are not
-    self-loops, plus every channel with a rate below 1.
+    self-loops.
 
     Why the forest is enough: a channel holds
     ``initial + prod * completed(src) - cons * started(dst)`` tokens, and a
@@ -256,8 +229,7 @@ def _key_channels(graph: SDFG, index: Mapping[str, int]) -> list[int]:
     balance equations then make every other channel of the component hold
     equal tokens too; a self-loop is covered because consistency forces its
     two rates to be equal. Inconsistent graphs are rejected before
-    simulation. The balance equations skip a channel with a rate below 1,
-    so such a channel goes into the key itself and links no component.
+    simulation.
     """
     parent = list(range(len(index)))
 
@@ -268,9 +240,6 @@ def _key_channels(graph: SDFG, index: Mapping[str, int]) -> list[int]:
 
     chosen = []
     for position, c in enumerate(graph.channels):
-        if c.prod_rate < 1 or c.cons_rate < 1:
-            chosen.append(position)
-            continue
         u, v = root(index[c.src]), root(index[c.dst])
         if u != v:
             parent[u] = v
@@ -285,12 +254,10 @@ def iterate_states(graph: SDFG, max_states: int = 10_000) -> Iterator[ExecutionS
     :func:`self_timed_throughput`.
 
     The arguments are checked on the call: :class:`InvalidStateBudgetError`
-    unless ``max_states`` is a positive integer, :class:`UnknownActorError`
-    for a channel whose endpoint is not in the graph,
-    :class:`InvalidRateError` for a channel with a rate below 1, and
-    :class:`NegativeExecutionTimeError`."""
+    unless ``max_states`` is a positive integer, then the structural errors
+    of :func:`~sdfmig.graph.check_graph`."""
     _check_budget("max_states", max_states)
-    _check_channels(graph)
+    check_graph(graph)
     sim = _Simulator(graph)
     return (sim.snapshot() for _ in islice(sim.run(), max_states))
 
@@ -301,9 +268,8 @@ def self_timed_throughput(graph: SDFG,
     throughput of the periodic phase.
 
     Raises :class:`InvalidStateBudgetError` unless ``state_budget`` is a
-    positive integer, :class:`UnknownActorError` for a channel whose
-    endpoint is not in the graph, :class:`InvalidRateError` for a channel
-    with a rate below 1, :class:`DeadlockError` when execution
+    positive integer, the structural errors of
+    :func:`~sdfmig.graph.check_graph`, :class:`DeadlockError` when execution
     stops (or never turns the reference actor),
     :class:`InconsistentGraphError` for unsolvable balance equations, and
     :class:`StateSpaceBudgetExceededError` when more than ``state_budget``
@@ -311,7 +277,6 @@ def self_timed_throughput(graph: SDFG,
     token accumulation.
     """
     _check_budget("state budget", state_budget)
-    _check_channels(graph)
     repetition = compute_repetition_vector(graph)
     reference = resolve_reference_actor(graph, repetition)
 
@@ -481,21 +446,18 @@ def mcm_throughput(graph: SDFG) -> Fraction:
 
     The ratio comes exactly from Howard's policy iteration
     (:func:`_max_cycle_ratio`) over integer edge weights. Raises, in this
-    order, :class:`UnknownActorError` for a channel whose endpoint is not in
-    the graph, :class:`InvalidRateError` for a rate below 1,
+    order, the structural errors of :func:`~sdfmig.graph.check_graph`,
     :class:`NotHomogeneousError`, :class:`SdfmigError` for an empty
-    graph, :class:`NegativeExecutionTimeError`,
-    :class:`NotStronglyConnectedError`, :class:`DeadlockError` for a cycle
-    without tokens, and :class:`SdfmigError` when there is no cycle or every
-    cycle takes zero time (throughput unbounded).
+    graph, :class:`NotStronglyConnectedError`, :class:`DeadlockError` for a
+    cycle without tokens, and :class:`SdfmigError` when there is no cycle or
+    every cycle takes zero time (throughput unbounded).
     """
-    _check_channels(graph)
+    check_graph(graph)
     if any(c.prod_rate != 1 or c.cons_rate != 1 for c in graph.channels):
         raise NotHomogeneousError("all rates must be 1 for cycle-mean analysis")
     if not graph.actors:
         raise SdfmigError("empty graph has no cycle mean")
     actor_ids = sorted(a.id for a in graph.actors)
-    _check_exec_times(actor_ids, [graph.actor_map[a].exec_time for a in actor_ids])
     index = {a: i for i, a in enumerate(actor_ids)}
     n = len(actor_ids)
     # Edge weight is the execution time of the producing actor, so a cycle's

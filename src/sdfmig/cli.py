@@ -120,17 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
     migrate = commands.add_parser("migrate", help="migrate one task to hardware")
     add_common(migrate)
     migrate.add_argument("--task", required=True, help="actor to migrate")
-    migrate.add_argument("--speedup", type=_positive_rational_arg, default=Fraction(2),
-                         help="hardware speedup factor (default 2)")
-    migrate.add_argument("--prefetch", type=_non_negative_int_arg, default=10000,
-                         help="prefetch issue time in cycles (default 10000)")
-    migrate.add_argument("--format", choices=("text", "csv"), default="text")
-
     explore = commands.add_parser("explore", help="rank all single-task migrations")
     add_common(explore)
-    explore.add_argument("--speedup", type=_positive_rational_arg, default=Fraction(2))
-    explore.add_argument("--prefetch", type=_non_negative_int_arg, default=10000)
-    explore.add_argument("--format", choices=("text", "csv"), default="text")
+    for sub in (migrate, explore):
+        sub.add_argument("--speedup", type=_positive_rational_arg,
+                         help="hardware speedup factor (default: the scenario's "
+                              "<defaults>, else 2)")
+        sub.add_argument("--prefetch", type=_non_negative_int_arg,
+                         help="prefetch issue time in cycles (default: the "
+                              "scenario's <defaults>, else 10000)")
+        sub.add_argument("--format", choices=("text", "csv"), default="text")
 
     return parser
 
@@ -153,8 +152,10 @@ def _bound(scenario: Scenario):
 
 
 def _spec_from_args(scenario: Scenario, args) -> MigrationSpec:
-    return replace(scenario.defaults, speedup=args.speedup,
-                   prefetch_time=args.prefetch)
+    """The scenario's defaults with the fields given on the command line."""
+    given = {"speedup": args.speedup, "prefetch_time": args.prefetch}
+    return replace(scenario.defaults,
+                   **{name: value for name, value in given.items() if value is not None})
 
 
 def run(args, out) -> int:

@@ -76,6 +76,16 @@ class UnknownActorError(SdfmigError):
     """An operation referenced an actor id that is not in the graph."""
 
 
+class MalformedGraphError(SdfmigError):
+    """A graph holds initial tokens that are not an integer of at least 0,
+    an execution time or rate that is not an integer, or a reference actor
+    that is not in the graph."""
+
+
+class UnknownConnectionError(SdfmigError):
+    """An operation referenced a connection id that is not in the platform."""
+
+
 class AlreadyHardwareError(SdfmigError):
     """Migration requested for an actor that is not a software actor."""
 

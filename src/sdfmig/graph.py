@@ -12,9 +12,17 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
-from .errors import InconsistentGraphError
+from .errors import (
+    DuplicateIdError,
+    InconsistentGraphError,
+    InvalidRateError,
+    MalformedGraphError,
+    NegativeExecutionTimeError,
+    SdfmigError,
+    UnknownActorError,
+)
 
 
 class ActorKind(str, Enum):
@@ -102,27 +110,17 @@ class SDFG:
 
     @cached_property
     def _repetition(self) -> "RepetitionVector":
-        # Backs compute_repetition_vector. A graph whose balance equations
-        # fail raises here and caches nothing, so it raises on every call.
+        # Backs compute_repetition_vector and validate, which ask only when
+        # every endpoint is an actor and every rate an integer of at least 1.
+        # A failure caches nothing, so it raises on every call.
         return _solve_repetition_vector(self)
 
     @cached_property
-    def inputs(self) -> dict[str, tuple[Channel, ...]]:
-        """Actor id -> channels consumed by that actor (self-loops included)."""
-        table: dict[str, list[Channel]] = {a.id: [] for a in self.actors}
-        for c in self.channels:
-            if c.dst in table:
-                table[c.dst].append(c)
-        return {k: tuple(v) for k, v in table.items()}
-
-    @cached_property
-    def outputs(self) -> dict[str, tuple[Channel, ...]]:
-        """Actor id -> channels produced by that actor (self-loops included)."""
-        table: dict[str, list[Channel]] = {a.id: [] for a in self.actors}
-        for c in self.channels:
-            if c.src in table:
-                table[c.src].append(c)
-        return {k: tuple(v) for k, v in table.items()}
+    def _well_formed(self) -> bool:
+        # Backs check_graph, cached the same way: only a pass is kept.
+        for _, _, error, message in _violations(self):
+            raise error(message)
+        return True
 
     def actor(self, actor_id: str) -> Actor:
         return self.actor_map[actor_id]
@@ -131,7 +129,7 @@ class SDFG:
         return self.channel_map[channel_id]
 
     def has_self_loop(self, actor_id: str) -> bool:
-        return any(c.is_self_loop for c in self.outputs.get(actor_id, ()))
+        return any(c.src == actor_id == c.dst for c in self.channels)
 
     def with_actors(self, actors: Iterable[Actor]) -> "SDFG":
         return replace(self, actors=tuple(actors))
@@ -192,10 +190,6 @@ class RepetitionVector:
     def items(self):
         return self.entries.items()
 
-    @property
-    def total_firings(self) -> int:
-        return sum(self.entries.values())
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -218,15 +212,68 @@ BAD_REFERENCE = "BadReference"
 INCONSISTENT = "Inconsistent"
 
 
+def _violations(graph: SDFG) -> Iterator[tuple[str, str, type[SdfmigError], str]]:
+    """``(code, subject, error, message)`` for every rule of
+    :func:`check_graph` that ``graph`` breaks, actors first, in order."""
+    actor_ids: set[str] = set()
+    for a in graph.actors:
+        if a.id in actor_ids:
+            yield (DUPLICATE_ID, a.id, DuplicateIdError,
+                   f"actor id {a.id!r} occurs more than once")
+        actor_ids.add(a.id)
+        if not isinstance(a.exec_time, int) or a.exec_time < 0:
+            yield (NEGATIVE_EXEC_TIME, a.id,
+                   NegativeExecutionTimeError if isinstance(a.exec_time, int)
+                   else MalformedGraphError,
+                   f"actor {a.id!r} has execution time {a.exec_time!r}; it must be "
+                   "an integer of at least 0")
+    channel_ids: set[str] = set()
+    for c in graph.channels:
+        if c.id in channel_ids:
+            yield (DUPLICATE_ID, c.id, DuplicateIdError,
+                   f"channel id {c.id!r} occurs more than once")
+        channel_ids.add(c.id)
+        for endpoint in (c.src, c.dst):
+            if endpoint not in actor_ids:
+                yield (DANGLING_ENDPOINT, c.id, UnknownActorError,
+                       f"channel {c.id!r} names actor {endpoint!r}, which is not in the graph")
+        integral = isinstance(c.prod_rate, int) and isinstance(c.cons_rate, int)
+        if not (integral and c.prod_rate >= 1 and c.cons_rate >= 1):
+            yield (ZERO_RATE, c.id, InvalidRateError if integral else MalformedGraphError,
+                   f"channel {c.id!r} has production rate {c.prod_rate!r} and "
+                   f"consumption rate {c.cons_rate!r}; both must be integers of at least 1")
+        if not isinstance(c.initial_tokens, int) or c.initial_tokens < 0:
+            yield (NEGATIVE_TOKENS, c.id, MalformedGraphError,
+                   f"channel {c.id!r} has initial tokens {c.initial_tokens!r}; they must "
+                   "be an integer of at least 0")
+    if graph.reference_actor is not None and graph.reference_actor not in actor_ids:
+        yield (BAD_REFERENCE, graph.reference_actor, MalformedGraphError,
+               f"reference actor {graph.reference_actor!r} is not in the graph")
+
+
+def check_graph(graph: SDFG) -> None:
+    """Raise the error of the first structural rule ``graph`` breaks: a
+    repeated actor or channel id (:class:`DuplicateIdError`), a channel
+    endpoint that is not an actor (:class:`UnknownActorError`), a rate below
+    1 (:class:`InvalidRateError`), a negative execution time
+    (:class:`NegativeExecutionTimeError`), or (:class:`MalformedGraphError`)
+    negative initial tokens, a value that is not an integer or an unknown
+    reference actor. Only a pass is remembered, per graph object, so later
+    calls on a well-formed graph are free."""
+    graph._well_formed
+
+
 def compute_repetition_vector(graph: SDFG) -> RepetitionVector:
     """Solve the balance equations q(src)*prod = q(dst)*cons for the smallest
     positive integer vector.
 
     Each weakly-connected component is normalized independently, so the
-    whole-graph vector is collectively coprime. Raises
+    whole-graph vector is collectively coprime. Raises the errors of
+    :func:`check_graph` for a malformed graph and
     :class:`InconsistentGraphError` when only the zero solution exists. The
     vector is solved once per graph object and shared by later calls.
     """
+    check_graph(graph)
     return graph._repetition
 
 
@@ -237,13 +284,13 @@ def _solve_repetition_vector(graph: SDFG) -> RepetitionVector:
 
     Every actor is popped once and compares each incident channel, so each
     channel is checked after both of its endpoints have their final ratios:
-    one pass finds every unbalanced channel."""
+    one pass finds every unbalanced channel. Every endpoint must be an actor
+    and every rate an integer of at least 1."""
     ratios: dict[str, tuple[int, int]] = {}
     adjacency: dict[str, list[Channel]] = {a.id: [] for a in graph.actors}
     for c in graph.channels:
-        if c.src in adjacency and c.dst in adjacency:
-            adjacency[c.src].append(c)
-            adjacency[c.dst].append(c)
+        adjacency[c.src].append(c)
+        adjacency[c.dst].append(c)
 
     bad: list[str] = []
     components: list[list[str]] = []
@@ -257,8 +304,6 @@ def _solve_repetition_vector(graph: SDFG) -> RepetitionVector:
             here = stack.pop()
             num, den = ratios[here]
             for c in adjacency[here]:
-                if c.prod_rate <= 0 or c.cons_rate <= 0:
-                    continue  # reported by validate(), not solvable here
                 if here == c.src:
                     other, num2, den2 = c.dst, num * c.prod_rate, den * c.cons_rate
                 else:
@@ -289,41 +334,20 @@ def _solve_repetition_vector(graph: SDFG) -> RepetitionVector:
 
 
 def validate(graph: SDFG) -> list[Diagnostic]:
-    """Check all structural invariants; empty result means the graph is well
-    formed and consistent."""
-    diags: list[Diagnostic] = []
-    seen_actor_ids: set[str] = set()
-    for a in graph.actors:
-        if a.id in seen_actor_ids:
-            diags.append(Diagnostic(DUPLICATE_ID, a.id, "duplicate actor id"))
-        seen_actor_ids.add(a.id)
-        if a.exec_time < 0:
-            diags.append(Diagnostic(NEGATIVE_EXEC_TIME, a.id,
-                                    f"execution time {a.exec_time} is negative"))
-    seen_channel_ids: set[str] = set()
-    structurally_ok = True
-    for c in graph.channels:
-        if c.id in seen_channel_ids:
-            diags.append(Diagnostic(DUPLICATE_ID, c.id, "duplicate channel id"))
-        seen_channel_ids.add(c.id)
-        for endpoint in (c.src, c.dst):
-            if endpoint not in seen_actor_ids:
-                diags.append(Diagnostic(DANGLING_ENDPOINT, c.id,
-                                        f"references unknown actor {endpoint!r}"))
-                structurally_ok = False
-        if c.prod_rate < 1 or c.cons_rate < 1:
-            diags.append(Diagnostic(ZERO_RATE, c.id,
-                                    f"rates must be >= 1, got {c.prod_rate}/{c.cons_rate}"))
-            structurally_ok = False
-        if c.initial_tokens < 0:
-            diags.append(Diagnostic(NEGATIVE_TOKENS, c.id,
-                                    f"initial tokens {c.initial_tokens} is negative"))
-    if graph.reference_actor is not None and graph.reference_actor not in seen_actor_ids:
-        diags.append(Diagnostic(BAD_REFERENCE, graph.reference_actor,
-                                "reference actor is not in the graph"))
-    if structurally_ok:
+    """Every structural rule ``graph`` breaks (:func:`check_graph` raises
+    for the first), plus the unbalanced channels when the balance equations
+    can be set up; empty result means the graph is well formed and
+    consistent. The rules are read through the cached check, so a graph
+    that passes is read once for both."""
+    try:
+        check_graph(graph)
+        diags = []
+    except SdfmigError:
+        diags = [Diagnostic(code, subject, message)
+                 for code, subject, _, message in _violations(graph)]
+    if not any(d.code in (DANGLING_ENDPOINT, ZERO_RATE) for d in diags):
         try:
-            compute_repetition_vector(graph)
+            graph._repetition
         except InconsistentGraphError as exc:
             for channel_id in exc.channels:
                 diags.append(Diagnostic(INCONSISTENT, channel_id,

@@ -21,7 +21,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping as TMapping
 
-from .errors import InvalidBindingError, SliceOverflowError, UnmappedActorError
+from .errors import (
+    InvalidBindingError,
+    SliceOverflowError,
+    UnknownConnectionError,
+    UnmappedActorError,
+)
 from .graph import ActorKind, Diagnostic, SDFG
 
 
@@ -86,6 +91,8 @@ class Platform:
         return self.tile_map[tile_id]
 
     def connection(self, conn_id: str) -> NocConnection:
+        if conn_id not in self.connection_map:
+            raise UnknownConnectionError(f"no connection {conn_id!r} in the platform")
         return self.connection_map[conn_id]
 
 

@@ -199,6 +199,7 @@ def load_scenario(path) -> Scenario:
     platform: Platform | None = None
     mapping: PlatformMapping | None = None
     defaults = MigrationSpec()
+    defaults_node: _Node | None = None
     for child in root.children:
         if child.tag == "description":
             description = child.text.strip()
@@ -209,7 +210,7 @@ def load_scenario(path) -> Scenario:
         elif child.tag == "mapping":
             mapping = _read_mapping(child)
         elif child.tag == "defaults":
-            defaults = _read_defaults(child)
+            defaults, defaults_node = _read_defaults(child), child
     if graph is None:
         line, column = root.where()
         raise ScenarioParseError("scenario has no <application>", line=line,
@@ -218,6 +219,12 @@ def load_scenario(path) -> Scenario:
         line, column = root.where()
         raise ScenarioParseError("scenario has a <mapping> but no <platform>",
                                  line=line, column=column)
+    connection = defaults.hw_connection
+    if connection is not None and (platform is None
+                                   or connection not in platform.connection_map):
+        _Reader(defaults_node, _DEFAULTS_ATTRS).fail(
+            f"attribute 'hw-connection' names no connection of the platform, "
+            f"got {connection!r}")
 
     scenario = Scenario(name=name, graph=graph, platform=platform,
                         mapping=mapping, defaults=defaults,
@@ -344,13 +351,14 @@ def _read_mapping(node: _Node) -> PlatformMapping:
 def _read_defaults(node: _Node) -> MigrationSpec:
     r = _Reader(node, _DEFAULTS_ATTRS)
     _expect_children(node, set())
+    base = MigrationSpec()
     spec = MigrationSpec(
-        speedup=r.rational("speedup", Fraction(2)),
-        prefetch_time=r.integer("prefetch-time", 10000),
+        speedup=r.rational("speedup", base.speedup),
+        prefetch_time=r.integer("prefetch-time", base.prefetch_time),
         hw_connection=node.attrib.get("hw-connection"),
         hw_buffer_tokens=r.integer("hw-buffer-tokens"),
-        alpha_src=r.integer("alpha-src", 2),
-        alpha_dst=r.integer("alpha-dst", 2),
+        alpha_src=r.integer("alpha-src", base.alpha_src),
+        alpha_dst=r.integer("alpha-dst", base.alpha_dst),
     )
     problem = spec_range_error(spec)
     if problem is not None:
@@ -553,19 +561,19 @@ def scenario_to_text(scenario: Scenario) -> str:
             out.append(f"    <bind {' '.join(attrs)}/>")
         out.append("  </mapping>")
 
-    defaults = scenario.defaults
+    defaults, base = scenario.defaults, MigrationSpec()
     attrs = []
-    if defaults.speedup != Fraction(2):
+    if defaults.speedup != base.speedup:
         attrs.append(f"speedup={_quote(format_rational(defaults.speedup))}")
-    if defaults.prefetch_time != 10000:
+    if defaults.prefetch_time != base.prefetch_time:
         attrs.append(f'prefetch-time="{defaults.prefetch_time}"')
     if defaults.hw_connection is not None:
         attrs.append(f"hw-connection={_quote(defaults.hw_connection)}")
     if defaults.hw_buffer_tokens is not None:
         attrs.append(f'hw-buffer-tokens="{defaults.hw_buffer_tokens}"')
-    if defaults.alpha_src != 2:
+    if defaults.alpha_src != base.alpha_src:
         attrs.append(f'alpha-src="{defaults.alpha_src}"')
-    if defaults.alpha_dst != 2:
+    if defaults.alpha_dst != base.alpha_dst:
         attrs.append(f'alpha-dst="{defaults.alpha_dst}"')
     if attrs:
         out.append(f"  <defaults {' '.join(attrs)}/>")

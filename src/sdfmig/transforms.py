@@ -30,17 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import (
-    BufferTooSmallError,
-    DuplicateIdError,
-    SameTileError,
-    UnknownActorError,
-)
+from .errors import BufferTooSmallError, SameTileError, UnknownActorError
 from .graph import (
     Actor,
     ActorKind,
     Channel,
     SDFG,
+    check_graph,
     compute_repetition_vector,
     disable_auto_concurrency,
     fresh_id,
@@ -90,19 +86,6 @@ def connection_actor_time(token_size: int, connection: NocConnection) -> int:
     return connection.latency + (cycles if token_size >= 0 else -cycles)
 
 
-def _by_id(elements, kind: str) -> dict:
-    """``elements`` keyed by id, in order. A repeated id would make one
-    element silently replace another, so it is an error."""
-    table = {e.id: e for e in elements}
-    if len(table) < len(elements):
-        seen: set[str] = set()
-        for e in elements:
-            if e.id in seen:
-                raise DuplicateIdError(f"{kind} id {e.id!r} occurs more than once")
-            seen.add(e.id)
-    return table
-
-
 class _WorkingGraph:
     """A mutable copy of a graph that the rewrites edit in place.
 
@@ -111,11 +94,14 @@ class _WorkingGraph:
     order that rebuilding the graph after every step would give. Each rewrite
     draws all of its ids before it changes anything, so the ids follow
     :meth:`SDFG.unique_id` on the graph as it stood before that rewrite.
+    The graph must pass :func:`check_graph`: a repeated id would make one
+    element silently replace another.
     """
 
     def __init__(self, graph: SDFG):
-        self.actors = _by_id(graph.actors, "actor")
-        self.channels = _by_id(graph.channels, "channel")
+        check_graph(graph)
+        self.actors = {a.id: a for a in graph.actors}
+        self.channels = {c.id: c for c in graph.channels}
         self.reference = graph.reference_actor
 
     def fresh(self, stem: str) -> str:
@@ -289,7 +275,8 @@ def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping)
     """
     repetition = compute_repetition_vector(graph)
     etam = compute_etam(graph, platform, mapping)
-    work = _WorkingGraph(graph.with_exec_times(etam))
+    work = _WorkingGraph(graph)
+    work.actors.update((a.id, replace(a, exec_time=etam[a.id])) for a in graph.actors)
 
     # Prefetch rewrites first: they re-point the affected channels, and the
     # remaining bindings then attach to the split actors transparently.

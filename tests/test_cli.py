@@ -231,3 +231,24 @@ def test_check_prefetch_bind_connection_not_joining_endpoints(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", variant)
     assert code == 1
     assert "[BindingMismatch] izz_iq" in err
+
+
+@pytest.mark.parametrize("command", ["check", "explore"])
+def test_defaults_naming_unknown_connection_is_invalid_scenario(tmp_path, capsys, command):
+    variant = mjpeg_variant(tmp_path, "</mapping>",
+                            '</mapping>\n  <defaults hw-connection="nope"/>')
+    code, out, err = run_cli(capsys, command, variant)
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid scenario: <defaults>: attribute 'hw-connection'")
+
+
+@pytest.mark.parametrize("flags, src_row", [
+    ((), "src               110987.79     -123.32"),
+    (("--prefetch", "10000"), "src                 4967.22  -106143.89"),
+])
+def test_explore_reads_scenario_defaults_unless_flag_given(capsys, flags, src_row):
+    # two_stage_demo sets prefetch-time="20"; the flag used to override it
+    # even when not given.
+    code, out, _ = run_cli(capsys, "explore", "two_stage_demo", *flags)
+    assert code == 0
+    assert src_row in out.splitlines()

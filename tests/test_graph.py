@@ -5,15 +5,27 @@ from dataclasses import replace
 import pytest
 
 from helpers import build_graph, fraction_repetition_vector, random_consistent_graph
-from sdfmig.errors import InconsistentGraphError
+from sdfmig import graph as graph_module
+from sdfmig.analysis import iterate_states, mcm_throughput, self_timed_throughput
+from sdfmig.errors import (
+    DuplicateIdError,
+    InconsistentGraphError,
+    InvalidRateError,
+    MalformedGraphError,
+    NegativeExecutionTimeError,
+    UnknownActorError,
+)
 from sdfmig.graph import (
     Actor,
     Channel,
     SDFG,
+    check_graph,
     compute_repetition_vector,
     disable_auto_concurrency,
     validate,
 )
+from sdfmig.mpsoc import Platform, PlatformMapping, Tile
+from sdfmig.transforms import build_bound_graph
 
 
 def mjpeg_application() -> SDFG:
@@ -213,3 +225,81 @@ def test_graphs_are_immutable():
     a = Actor("A", 3)
     with pytest.raises(Exception):
         a.exec_time = 4
+
+
+def ring(times=(2, 3), tokens=(0, 1), rates=(1, 1), ids=("c0", "c1"),
+         extra_actors=(), reference=None, dst="B"):
+    """A (times[0]) -> B (times[1]) -> A, with one field broken per case."""
+    actors = [Actor("A", times[0]), Actor("B", times[1]), *extra_actors]
+    channels = [Channel(ids[0], "A", dst, *rates, tokens[0]),
+                Channel(ids[1], "B", "A", 1, 1, tokens[1])]
+    return SDFG(actors, channels, reference_actor=reference)
+
+
+def bind_on_one_tile(graph):
+    mapping = PlatformMapping(actor_tile={a.id: "T" for a in graph.actors},
+                              tdma_slice={}, channel_binding={})
+    return build_bound_graph(graph, Platform([Tile("T", tdma_wheel=10)]), mapping)
+
+
+# Each of these used to end in a traceback or a number at some entry point:
+# IndexError for the repeated actor, ZeroDivisionError for tokens (1, -1) in
+# mcm_throughput, a throughput for the repeated channel and the other
+# negative tokens, TypeError for the float time, and a repetition vector for
+# the zero rate.
+BAD_GRAPHS = [
+    pytest.param(ring(extra_actors=[Actor("A", 5)]), DuplicateIdError, "DuplicateId",
+                 id="repeated-actor"),
+    pytest.param(ring(ids=("c", "c")), DuplicateIdError, "DuplicateId",
+                 id="repeated-channel"),
+    pytest.param(ring(tokens=(1, -1)), MalformedGraphError, "NegativeTokens",
+                 id="tokens-1-minus-1"),
+    pytest.param(ring(tokens=(3, -1)), MalformedGraphError, "NegativeTokens",
+                 id="tokens-3-minus-1"),
+    pytest.param(ring(times=(2.5, 3)), MalformedGraphError, "NegativeExecTime",
+                 id="float-exec-time"),
+    pytest.param(ring(tokens=(0, 1.0)), MalformedGraphError, "NegativeTokens",
+                 id="float-tokens"),
+    pytest.param(ring(rates=(1, 0)), InvalidRateError, "ZeroRate", id="zero-rate"),
+    pytest.param(ring(rates=(1.5, 1)), MalformedGraphError, "ZeroRate", id="float-rate"),
+    pytest.param(ring(times=(2, -3)), NegativeExecutionTimeError, "NegativeExecTime",
+                 id="negative-exec-time"),
+    pytest.param(ring(dst="ghost"), UnknownActorError, "DanglingEndpoint",
+                 id="dangling-endpoint"),
+    pytest.param(ring(reference="ghost"), MalformedGraphError, "BadReference",
+                 id="unknown-reference"),
+]
+
+ENTRY_POINTS = [self_timed_throughput, iterate_states, mcm_throughput,
+                bind_on_one_tile, compute_repetition_vector]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("graph, error, code", BAD_GRAPHS)
+def test_bad_graph_ends_in_typed_error_at_every_entry_point(graph, error, code, entry):
+    with pytest.raises(error):
+        entry(graph)
+    assert code in [d.code for d in validate(graph)]
+
+
+def test_validate_lists_structural_and_balance_diagnostics_in_one_call():
+    g = SDFG([Actor("A", -1), Actor("B", 1)],
+             [Channel("c0", "A", "B", 2, 1, -1), Channel("c1", "B", "A", 3, 1)])
+    assert [d.code for d in validate(g)] == ["NegativeExecTime", "NegativeTokens",
+                                             "Inconsistent"]
+
+
+def test_structural_check_caches_only_a_pass(monkeypatch):
+    calls = []
+    rules = graph_module._violations
+    monkeypatch.setattr(graph_module, "_violations",
+                        lambda g: calls.append(g) or rules(g))
+    bad = ring(tokens=(1, -1))
+    for _ in range(3):
+        with pytest.raises(MalformedGraphError, match="'c1'"):
+            check_graph(bad)
+    assert len(calls) == 3
+    good = ring()
+    for _ in range(3):
+        self_timed_throughput(good)
+    assert len(calls) == 4

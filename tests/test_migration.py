@@ -16,6 +16,7 @@ from sdfmig.errors import (
     AlreadyHardwareError,
     InvalidMigrationSpecError,
     UnknownActorError,
+    UnknownConnectionError,
     UnmappedActorError,
 )
 from sdfmig.graph import Actor, ActorKind, Channel, SDFG, validate
@@ -269,3 +270,12 @@ def test_explore_captures_failures_as_entries():
     assert by_actor["A"].error is not None and by_actor["A"].result is None
     assert by_actor["C"].error is None
     assert candidates[-1].actor in ("A", "B")  # failures sink to the bottom
+
+
+@pytest.mark.parametrize("actor", ["VLD", "IZZ", "IQ", "IDCT", "CC", "RE"])
+def test_migrate_rejects_unknown_hw_connection(actor):
+    # Every actor has a channel whose new link copies hw_connection; 'nope'
+    # used to end in a bare KeyError.
+    g, p, m = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
+    with pytest.raises(UnknownConnectionError, match="'nope'"):
+        migrate_task(g, p, m, MigrationSpec(actor=actor, hw_connection="nope"))

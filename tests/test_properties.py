@@ -5,13 +5,31 @@ missing install fails collection instead of skipping.
 """
 
 import math
+import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_graph, oracle_throughput, reference_throughput
-from sdfmig.analysis import mcm_throughput, self_timed_throughput
-from sdfmig.graph import Actor, Channel, SDFG, disable_auto_concurrency
+from helpers import (
+    build_graph,
+    oracle_throughput,
+    random_consistent_graph,
+    reference_throughput,
+)
+from sdfmig.analysis import iterate_states, mcm_throughput, self_timed_throughput
+from sdfmig.errors import SdfmigError
+from sdfmig.graph import (
+    Actor,
+    Channel,
+    SDFG,
+    compute_repetition_vector,
+    disable_auto_concurrency,
+    validate,
+)
+from sdfmig.mpsoc import Platform, PlatformMapping, Tile
+from sdfmig.transforms import build_bound_graph
 
 
 @st.composite
@@ -93,3 +111,49 @@ def consistent_multirate_graphs(draw) -> SDFG:
 @given(consistent_multirate_graphs())
 def test_self_timed_matches_reference_simulator(graph):
     assert self_timed_throughput(graph) == reference_throughput(graph)
+
+
+@st.composite
+def broken_graphs(draw) -> SDFG:
+    """A ``random_consistent_graph`` with one structural rule broken: a time
+    or a token count negated, an actor or channel id repeated, a channel
+    pointed at a missing actor, or a rate zeroed."""
+    graph = random_consistent_graph(random.Random(draw(st.integers(0, 2**32))))
+    actors, channels = list(graph.actors), list(graph.channels)
+    a = draw(st.integers(0, len(actors) - 1))
+    c = draw(st.integers(0, len(channels) - 1))
+    mutation = draw(st.sampled_from(["time", "tokens", "actor id", "channel id",
+                                     "endpoint", "rate"]))
+    if mutation == "time":
+        actors[a] = replace(actors[a], exec_time=-actors[a].exec_time)
+    elif mutation == "tokens":
+        marked = [i for i, ch in enumerate(channels) if ch.initial_tokens]
+        c = marked[c % len(marked)]
+        channels[c] = replace(channels[c], initial_tokens=-channels[c].initial_tokens)
+    elif mutation == "actor id":
+        actors.append(replace(actors[a], exec_time=actors[a].exec_time + 1))
+    elif mutation == "channel id":
+        channels.append(replace(channels[c], initial_tokens=channels[c].initial_tokens + 1))
+    elif mutation == "endpoint":
+        field = draw(st.sampled_from(["src", "dst"]))
+        channels[c] = replace(channels[c], **{field: "ghost"})
+    else:
+        field = draw(st.sampled_from(["prod_rate", "cons_rate"]))
+        channels[c] = replace(channels[c], **{field: 0})
+    return SDFG(actors, channels)
+
+
+def bind_on_one_tile(graph: SDFG) -> SDFG:
+    mapping = PlatformMapping(actor_tile={a.id: "T" for a in graph.actors},
+                              tdma_slice={}, channel_binding={})
+    return build_bound_graph(graph, Platform([Tile("T", tdma_wheel=10)]), mapping)
+
+
+@settings(max_examples=200, deadline=None)
+@given(broken_graphs())
+def test_broken_graph_ends_in_sdfmig_error_at_every_entry_point(graph):
+    assert validate(graph)
+    for entry in (self_timed_throughput, iterate_states, mcm_throughput,
+                  bind_on_one_tile, compute_repetition_vector):
+        with pytest.raises(SdfmigError):
+            entry(graph)

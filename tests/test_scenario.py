@@ -442,3 +442,17 @@ def test_empty_graph_scenario_round_trips(tmp_path):
     target = tmp_path / "empty.xml"
     save_scenario(empty, target)
     assert load_scenario(target) == empty
+
+
+def test_load_rejects_defaults_naming_unknown_connection(tmp_path):
+    # Such a scenario used to load clean and end explore and migrate in a
+    # KeyError traceback.
+    text = bundled_scenario_path("mjpeg_base").read_text()
+    bad = tmp_path / "bad.xml"
+    bad.write_text(text.replace("</mapping>", '</mapping>\n  <defaults hw-connection="nope"/>'))
+    with pytest.raises(ScenarioParseError, match="'hw-connection'.*'nope'") as err:
+        load_scenario(bad)
+    assert (err.value.line, err.value.column) == (52, 3)
+    good = tmp_path / "good.xml"
+    good.write_text(text.replace("</mapping>", '</mapping>\n  <defaults hw-connection="n2"/>'))
+    assert load_scenario(good).defaults.hw_connection == "n2"

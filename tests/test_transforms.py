@@ -20,6 +20,7 @@ from sdfmig.errors import (
     SameTileError,
     SdfmigError,
     UnknownActorError,
+    UnknownConnectionError,
 )
 from sdfmig.graph import (
     Actor,
@@ -466,3 +467,13 @@ def test_binder_reuses_ids_a_remote_rewrite_frees():
     assert (back.src, back.dst, back.initial_tokens) == ("A", "A", 2)
     assert bound.channel("B__self").src == bound.channel("B__self").dst == "B"
     assert "c1__buf_2" not in bound.channel_map
+
+
+@pytest.mark.parametrize("kind", [BindingKind.REMOTE, BindingKind.PREFETCH])
+def test_build_bound_graph_rejects_unknown_connection(kind):
+    # Both kinds used to end in a bare KeyError: 'nope'.
+    mapping = mjpeg_mapping()
+    bad = replace(mapping, channel_binding={**mapping.channel_binding,
+                                            "izz_iq": ChannelBinding(kind, "nope")})
+    with pytest.raises(UnknownConnectionError, match="'nope'"):
+        build_bound_graph(mjpeg_application(), mjpeg_platform(), bad)
