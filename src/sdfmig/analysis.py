@@ -21,8 +21,10 @@ Two independent routes:
   the repetition vector on each component, so by the balance equations
   they hold the same tokens on every channel: equal keys mean equal states.
 * :func:`mcm_throughput` computes the maximum cycle ratio analytically with
-  Howard's policy iteration over integer edge weights, with an exact
-  ``Fraction`` result. Only valid for homogeneous (all rates 1), strongly
+  Howard's policy iteration in integers: each ratio is a reduced pair
+  ``(W, T)`` with ``T > 0``, each potential is scaled by its cycle's ``T``,
+  and ratios compare by cross-multiplying, so the one ``Fraction`` built is
+  the exact result. Only valid for homogeneous (all rates 1), strongly
   connected graphs, where it must agree with the simulation exactly.
 
 All results are exact rationals.
@@ -35,10 +37,12 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from typing import Iterator, Mapping
 
 from .errors import (
     DeadlockError,
+    InvalidClockError,
     InvalidStateBudgetError,
     NotHomogeneousError,
     NotStronglyConnectedError,
@@ -367,18 +371,26 @@ def _has_token_free_cycle(n: int, edges: list[tuple[int, int, int, int]]) -> boo
 
 def _max_cycle_ratio(n: int, edges: list[tuple[int, int, int, int]]) -> Fraction:
     """Maximum over cycles of (sum of ``w``) / (sum of ``t``) for edges
-    ``(u, v, w, t)`` over nodes ``0..n-1``, by Howard's policy iteration.
+    ``(u, v, w, t)`` over nodes ``0..n-1``, by Howard's policy iteration in
+    integers.
 
     Every node needs an out-edge and every cycle a positive ``t`` total.
     A policy keeps one out-edge per node, so each node leads to exactly one
-    policy cycle. Value determination gives each node the ratio ``eta`` of
-    its policy cycle and a potential ``x`` with ``x(u) = w - eta * t + x(v)``
-    along its policy edge, counted from the cycle's smallest node, where
-    ``x`` is 0. Improvement first moves a node to the out-edge whose head has
-    the largest ``eta``; when no node can, it moves a node, among out-edges
-    whose head has its own ``eta``, to the one with the largest
-    ``w - eta * t + x(v)``. Both moves need a strict gain, so a tie keeps
-    the current edge and the iteration stops once no node moves.
+    policy cycle. Value determination gives each node the ratio ``W / T``
+    of its policy cycle, kept as the reduced integer pair ``(W, T)`` with
+    ``T > 0``, and a potential scaled by that ``T``: ``X(u) = w*T - W*t +
+    X(v)`` along its policy edge, counted from the cycle's smallest node,
+    where ``X`` is 0. ``X`` is ``T`` times the rational potential ``x(u) =
+    w - (W/T)*t + x(v)``, and every node on a path into one cycle shares its
+    ``T``. Improvement first moves a node to the out-edge whose head has the
+    largest ratio, comparing ``W1/T1 > W2/T2`` as ``W1*T2 > W2*T1``, which
+    is exact because both ``T`` are positive. When no node can, it moves a
+    node, among out-edges whose head has its own ``(W, T)``, to the one with
+    the largest ``w*T - W*t + X(v)``: one ``T`` scales all of them and
+    ``X(u)``, so this orders them as the rational potentials would. A
+    reduced pair is unique, so equal ratios are equal pairs. Both moves need
+    a strict gain, so a tie keeps the current edge and the iteration stops
+    once no node moves. The one ``Fraction`` is the answer.
     """
     out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     for edge in edges:
@@ -387,56 +399,71 @@ def _max_cycle_ratio(n: int, edges: list[tuple[int, int, int, int]]) -> Fraction
     policy = [max(choices, key=lambda e: (e[2], -e[3])) for choices in out]
     while True:
         # Value determination: walk each node's policy path to a known node
-        # or to a new cycle, then fill the path in backwards.
-        eta: list[Fraction | None] = [None] * n
-        x: list[Fraction] = [Fraction(0)] * n
+        # or to a new cycle, then fill the path in backwards. A node's T is
+        # 0 until its policy cycle is known.
+        ratio_w = [0] * n
+        ratio_t = [0] * n
+        x = [0] * n
+        cycles: list[int] = []  # the smallest node of each policy cycle
         walked = [-1] * n  # the start of the walk that reached each node
         for start in range(n):
             path = []
             u = start
-            while eta[u] is None and walked[u] != start:
+            while not ratio_t[u] and walked[u] != start:
                 walked[u] = start
                 path.append(u)
                 u = policy[u][1]
-            if eta[u] is None:  # the walk closed a new policy cycle at u
+            if not ratio_t[u]:  # the walk closed a new policy cycle at u
                 k = path.index(u)
                 cycle = path[k:]
                 root = cycle.index(min(cycle))
-                eta[cycle[root]] = Fraction(sum(policy[c][2] for c in cycle),
-                                            sum(policy[c][3] for c in cycle))
+                total_w = sum(policy[c][2] for c in cycle)
+                total_t = sum(policy[c][3] for c in cycle)
+                g = gcd(total_w, total_t)
+                ratio_w[cycle[root]] = total_w // g
+                ratio_t[cycle[root]] = total_t // g
+                cycles.append(cycle[root])
                 # Reversed, each node comes after the head of its policy edge.
                 path = path[:k] + cycle[root + 1:] + cycle[:root]
             for p in reversed(path):
                 _, v, w, t = policy[p]
-                eta[p] = eta[v]
-                x[p] = w - eta[v] * t + x[v]
+                big_w = ratio_w[p] = ratio_w[v]
+                big_t = ratio_t[p] = ratio_t[v]
+                x[p] = w * big_t - big_w * t + x[v]
 
-        # Phase 1: head with the largest eta.
+        # Phase 1: head with the largest ratio.
         changed = False
         for u in range(n):
             best = policy[u]
+            best_w, best_t = ratio_w[best[1]], ratio_t[best[1]]
             for edge in out[u]:
-                if eta[edge[1]] > eta[best[1]]:
-                    best = edge
+                v = edge[1]
+                if ratio_w[v] * best_t > best_w * ratio_t[v]:
+                    best, best_w, best_t = edge, ratio_w[v], ratio_t[v]
             if best is not policy[u]:
                 policy[u] = best
                 changed = True
         if changed:
             continue
-        # Phase 2: at equal eta, the largest potential through the edge.
+        # Phase 2: at an equal ratio, the largest scaled potential through
+        # the edge.
         for u in range(n):
-            lam, best, value = eta[u], policy[u], x[u]
+            big_w, big_t, best, value = ratio_w[u], ratio_t[u], policy[u], x[u]
             for edge in out[u]:
                 _, v, w, t = edge
-                if eta[v] == lam:
-                    candidate = w - lam * t + x[v]
+                if ratio_t[v] == big_t and ratio_w[v] == big_w:
+                    candidate = w * big_t - big_w * t + x[v]
                     if candidate > value:
                         best, value = edge, candidate
             if best is not policy[u]:
                 policy[u] = best
                 changed = True
         if not changed:
-            return max(eta)
+            top = cycles[0]
+            for c in cycles:
+                if ratio_w[c] * ratio_t[top] > ratio_w[top] * ratio_t[c]:
+                    top = c
+            return Fraction(ratio_w[top], ratio_t[top])
 
 
 def mcm_throughput(graph: SDFG) -> Fraction:
@@ -444,8 +471,9 @@ def mcm_throughput(graph: SDFG) -> Fraction:
     of the maximum cycle ratio max over cycles of (sum of execution times /
     sum of initial tokens).
 
-    The ratio comes exactly from Howard's policy iteration
-    (:func:`_max_cycle_ratio`) over integer edge weights. Raises, in this
+    The ratio comes exactly from Howard's policy iteration in integers
+    (:func:`_max_cycle_ratio`); the token-free-cycle check before it makes
+    every policy cycle's token total positive. Raises, in this
     order, the structural errors of :func:`~sdfmig.graph.check_graph`,
     :class:`NotHomogeneousError`, :class:`SdfmigError` for an empty
     graph, :class:`NotStronglyConnectedError`, :class:`DeadlockError` for a
@@ -481,10 +509,11 @@ def mcm_throughput(graph: SDFG) -> Fraction:
 def to_frames_per_second(result: ThroughputResult | Fraction | int | float,
                          clock_hz, digits: int = 2) -> Decimal:
     """Convert iterations-per-cycle into frames per second at a clock
-    frequency, rounded to ``digits`` decimal places."""
+    frequency, rounded to ``digits`` decimal places. Raises
+    :class:`InvalidClockError` unless the clock is positive."""
     clock = to_fraction(clock_hz)
     if clock <= 0:
-        raise ValueError("clock frequency must be positive")
+        raise InvalidClockError(f"clock frequency must be positive, got {clock}")
     rate = (result.iterations_per_cycle if isinstance(result, ThroughputResult)
             else to_fraction(result))
     return to_decimal(rate * clock, digits=digits)

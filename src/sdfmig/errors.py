@@ -86,13 +86,31 @@ class UnknownConnectionError(SdfmigError):
     """An operation referenced a connection id that is not in the platform."""
 
 
+class UnknownChannelError(SdfmigError):
+    """An operation referenced a channel id that is not in the graph."""
+
+
+class InvalidBandwidthError(SdfmigError):
+    """A connection's bandwidth is not positive."""
+
+
+class InvalidClockError(SdfmigError):
+    """A clock frequency is not positive."""
+
+
+class UnknownReportFormatError(SdfmigError):
+    """A report was requested in a format other than text or CSV."""
+
+
 class AlreadyHardwareError(SdfmigError):
     """Migration requested for an actor that is not a software actor."""
 
 
 class InvalidMigrationSpecError(SdfmigError):
-    """A migration parameter is out of range: speedup not positive, a
-    negative prefetch time or hardware buffer, or a chain alpha below 1."""
+    """A migration parameter has the wrong type (a speedup that is not an
+    ``int`` or a ``Fraction``, a count that is not an ``int``, or a
+    ``bool``) or is out of range: speedup not positive, a negative prefetch
+    time or hardware buffer, or a chain alpha below 1."""
 
 
 class ScenarioParseError(SdfmigError):

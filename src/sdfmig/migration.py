@@ -232,9 +232,20 @@ def explore_single_migrations(graph: SDFG, platform: Platform,
 
 
 def spec_range_error(spec: MigrationSpec) -> tuple[str, str] | None:
-    """The first field of ``spec`` out of its range and the rule it breaks
-    (``"must be positive, got 0"``), or None when every field is in range.
+    """The first field of ``spec`` of the wrong type or out of its range and
+    the rule it breaks (``"must be positive, got 0"``), or None when every
+    field is in range. Types come first: ``speedup`` is an ``int`` or a
+    ``Fraction``, the counts are ``int``, and a ``bool`` is neither.
     Shared by :func:`migrate_task` and the scenario reader's ``<defaults>``."""
+    typed = [("speedup", spec.speedup, (int, Fraction), "an int or a Fraction"),
+             ("prefetch_time", spec.prefetch_time, int, "an int"),
+             ("hw_buffer_tokens", spec.hw_buffer_tokens, (int, type(None)),
+              "an int or None"),
+             ("alpha_src", spec.alpha_src, int, "an int"),
+             ("alpha_dst", spec.alpha_dst, int, "an int")]
+    for field, value, types, kind in typed:
+        if isinstance(value, bool) or not isinstance(value, types):
+            return field, f"must be {kind}, got {value!r}"
     if spec.speedup <= 0:
         return "speedup", f"must be positive, got {spec.speedup}"
     if spec.prefetch_time < 0:
@@ -260,12 +271,14 @@ def _check_spec(spec: MigrationSpec) -> None:
 def _template_connection(channel: Channel, platform: Platform,
                          mapping: PlatformMapping, spec: MigrationSpec,
                          vacated_tile: str) -> NocConnection:
-    """Connection whose latency/bandwidth the new hardware link copies."""
+    """Connection whose latency/bandwidth the new hardware link copies: the
+    spec's ``hw_connection`` when given, else the channel's previous
+    connection, else the first connection touching the vacated tile."""
+    if spec.hw_connection is not None:
+        return platform.connection(spec.hw_connection)
     previous = mapping.channel_binding.get(channel.id)
     if previous is not None and previous.connection in platform.connection_map:
         return platform.connection(previous.connection)
-    if spec.hw_connection is not None:
-        return platform.connection(spec.hw_connection)
     touching = sorted((c for c in platform.connections
                        if vacated_tile in (c.src_tile, c.dst_tile)),
                       key=lambda c: c.id)

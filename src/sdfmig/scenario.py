@@ -15,7 +15,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analysis import ThroughputResult, to_frames_per_second
-from .errors import InvalidBindingError, ScenarioParseError, ScenarioValidationError
+from .errors import (
+    InvalidBindingError,
+    ScenarioParseError,
+    ScenarioValidationError,
+    UnknownReportFormatError,
+)
 from .graph import Actor, ActorKind, Channel, SDFG, validate
 from .migration import MigrationCandidate, MigrationSpec, spec_range_error
 from .mpsoc import (
@@ -191,6 +196,8 @@ def load_scenario(path) -> Scenario:
     reader = _Reader(root, _SCENARIO_ATTRS)
     name = reader.text("name", Path(path).stem)
     clock = reader.rational("clock-hz", DEFAULT_CLOCK_HZ)
+    if clock <= 0:
+        reader.fail(f"attribute 'clock-hz' must be positive, got {format_rational(clock)}")
     _expect_children(root, {"description", "application", "platform", "mapping",
                             "defaults"})
 
@@ -594,7 +601,8 @@ class ExplorationReport:
 
 def emit_report(report: ExplorationReport, format: str = "text") -> bytes:
     """Render an exploration as a deterministic byte stream: a readable table
-    or CSV with header actor,fps_before,fps_after,gain_fps."""
+    or CSV with header actor,fps_before,fps_after,gain_fps. Any other format
+    raises :class:`UnknownReportFormatError`."""
     fps_before = to_frames_per_second(report.baseline, report.clock_hz)
     if format == "csv":
         lines = ["actor,fps_before,fps_after,gain_fps"]
@@ -606,7 +614,7 @@ def emit_report(report: ExplorationReport, format: str = "text") -> bytes:
                 lines.append(f"{candidate.actor},{fps_before},,")
         return ("\n".join(lines) + "\n").encode()
     if format != "text":
-        raise ValueError(f"unknown report format {format!r}")
+        raise UnknownReportFormatError(f"unknown report format {format!r}")
     lines = [f"scenario: {report.scenario}",
              f"throughput without migration (f/s): {fps_before}"]
     if report.candidates:

@@ -30,7 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import BufferTooSmallError, SameTileError, UnknownActorError
+from .errors import (
+    BufferTooSmallError,
+    InvalidBandwidthError,
+    SameTileError,
+    UnknownActorError,
+    UnknownChannelError,
+)
 from .graph import (
     Actor,
     ActorKind,
@@ -81,7 +87,8 @@ def connection_actor_time(token_size: int, connection: NocConnection) -> int:
     size/bandwidth quotient truncated toward zero, computed in integers."""
     bandwidth = connection.bandwidth
     if bandwidth <= 0:
-        raise ValueError(f"connection {connection.id!r} has non-positive bandwidth")
+        raise InvalidBandwidthError(
+            f"connection {connection.id!r} has non-positive bandwidth")
     cycles = abs(token_size) * bandwidth.denominator // bandwidth.numerator
     return connection.latency + (cycles if token_size >= 0 else -cycles)
 
@@ -107,12 +114,18 @@ class _WorkingGraph:
     def fresh(self, stem: str) -> str:
         return fresh_id(stem, self.actors, self.channels)
 
+    def channel(self, channel_id: str) -> Channel:
+        channel = self.channels.get(channel_id)
+        if channel is None:
+            raise UnknownChannelError(f"no channel {channel_id!r} in graph")
+        return channel
+
     def freeze(self) -> SDFG:
         return SDFG(actors=self.actors.values(), channels=self.channels.values(),
                     reference_actor=self.reference)
 
     def bind_local(self, channel_id: str, buffer_tokens: int) -> None:
-        channel = self.channels[channel_id]
+        channel = self.channel(channel_id)
         if buffer_tokens < channel.initial_tokens:
             raise BufferTooSmallError(
                 f"buffer of {buffer_tokens} tokens cannot hold the "
@@ -127,7 +140,7 @@ class _WorkingGraph:
 
     def bind_remote(self, channel_id: str, params: RemoteBindingParams,
                     dst_wait: int) -> None:
-        channel = self.channels[channel_id]
+        channel = self.channel(channel_id)
         fresh = self.fresh
         token_size = channel.token_size
         send = Actor(fresh(f"ac_{channel_id}"),

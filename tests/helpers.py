@@ -4,7 +4,8 @@ The cycle-ratio oracle here enumerates simple cycles directly and must stay
 independent of the package's analytical search, so the two can check each
 other. Likewise the scan-all reference simulator must stay independent of the
 package's event-driven one, the ``Fraction`` repetition-vector solver of the
-package's integer one, and the step-by-step binding composition of the
+package's integer one, the ``Fraction`` Howard iteration of the package's
+integer cycle-ratio core, and the step-by-step binding composition of the
 package's one-pass binder.
 """
 
@@ -42,14 +43,20 @@ def build_graph(actor_times: dict[str, int],
     return SDFG(actors=actors, channels=chans, reference_actor=reference)
 
 
+def ratio_edges(graph: SDFG) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """The cycle-ratio graph ``mcm_throughput`` analyses: actors numbered in
+    id order, and per channel an edge ``(src, dst, exec_time(src), tokens)``."""
+    ids = sorted(a.id for a in graph.actors)
+    index = {a: i for i, a in enumerate(ids)}
+    return len(ids), [(index[c.src], index[c.dst], graph.actor_map[c.src].exec_time,
+                       c.initial_tokens) for c in graph.channels]
+
+
 def enumerate_cycle_ratios(graph: SDFG) -> list[Fraction]:
     """All simple-cycle ratios (total execution time / total tokens) by
     explicit DFS enumeration. Parallel channels count as distinct cycles."""
-    ids = sorted(a.id for a in graph.actors)
-    index = {a: i for i, a in enumerate(ids)}
-    edges = [(index[c.src], index[c.dst], graph.actor_map[c.src].exec_time,
-              c.initial_tokens) for c in graph.channels]
-    outgoing: list[list[int]] = [[] for _ in ids]
+    n, edges = ratio_edges(graph)
+    outgoing: list[list[int]] = [[] for _ in range(n)]
     for ei, (u, _, _, _) in enumerate(edges):
         outgoing[u].append(ei)
 
@@ -68,7 +75,7 @@ def enumerate_cycle_ratios(graph: SDFG) -> list[Fraction]:
                 walk(start, v, visited, weight + w, tokens + t)
                 visited.remove(v)
 
-    for s in range(len(ids)):
+    for s in range(n):
         walk(s, s, {s}, 0, 0)
     return ratios
 
@@ -138,6 +145,82 @@ def fraction_repetition_vector(graph: SDFG) -> dict[str, int]:
         for a in component:
             entries[a] = counts[a] // shrink
     return {a.id: entries[a.id] for a in graph.actors}
+
+
+def fraction_max_cycle_ratio(n: int, edges: list[tuple[int, int, int, int]]) -> Fraction:
+    """Maximum over cycles of (sum of ``w``) / (sum of ``t``) for edges
+    ``(u, v, w, t)`` over nodes ``0..n-1``, by Howard's policy iteration
+    with ``Fraction`` ratios and potentials: the core the package's
+    integer-only one replaced, kept as its oracle.
+
+    Every node needs an out-edge and every cycle a positive ``t`` total.
+    A policy keeps one out-edge per node, so each node leads to exactly one
+    policy cycle. Value determination gives each node the ratio ``eta`` of
+    its policy cycle and a potential ``x`` with ``x(u) = w - eta * t + x(v)``
+    along its policy edge, counted from the cycle's smallest node, where
+    ``x`` is 0. Improvement first moves a node to the out-edge whose head has
+    the largest ``eta``; when no node can, it moves a node, among out-edges
+    whose head has its own ``eta``, to the one with the largest
+    ``w - eta * t + x(v)``. Both moves need a strict gain, so a tie keeps
+    the current edge and the iteration stops once no node moves.
+    """
+    out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    for edge in edges:
+        out[edge[0]].append(edge)
+    # Start from the heaviest, then least-token, out-edge of every node.
+    policy = [max(choices, key=lambda e: (e[2], -e[3])) for choices in out]
+    while True:
+        # Value determination: walk each node's policy path to a known node
+        # or to a new cycle, then fill the path in backwards.
+        eta: list[Fraction | None] = [None] * n
+        x: list[Fraction] = [Fraction(0)] * n
+        walked = [-1] * n  # the start of the walk that reached each node
+        for start in range(n):
+            path = []
+            u = start
+            while eta[u] is None and walked[u] != start:
+                walked[u] = start
+                path.append(u)
+                u = policy[u][1]
+            if eta[u] is None:  # the walk closed a new policy cycle at u
+                k = path.index(u)
+                cycle = path[k:]
+                root = cycle.index(min(cycle))
+                eta[cycle[root]] = Fraction(sum(policy[c][2] for c in cycle),
+                                            sum(policy[c][3] for c in cycle))
+                # Reversed, each node comes after the head of its policy edge.
+                path = path[:k] + cycle[root + 1:] + cycle[:root]
+            for p in reversed(path):
+                _, v, w, t = policy[p]
+                eta[p] = eta[v]
+                x[p] = w - eta[v] * t + x[v]
+
+        # Phase 1: head with the largest eta.
+        changed = False
+        for u in range(n):
+            best = policy[u]
+            for edge in out[u]:
+                if eta[edge[1]] > eta[best[1]]:
+                    best = edge
+            if best is not policy[u]:
+                policy[u] = best
+                changed = True
+        if changed:
+            continue
+        # Phase 2: at equal eta, the largest potential through the edge.
+        for u in range(n):
+            lam, best, value = eta[u], policy[u], x[u]
+            for edge in out[u]:
+                _, v, w, t = edge
+                if eta[v] == lam:
+                    candidate = w - lam * t + x[v]
+                    if candidate > value:
+                        best, value = edge, candidate
+            if best is not policy[u]:
+                policy[u] = best
+                changed = True
+        if not changed:
+            return max(eta)
 
 
 def random_homogeneous_graph(rng: random.Random, max_actors: int = 8,

@@ -6,16 +6,20 @@ import pytest
 
 from helpers import (
     build_graph,
+    fraction_max_cycle_ratio,
     mjpeg_application,
     mjpeg_mapping,
     mjpeg_platform,
     oracle_throughput,
     random_consistent_graph,
     random_homogeneous_graph,
+    ratio_edges,
     reference_states,
     reference_throughput,
 )
+from sdfmig import analysis
 from sdfmig.analysis import (
+    _max_cycle_ratio,
     iterate_states,
     mcm_throughput,
     self_timed_throughput,
@@ -23,6 +27,7 @@ from sdfmig.analysis import (
 )
 from sdfmig.errors import (
     DeadlockError,
+    InvalidClockError,
     InvalidRateError,
     InvalidStateBudgetError,
     NegativeExecutionTimeError,
@@ -291,6 +296,31 @@ def test_mcm_matches_enumeration_oracle():
         assert mcm_throughput(g) == oracle_throughput(g)
 
 
+def test_max_cycle_ratio_matches_fraction_howard_on_random_graphs():
+    # These graphs of 2 to 30 actors take 1 to 13 policy iterations, so both
+    # improvement phases run.
+    rng = random.Random(16)
+    for _ in range(300):
+        n, edges = ratio_edges(random_homogeneous_graph(rng, max_actors=rng.randint(2, 30)))
+        assert _max_cycle_ratio(n, edges) == fraction_max_cycle_ratio(n, edges)
+
+
+def test_max_cycle_ratio_builds_one_fraction(monkeypatch):
+    # This graph takes five policy iterations, which find eleven policy
+    # cycles in all; the Fraction core built a ratio per cycle and a zero
+    # potential per iteration.
+    n, edges = ratio_edges(random_homogeneous_graph(random.Random(4), max_actors=30))
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(analysis, "Fraction", counting_fraction)
+    assert _max_cycle_ratio(n, edges) == fraction_max_cycle_ratio(n, edges)
+    assert len(built) == 1
+
+
 def test_self_timed_matches_mcm_on_homogeneous_graphs():
     rng = random.Random(13)
     for _ in range(60):
@@ -340,5 +370,6 @@ def test_to_frames_per_second():
     assert to_frames_per_second(0, 10**8) == Decimal("0.00")
     assert to_frames_per_second(Fraction(1, 5), 10) == Decimal("2.00")
     assert to_frames_per_second(Fraction(1, 3), 100, digits=4) == Decimal("33.3333")
-    with pytest.raises(ValueError):
-        to_frames_per_second(Fraction(1, 5), 0)
+    for clock in (0, "-5"):
+        with pytest.raises(InvalidClockError, match="positive"):
+            to_frames_per_second(Fraction(1, 5), clock)

@@ -252,3 +252,17 @@ def test_explore_reads_scenario_defaults_unless_flag_given(capsys, flags, src_ro
     code, out, _ = run_cli(capsys, "explore", "two_stage_demo", *flags)
     assert code == 0
     assert src_row in out.splitlines()
+
+
+@pytest.mark.parametrize("clock", ["0", "-5"])
+@pytest.mark.parametrize("command", ["check", "throughput"])
+def test_non_positive_clock_is_invalid_scenario(tmp_path, capsys, command, clock):
+    # check used to print "validation: ok" and throughput to end in a
+    # ValueError traceback.
+    text = sdfmig.bundled_scenario_path("two_stage_demo").read_text()
+    variant = tmp_path / "variant.xml"
+    variant.write_text(text.replace('<scenario name="two_stage_demo">',
+                                    f'<scenario name="two_stage_demo" clock-hz="{clock}">'))
+    code, out, err = run_cli(capsys, command, str(variant))
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid scenario: <scenario>: attribute 'clock-hz' must be positive")

@@ -27,6 +27,7 @@ from sdfmig.migration import (
     explore_single_migrations,
     migrate_task,
     migration_gain,
+    spec_range_error,
 )
 from sdfmig.mpsoc import (
     BindingKind,
@@ -127,6 +128,39 @@ def test_migrate_rejects_out_of_range_spec(field, value):
     g, p, m = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
     with pytest.raises(InvalidMigrationSpecError, match=field):
         migrate_task(g, p, m, MigrationSpec(actor="IZZ", **{field: value}))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("speedup", "3"), ("speedup", 2.5), ("speedup", True),
+    ("prefetch_time", 2.5), ("prefetch_time", True), ("hw_buffer_tokens", 4.0),
+    ("alpha_src", 1.5), ("alpha_dst", False),
+], ids=repr)
+def test_migrate_rejects_badly_typed_spec(field, value):
+    # The string speedup used to end in a TypeError; the rest were accepted.
+    g, p, m = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
+    with pytest.raises(InvalidMigrationSpecError, match=f"{field} must be an int"):
+        migrate_task(g, p, m, MigrationSpec(actor="IZZ", **{field: value}))
+
+
+def test_spec_types_are_checked_before_ranges():
+    assert spec_range_error(MigrationSpec(speedup="-3")) == (
+        "speedup", "must be an int or a Fraction, got '-3'")
+    assert spec_range_error(MigrationSpec(alpha_dst=-1.5)) == (
+        "alpha_dst", "must be an int, got -1.5")
+    assert spec_range_error(MigrationSpec(speedup=3, hw_buffer_tokens=0)) is None
+
+
+def test_hw_connection_wins_over_previous_connection():
+    # izz_iq was bound to n1, so its new link used to copy n1 and ignore
+    # hw_connection, against the MigrationSpec docstring.
+    g, p, m = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
+    n2 = p.connection("n2")
+    res = migrate_task(g, p, m, MigrationSpec(actor="IZZ", hw_connection="n2"))
+    for link in ("noc_izz_iq", "noc_vld_izz"):
+        copied = res.platform.connection(link)
+        assert (copied.latency, copied.bandwidth) == (n2.latency, n2.bandwidth)
+    default = migrate_task(g, p, m, MigrationSpec(actor="IZZ"))
+    assert default.platform.connection("noc_izz_iq").bandwidth == p.connection("n1").bandwidth
 
 
 def hh1_scenario():

@@ -14,11 +14,17 @@ from hypothesis import strategies as st
 
 from helpers import (
     build_graph,
+    fraction_max_cycle_ratio,
     oracle_throughput,
     random_consistent_graph,
     reference_throughput,
 )
-from sdfmig.analysis import iterate_states, mcm_throughput, self_timed_throughput
+from sdfmig.analysis import (
+    _max_cycle_ratio,
+    iterate_states,
+    mcm_throughput,
+    self_timed_throughput,
+)
 from sdfmig.errors import SdfmigError
 from sdfmig.graph import (
     Actor,
@@ -68,6 +74,41 @@ def test_cycle_ratio_routes_agree(graph):
     analytical = mcm_throughput(graph)
     assert analytical == oracle_throughput(graph)
     assert analytical == self_timed_throughput(graph).iterations_per_cycle
+
+
+@st.composite
+def ratio_edge_lists(draw) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Nodes ``0..n-1`` and edges ``(u, v, w, t)`` that the cycle-ratio core
+    accepts: every node has an out-edge and every cycle a positive ``t``.
+
+    Each node draws one out-edge, then extra edges may repeat an edge or
+    loop on one node. An edge that does not advance along a drawn order has
+    ``t >= 1``, so every cycle does, while an edge that advances may have
+    ``t = 0``. Weights may be 0 or at least 2**40, and so may token counts.
+    """
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    position = {node: p for p, node in enumerate(order)}
+    node = st.integers(0, n - 1)
+    pairs = [(u, draw(node)) for u in range(n)]
+    pairs += draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    weights = st.integers(0, 20) | st.integers(2**40, 2**64)
+    edges = []
+    for u, v in pairs:
+        least = 1 if position[v] <= position[u] else 0
+        tokens = draw(st.integers(least, 3) | st.integers(2**40, 2**41))
+        edges.append((u, v, draw(weights), tokens))
+    return n, draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratio_edge_lists())
+@example((3, [  # parallel edges, self-loops, zero weights, a zero-token edge
+    (0, 1, 0, 0), (0, 1, 2**40, 1), (1, 2, 5, 1), (2, 0, 0, 2),
+    (1, 1, 3, 1), (2, 2, 0, 1), (2, 0, 2**41, 3)]))
+def test_max_cycle_ratio_matches_fraction_howard(case):
+    n, edges = case
+    assert _max_cycle_ratio(n, edges) == fraction_max_cycle_ratio(n, edges)
 
 
 @st.composite

@@ -5,7 +5,12 @@ from xml.sax.saxutils import escape, quoteattr
 import pytest
 
 from helpers import random_scenario
-from sdfmig.errors import InvalidBindingError, ScenarioParseError, ScenarioValidationError
+from sdfmig.errors import (
+    InvalidBindingError,
+    ScenarioParseError,
+    ScenarioValidationError,
+    UnknownReportFormatError,
+)
 from sdfmig.graph import ActorKind
 from sdfmig.mpsoc import BindingKind, ChannelBinding
 from sdfmig.migration import MigrationCandidate, MigrationSpec, migrate_task
@@ -430,6 +435,12 @@ def test_emit_report_baseline_only():
     assert csv.strip() == "actor,fps_before,fps_after,gain_fps"
 
 
+def test_emit_report_rejects_unknown_format():
+    # This used to be a ValueError, outside the package's error hierarchy.
+    with pytest.raises(UnknownReportFormatError, match="'json'"):
+        emit_report(report_for_tests(), "json")
+
+
 def test_emit_report_deterministic_bytes():
     report = report_for_tests()
     assert emit_report(report, "csv") == emit_report(report, "csv")
@@ -456,3 +467,17 @@ def test_load_rejects_defaults_naming_unknown_connection(tmp_path):
     good = tmp_path / "good.xml"
     good.write_text(text.replace("</mapping>", '</mapping>\n  <defaults hw-connection="n2"/>'))
     assert load_scenario(good).defaults.hw_connection == "n2"
+
+
+@pytest.mark.parametrize("clock", ["0", "-5", "0/7"])
+def test_load_rejects_non_positive_clock(tmp_path, clock):
+    # Such a scenario used to load clean; reporting frames per second then
+    # ended in a ValueError traceback.
+    text = bundled_scenario_path("two_stage_demo").read_text()
+    assert '<scenario name="two_stage_demo">' in text
+    bad = tmp_path / "bad.xml"
+    bad.write_text(text.replace('<scenario name="two_stage_demo">',
+                                f'<scenario name="two_stage_demo" clock-hz="{clock}">'))
+    with pytest.raises(ScenarioParseError, match="'clock-hz' must be positive") as err:
+        load_scenario(bad)
+    assert (err.value.line, err.value.column) == (1, 1)

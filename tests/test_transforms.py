@@ -17,9 +17,11 @@ from sdfmig.analysis import iterate_states, mcm_throughput, self_timed_throughpu
 from sdfmig.errors import (
     BufferTooSmallError,
     DuplicateIdError,
+    InvalidBandwidthError,
     SameTileError,
     SdfmigError,
     UnknownActorError,
+    UnknownChannelError,
     UnknownConnectionError,
 )
 from sdfmig.graph import (
@@ -67,6 +69,14 @@ def test_connection_actor_time_zero_size_is_latency():
 def test_connection_actor_time_truncates():
     c = NocConnection("c", "A", "B", latency=0, bandwidth=Fraction(3))
     assert connection_actor_time(10, c) == 3  # 10/3 rounds down
+
+
+@pytest.mark.parametrize("bandwidth", [Fraction(0), Fraction(-1, 2)], ids=str)
+def test_connection_actor_time_rejects_non_positive_bandwidth(bandwidth):
+    # This used to be a ValueError, outside the package's error hierarchy.
+    c = NocConnection("c", "A", "B", latency=7, bandwidth=bandwidth)
+    with pytest.raises(InvalidBandwidthError, match="'c'"):
+        connection_actor_time(8, c)
 
 
 BUNDLED_BANDWIDTHS = sorted({c.bandwidth
@@ -477,3 +487,14 @@ def test_build_bound_graph_rejects_unknown_connection(kind):
                                             "izz_iq": ChannelBinding(kind, "nope")})
     with pytest.raises(UnknownConnectionError, match="'nope'"):
         build_bound_graph(mjpeg_application(), mjpeg_platform(), bad)
+
+
+@pytest.mark.parametrize("bind", [
+    lambda g: bind_local_channel(g, "nope", 3),
+    lambda g: bind_remote_channel(
+        g, "nope", RemoteBindingParams(NocConnection("n", "T1", "T2")), dst_wait=0),
+], ids=["local", "remote"])
+def test_single_binding_rejects_unknown_channel(bind):
+    # Both used to end in a bare KeyError: 'nope'.
+    with pytest.raises(UnknownChannelError, match="'nope'"):
+        bind(mjpeg_application())
