@@ -20,6 +20,12 @@ Two independent routes:
   flight and the same forest tokens differ in completions by a multiple of
   the repetition vector on each component, so by the balance equations
   they hold the same tokens on every channel: equal keys mean equal states.
+  The first ``_KEY_PREFIX`` states are stored; after them only the states
+  in which the reference actor has just started a firing, a property of
+  the state itself. The first stored repeat is then exactly one period
+  past the state it repeats, and the cycle's keys, with at most one replay
+  of the same loop from a stored state, give the exact transient; the
+  proof is in :func:`self_timed_throughput`.
 * :func:`mcm_throughput` computes the maximum cycle ratio analytically with
   Howard's policy iteration in integers: each ratio is a reduced pair
   ``(W, T)`` with ``T > 0``, each potential is scaled by its cycle's ``T``,
@@ -33,12 +39,13 @@ All results are exact rationals.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from copy import copy
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
-from math import gcd
-from typing import Iterator, Mapping
+from math import gcd, inf
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     DeadlockError,
@@ -55,6 +62,12 @@ from .rational import to_decimal, to_fraction
 DEFAULT_STATE_BUDGET = 1_000_000
 # Firings started in one instant before the simulator reports a livelock.
 _INSTANT_CAP = 1_000_000
+# States self_timed_throughput stores before it stores only the reference
+# actor's firing starts. Every explore_mjpeg graph but IZZ at prefetch 20000
+# (14,908 states) repeats within 984 states, and pays nothing for sparse
+# keys below this; at 0 an explore_mjpeg round took 10% longer
+# (BENCH_15.json).
+_KEY_PREFIX = 1024
 
 
 @dataclass(frozen=True)
@@ -122,6 +135,9 @@ class _Simulator:
     are held forest first, so the key reads one slice of the token list;
     :meth:`snapshot` reports them in the graph's order. Every channel's
     tokens still decide enabling.
+
+    ``marker`` is -1 to key every state, or an actor whose firing starts
+    select the states to key; it may change between two states.
     """
 
     def __init__(self, graph: SDFG):
@@ -150,16 +166,36 @@ class _Simulator:
         self.codes: list[int] = []  # finish * n_actors + actor, ascending
         self.time = 0
         self.completions = [0] * n_actors
+        self.marker = -1
 
-    def run(self) -> Iterator[tuple]:
-        """Simulate from time 0, yielding the recurrence key of each stable
-        state; return once no firing is in flight. Call once per simulator."""
+    def checkpoint(self) -> tuple[int, ...]:
+        """The time, the tokens and the codes in flight as one flat tuple of
+        ints, which the cyclic garbage collector stops tracking at its first
+        pass."""
+        return (self.time, *self.tokens, *self.codes)
+
+    def restored(self, checkpoint: Sequence[int]) -> _Simulator:
+        """A copy of this simulator put back at a :meth:`checkpoint` of it,
+        keying every state and with no completion counted."""
+        clone = copy(self)
+        n = len(self.tokens)
+        clone.time = checkpoint[0]
+        clone.tokens, clone.codes = list(checkpoint[1:n + 1]), list(checkpoint[n + 1:])
+        clone.completions = [0] * self.n_actors
+        clone.marker = -1
+        return clone
+
+    def run(self) -> Iterator[tuple | None]:
+        """Simulate from the current time, tokens and codes, yielding for
+        each stable state its recurrence key, or None when ``marker`` is an
+        actor that has not just started a firing in it; return once no
+        firing is in flight. Call once per simulator."""
         n_actors, n_key = self.n_actors, self.n_key
         tokens, codes, completions = self.tokens, self.codes, self.completions
         consume, produce, step = self.consume, self.produce, self.step
         pending = list(range(n_actors))  # worklist: actors to check
         queued = [True] * n_actors
-        now_code = 0
+        now_code = self.time * n_actors
         while True:
             instant = 0
             while pending:
@@ -189,7 +225,15 @@ class _Simulator:
                             completions[ai] += 1
                         continue
                     break
-            yield tuple(tokens[:n_key] + [code - now_code for code in codes])
+            marker = self.marker
+            if marker < 0:
+                yield tuple(tokens[:n_key] + [code - now_code for code in codes])
+            else:
+                # Only a firing started now has all of its time left.
+                started = now_code + step[marker]
+                at = bisect_left(codes, started)
+                yield (tuple(tokens[:n_key] + [code - now_code for code in codes])
+                       if at < len(codes) and codes[at] == started else None)
             if not codes:
                 return
             first = codes[0]
@@ -266,6 +310,11 @@ def iterate_states(graph: SDFG, max_states: int = 10_000) -> Iterator[ExecutionS
     return (sim.snapshot() for _ in islice(sim.run(), max_states))
 
 
+def _budget_exceeded(state_budget: int) -> StateSpaceBudgetExceededError:
+    return StateSpaceBudgetExceededError(
+        f"more than {state_budget} states explored; graph is likely unbounded")
+
+
 def self_timed_throughput(graph: SDFG,
                           state_budget: int = DEFAULT_STATE_BUDGET) -> ThroughputResult:
     """Simulate self-timed execution until a state recurs and return the
@@ -277,8 +326,53 @@ def self_timed_throughput(graph: SDFG,
     stops (or never turns the reference actor),
     :class:`InconsistentGraphError` for unsolvable balance equations, and
     :class:`StateSpaceBudgetExceededError` when more than ``state_budget``
-    distinct states are visited, which is the usual symptom of unbounded
-    token accumulation.
+    distinct states come before the first repeated one, which is the usual
+    symptom of unbounded token accumulation.
+
+    Which states are stored. Execution is deterministic and equal keys mean
+    equal states, so the stable states ``s[0], s[1], ...`` are distinct up
+    to the transient ``mu`` plus the period ``lam``, and from then on
+    ``s[i] == s[i + lam]`` exactly for ``i >= mu``; no state before
+    ``s[mu]`` equals one from ``s[mu]`` on. The first ``_KEY_PREFIX``
+    states are stored. After them a state is stored only when the reference
+    actor has just started a firing. With a timed reference that is a
+    property of the state, a code in flight with all of the reference's
+    time left, so two equal states past the prefix are both stored or
+    neither. A zero-time reference, or a graph that is not weakly
+    connected, stores every state.
+
+    Why the search stays exact:
+
+    * A stored repeat comes. On a weakly connected graph the completions of
+      one period are a multiple of the repetition vector (the argument of
+      :func:`_key_channels`), and not zero, since every state after the
+      first completes a firing. So the reference starts a firing at some
+      ``s[m]`` with ``mu <= m < mu + lam``, and ``s[m + lam]`` is a stored
+      repeat of the stored ``s[m]``: the first stored repeat ``s[b]`` has
+      ``b < mu + 2*lam``.
+    * ``b - j == lam`` for the stored ``s[j]`` that ``s[b]`` repeats, so
+      the time and the reference's completions between them are one
+      period's. ``b - j`` is a multiple of ``lam``; were it larger,
+      ``s[b - lam]``, equal to ``s[b]``, would be stored too (in the prefix,
+      or past it like ``s[b]``) and would have repeated ``s[j]`` first.
+    * ``mu`` comes from the cycle. The ``lam - 1`` states after ``s[b]``,
+      keyed, complete the cycle's keys. The first stored state in the cycle,
+      ``s[f]``, has ``mu <= f``. When ``f == 0``, ``mu == 0``. Otherwise the
+      stored state before it, ``s[e]``, is not in the cycle, so ``e < mu``:
+      when ``e == f - 1``, ``mu == f``, and else a replay of the same loop
+      from ``s[e]`` meets the cycle at ``s[mu]``. Inside the prefix every
+      state is stored, so a replay needs ``e`` at least the prefix's last
+      index, and from there on every stored state carries a checkpoint.
+    * The budget error comes exactly when ``mu + lam > state_budget``, as
+      when every state is stored. The stored states before the first repeat
+      are distinct, so more than ``state_budget`` of them exceed it. As
+      ``b <= 2*(mu + lam) - 1``, so does reaching ``s[2*state_budget - 1]``
+      without a stored repeat. Once ``mu`` and ``lam`` are known they are
+      compared directly, and an execution that stops at or past
+      ``s[state_budget]`` exceeds it too. So up to ``2*state_budget`` states
+      may be simulated, but no more than ``state_budget`` are stored and,
+      past the prefix, only the reference's firing starts: memory stays
+      sparse while it runs.
     """
     _check_budget("state budget", state_budget)
     repetition = compute_repetition_vector(graph)
@@ -287,36 +381,70 @@ def self_timed_throughput(graph: SDFG,
     sim = _Simulator(graph)
     ref_index = sim.actor_ids.index(reference)
     completions = sim.completions
-    # State key -> index into first_times/first_counts, the time and the
-    # reference completions at which that state was first reached.
+    # Index of the prefix's last state. Sparse keys cannot find the period
+    # with a zero-time reference or on a graph that is not weakly connected;
+    # there every state is stored.
+    dense = (_KEY_PREFIX - 1 if sim.step[ref_index] and sim.n_key == sim.n_actors - 1
+             else inf)
+    # State key -> position in stored.
     seen: dict[tuple, int] = {}
-    first_times: list[int] = []
-    first_counts: list[int] = []
-    for key in sim.run():
-        stored = len(first_times)
-        first = seen.setdefault(key, stored)
-        if first < stored:
-            period = sim.time - first_times[first]
-            firings = completions[ref_index] - first_counts[first]
-            if firings == 0:
-                raise DeadlockError(
-                    f"reference actor {reference!r} never fires in the periodic phase")
-            q_ref = repetition[reference]
-            return ThroughputResult(
-                iterations_per_cycle=Fraction(firings, q_ref * period),
-                period_cycles=period,
-                transient_cycles=first_times[first],
-                reference_firings_per_period=firings,
-                reference_actor=reference,
-                reference_repetitions=q_ref,
-            )
-        first_times.append(sim.time)
-        first_counts.append(completions[ref_index])
-        if stored >= state_budget:
-            raise StateSpaceBudgetExceededError(
-                f"more than {state_budget} states explored; "
-                "graph is likely unbounded")
-    raise DeadlockError(f"no enabled actor and no running firing at t={sim.time}")
+    # Per stored state, one flat tuple of ints, which the garbage collector
+    # stops tracking at once: its index, the reference's completions and
+    # the time, then, from the prefix's last on, the rest of the
+    # simulator's checkpoint, where a replay can start.
+    stored: list[tuple[int, ...]] = []
+    # The first stored repeat's index at most, when mu + lam <= state_budget.
+    last = 2 * state_budget - 1
+    states = sim.run()
+    for index, key in enumerate(states):
+        if key is not None:
+            first = seen.setdefault(key, len(stored))
+            if first < len(stored):
+                break
+            if first == state_budget:
+                raise _budget_exceeded(state_budget)
+            if index < dense:
+                stored.append((index, completions[ref_index], sim.time))
+            else:
+                stored.append((index, completions[ref_index], *sim.checkpoint()))
+                sim.marker = ref_index
+        if index >= last:
+            raise _budget_exceeded(state_budget)
+    else:
+        if index >= state_budget:
+            raise _budget_exceeded(state_budget)
+        raise DeadlockError(f"no enabled actor and no running firing at t={sim.time}")
+
+    mu, count, transient = stored[first][:3]
+    period = sim.time - transient
+    firings = completions[ref_index] - count
+    if index > dense:  # s[b] is past the prefix
+        lam = index - mu
+        sim.marker = -1
+        cycle = {key, *islice(states, lam - 1)}
+        f = min(seen[k] for k in cycle if k in seen)
+        mu, _, transient = stored[f][:3]
+        if f and stored[f - 1][0] < mu - 1:  # a gap, past the prefix
+            mu, _, *checkpoint = stored[f - 1]
+            replay = sim.restored(checkpoint)
+            for mu, key in enumerate(replay.run(), mu):
+                if key in cycle:
+                    break
+            transient = replay.time
+        if mu + lam > state_budget:
+            raise _budget_exceeded(state_budget)
+    if firings == 0:
+        raise DeadlockError(
+            f"reference actor {reference!r} never fires in the periodic phase")
+    q_ref = repetition[reference]
+    return ThroughputResult(
+        iterations_per_cycle=Fraction(firings, q_ref * period),
+        period_cycles=period,
+        transient_cycles=transient,
+        reference_firings_per_period=firings,
+        reference_actor=reference,
+        reference_repetitions=q_ref,
+    )
 
 
 def _strongly_connected(n: int, edges: list[tuple[int, int]]) -> bool:

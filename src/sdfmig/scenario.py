@@ -156,9 +156,11 @@ class _Reader:
             self.fail(f"attribute {name!r} must be at least {minimum}, got {value}")
         return value
 
-    def rational(self, name: str, default: Fraction | None = None) -> Fraction | None:
+    def rational(self, name: str, default: Fraction | None = None) -> Fraction:
         raw = self.node.attrib.get(name)
         if raw is None:
+            if default is None:
+                self.fail(f"missing attribute {name!r}")
             return default
         try:
             return parse_rational(raw)
@@ -303,7 +305,7 @@ def _read_platform(node: _Node) -> Platform:
             ))
         else:
             r = _Reader(child, _CONNECTION_ATTRS)
-            bandwidth = r.rational("bandwidth", Fraction(1))
+            bandwidth = r.rational("bandwidth")
             if bandwidth <= 0:
                 r.fail("bandwidth must be positive")
             connections.append(NocConnection(

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from sdfmig.analysis import (
     _max_cycle_ratio,
     iterate_states,
     mcm_throughput,
+    resolve_reference_actor,
     self_timed_throughput,
     to_frames_per_second,
 )
@@ -36,8 +38,15 @@ from sdfmig.errors import (
     StateSpaceBudgetExceededError,
     UnknownActorError,
 )
-from sdfmig.graph import SDFG, Actor, Channel, disable_auto_concurrency
+from sdfmig.graph import (
+    SDFG,
+    Actor,
+    Channel,
+    compute_repetition_vector,
+    disable_auto_concurrency,
+)
 from sdfmig.migration import MigrationSpec, migrate_task
+from sdfmig.scenario import bundled_scenario_path, load_scenario
 from sdfmig.transforms import build_bound_graph
 
 
@@ -231,6 +240,104 @@ def test_engine_matches_reference_with_only_a_self_loop_cycle():
     g = build_graph({"A": 5, "B": 7, "C": 4},
                     [("A", "B", 2, 1), ("B", "C", 1, 2), ("A", "A", 1, 1, 1)])
     assert_matches_reference(g)
+
+
+# Sparse recurrence keys: past the first analysis._KEY_PREFIX states, a state
+# is stored only when the reference actor has just started a firing.
+
+def mjpeg_graph(spec=None):
+    """The bound mjpeg_base graph, or the one migrated by ``spec``, a change
+    to the scenario's defaults, as ``sdfmig explore`` builds it."""
+    s = load_scenario(bundled_scenario_path("mjpeg_base"))
+    if spec is None:
+        return build_bound_graph(s.graph, s.platform, s.mapping)
+    return migrate_task(s.graph, s.platform, s.mapping, replace(s.defaults, **spec)).graph
+
+
+def explore_grid_graphs():
+    """The bound graphs ``sdfmig explore mjpeg_base`` analyses at speedups 2
+    and 4 and prefetch times 5000, 10000 and 20000."""
+    actors = [a.id for a in mjpeg_application().actors]
+    return [mjpeg_graph()] + [
+        mjpeg_graph({"actor": a, "speedup": speedup, "prefetch_time": prefetch})
+        for speedup in (2, 4) for prefetch in (5000, 10000, 20000) for a in actors]
+
+
+def first_repeat(graph) -> int:
+    """The index of the first state equal to an earlier one, mu + lam, from
+    the snapshots of every channel's tokens."""
+    seen = set()
+    for index, state in enumerate(iterate_states(graph, max_states=10**6)):
+        key = (tuple(state.channel_tokens.values()), state.active_firings)
+        if key in seen:
+            return index
+        seen.add(key)
+    raise AssertionError("no repeated state")
+
+
+def test_sparse_keys_match_every_state_keyed_on_explore_grid(monkeypatch):
+    graphs = explore_grid_graphs()
+    assert len(graphs) == 37
+    for g in graphs:
+        monkeypatch.setattr(analysis, "_KEY_PREFIX", 10**9)
+        every_state = self_timed_throughput(g)
+        monkeypatch.setattr(analysis, "_KEY_PREFIX", 0)
+        assert self_timed_throughput(g) == every_state
+
+
+@pytest.mark.parametrize("speedup, transient", [(2, 330124991), (4, 330118793)])
+def test_izz_at_prefetch_20000_is_pinned(speedup, transient):
+    # About 94 periods of transient: the search leaves the prefix.
+    r = self_timed_throughput(
+        mjpeg_graph({"actor": "IZZ", "speedup": speedup, "prefetch_time": 20000}))
+    assert (r.transient_cycles, r.period_cycles) == (transient, 3518526)
+    assert r.reference_firings_per_period == 1
+
+
+def test_izz_budget_of_first_repeat_succeeds_and_one_less_raises():
+    g = mjpeg_graph({"actor": "IZZ", "speedup": 2, "prefetch_time": 20000})
+    n = first_repeat(g)
+    assert n > analysis._KEY_PREFIX
+    assert self_timed_throughput(g, state_budget=n).transient_cycles == 330124991
+    with pytest.raises(StateSpaceBudgetExceededError):
+        self_timed_throughput(g, state_budget=n - 1)
+
+
+@pytest.mark.parametrize("prefix", [0, 1, 3])
+def test_sparse_budget_of_first_repeat_succeeds_and_one_less_raises(monkeypatch, prefix):
+    monkeypatch.setattr(analysis, "_KEY_PREFIX", prefix)
+    rng = random.Random(23)
+    for i in range(40):
+        g = random_consistent_graph(rng, self_loops=i % 2 == 0)
+        n = first_repeat(g)
+        assert self_timed_throughput(g, state_budget=n) == reference_throughput(g)
+        if n > 1:
+            with pytest.raises(StateSpaceBudgetExceededError):
+                self_timed_throughput(g, state_budget=n - 1)
+
+
+@pytest.mark.parametrize("prefix", [0, analysis._KEY_PREFIX])
+def test_disconnected_reference_that_stops_still_never_fires(monkeypatch, prefix):
+    # R fires three times and stops, as Q never fires. The near-tie pair A, C
+    # runs on with a transient of thousands of states, past the prefix.
+    monkeypatch.setattr(analysis, "_KEY_PREFIX", prefix)
+    pair = [("A", "A", 1, 1, 1), ("C", "C", 1, 1, 1), ("A", "C", 1, 1, 2),
+            ("C", "A", 1, 1, 2)]
+    assert first_repeat(build_graph({"A": 1000, "C": 999}, pair)) == 2000
+    g = build_graph({"Q": 1, "R": 5, "A": 1000, "C": 999},
+                    [("Q", "Q"), ("Q", "R", 1, 1, 3)] + pair, reference="R")
+    with pytest.raises(DeadlockError, match="reference actor 'R' never fires"):
+        self_timed_throughput(g, state_budget=20_000)
+
+
+@pytest.mark.parametrize("prefix", [0, 1])
+def test_zero_time_reference_matches_reference(monkeypatch, prefix):
+    monkeypatch.setattr(analysis, "_KEY_PREFIX", prefix)
+    rng = random.Random(31)
+    for i in range(30):
+        g = random_consistent_graph(rng, self_loops=i % 2 == 0)
+        g = g.with_exec_times({resolve_reference_actor(g, compute_repetition_vector(g)): 0})
+        assert self_timed_throughput(g, state_budget=5000) == reference_throughput(g)
 
 
 def test_snapshots_keep_graph_channel_order():

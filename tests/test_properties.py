@@ -7,6 +7,7 @@ missing install fails collection instead of skipping.
 import math
 import random
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from helpers import (
     random_consistent_graph,
     reference_throughput,
 )
+from sdfmig import analysis
 from sdfmig.analysis import (
     _max_cycle_ratio,
     iterate_states,
@@ -152,6 +154,19 @@ def consistent_multirate_graphs(draw) -> SDFG:
 @given(consistent_multirate_graphs())
 def test_self_timed_matches_reference_simulator(graph):
     assert self_timed_throughput(graph) == reference_throughput(graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.booleans(), st.sampled_from([0, 1]))
+def test_sparse_keys_match_reference_simulator(seed, self_loops, zero_time, prefix):
+    # A prefix of 0 or 1 stores almost only the reference's firing starts,
+    # so the period and transient come from the sparse search and replay.
+    rng = random.Random(seed)
+    graph = random_consistent_graph(rng, self_loops=self_loops)
+    if zero_time:
+        graph = graph.with_exec_times({rng.choice(graph.actors).id: 0})
+    with patch.object(analysis, "_KEY_PREFIX", prefix):
+        assert self_timed_throughput(graph) == reference_throughput(graph)
 
 
 @st.composite

@@ -469,6 +469,19 @@ def test_load_rejects_defaults_naming_unknown_connection(tmp_path):
     assert load_scenario(good).defaults.hw_connection == "n2"
 
 
+def test_load_rejects_connection_without_bandwidth(tmp_path):
+    # It used to load at bandwidth 1 and analyse n2 at that silent value.
+    text = bundled_scenario_path("mjpeg_base").read_text()
+    original = ' bandwidth="0.00203139"'
+    assert text.count(original) == 1
+    bad = tmp_path / "bad.xml"
+    bad.write_text(text.replace(original, ""))
+    with pytest.raises(ScenarioParseError,
+                       match="<connection>: missing attribute 'bandwidth'") as err:
+        load_scenario(bad)
+    assert (err.value.line, err.value.column) == (37, 5)
+
+
 @pytest.mark.parametrize("clock", ["0", "-5", "0/7"])
 def test_load_rejects_non_positive_clock(tmp_path, clock):
     # Such a scenario used to load clean; reporting frames per second then
