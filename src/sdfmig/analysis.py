@@ -447,56 +447,6 @@ def self_timed_throughput(graph: SDFG,
     )
 
 
-def _strongly_connected(n: int, edges: list[tuple[int, int]]) -> bool:
-    if n <= 1:
-        return True
-    forward: list[list[int]] = [[] for _ in range(n)]
-    backward: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        forward[u].append(v)
-        backward[v].append(u)
-
-    def reaches_all(adj: list[list[int]]) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
-
-    return reaches_all(forward) and reaches_all(backward)
-
-
-def _has_token_free_cycle(n: int, edges: list[tuple[int, int, int, int]]) -> bool:
-    """Cycle detection restricted to edges carrying zero initial tokens."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _, tokens in edges:
-        if tokens == 0:
-            adj[u].append(v)
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    for start in range(n):
-        if color[start]:
-            continue
-        stack: list[tuple[int, int]] = [(start, 0)]
-        color[start] = 1
-        while stack:
-            node, position = stack[-1]
-            if position < len(adj[node]):
-                stack[-1] = (node, position + 1)
-                succ = adj[node][position]
-                if color[succ] == 1:
-                    return True
-                if color[succ] == 0:
-                    color[succ] = 1
-                    stack.append((succ, 0))
-            else:
-                color[node] = 2
-                stack.pop()
-    return False
-
-
 def _max_cycle_ratio(n: int, edges: list[tuple[int, int, int, int]]) -> Fraction:
     """Maximum over cycles of (sum of ``w``) / (sum of ``t``) for edges
     ``(u, v, w, t)`` over nodes ``0..n-1``, by Howard's policy iteration in
@@ -620,10 +570,36 @@ def mcm_throughput(graph: SDFG) -> Fraction:
     # weight sums each visited actor's time exactly once.
     edges = [(index[c.src], index[c.dst], graph.actor_map[c.src].exec_time,
               c.initial_tokens) for c in graph.channels]
-    if not _strongly_connected(n, [(u, v) for u, v, _, _ in edges]):
-        raise NotStronglyConnectedError("cycle-mean analysis needs one strongly "
-                                        "connected component")
-    if _has_token_free_cycle(n, edges):
+    # One pass over the edges: successors, predecessors, token-free successors.
+    forward: list[list[int]] = [[] for _ in range(n)]
+    backward: list[list[int]] = [[] for _ in range(n)]
+    token_free: list[list[int]] = [[] for _ in range(n)]
+    free_in = [0] * n
+    for u, v, _, tokens in edges:
+        forward[u].append(v)
+        backward[v].append(u)
+        if not tokens:
+            token_free[u].append(v)
+            free_in[v] += 1
+    for adjacency in (forward, backward):  # actor 0 reaches all, and all reach it
+        seen = {0}
+        stack = [0]
+        for u in stack:
+            for v in adjacency[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if len(stack) < n:
+            raise NotStronglyConnectedError("cycle-mean analysis needs one strongly "
+                                            "connected component")
+    # Kahn's sort of the token-free edges stalls exactly on a token-free cycle.
+    order = [u for u in range(n) if not free_in[u]]
+    for u in order:
+        for v in token_free[u]:
+            free_in[v] -= 1
+            if not free_in[v]:
+                order.append(v)
+    if len(order) < n:
         raise DeadlockError("a cycle without initial tokens can never fire")
     if not edges:
         raise SdfmigError("graph has no cycles; throughput is unbounded")
@@ -635,13 +611,13 @@ def mcm_throughput(graph: SDFG) -> Fraction:
 
 
 def to_frames_per_second(result: ThroughputResult | Fraction | int | float,
-                         clock_hz, digits: int = 2) -> Decimal:
+                         clock_hz) -> Decimal:
     """Convert iterations-per-cycle into frames per second at a clock
-    frequency, rounded to ``digits`` decimal places. Raises
+    frequency, rounded to two decimal places. Raises
     :class:`InvalidClockError` unless the clock is positive."""
     clock = to_fraction(clock_hz)
     if clock <= 0:
         raise InvalidClockError(f"clock frequency must be positive, got {clock}")
     rate = (result.iterations_per_cycle if isinstance(result, ThroughputResult)
             else to_fraction(result))
-    return to_decimal(rate * clock, digits=digits)
+    return to_decimal(rate * clock)

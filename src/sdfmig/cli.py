@@ -98,11 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Dataflow throughput analysis and "
                                  "software-to-hardware migration what-ifs.")
     commands = parser.add_subparsers(dest="command", required=True)
+    scenario_help = ("scenario file path or bundled scenario name "
+                     f"({', '.join(list_bundled_scenarios())})")
 
     def add_common(sub):
-        sub.add_argument("scenario",
-                         help="scenario file path or bundled scenario name "
-                              f"({', '.join(list_bundled_scenarios())})")
+        sub.add_argument("scenario", help=scenario_help)
         sub.add_argument("--freq", type=_positive_rational_arg, default=None,
                          help="clock frequency in Hz (default: scenario value, "
                               "usually 100e6)")

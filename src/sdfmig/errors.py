@@ -43,7 +43,7 @@ class NotStronglyConnectedError(SdfmigError):
 
 
 class UnmappedActorError(SdfmigError):
-    """A software actor has no tile (or no TDMA slice) assigned."""
+    """An actor sits on no tile of the platform: it has none, or an unknown one."""
 
 
 class SliceOverflowError(SdfmigError):
@@ -55,7 +55,8 @@ class BufferTooSmallError(SdfmigError):
 
 
 class SameTileError(SdfmigError):
-    """Remote binding requested for a channel whose endpoints share a tile."""
+    """A remote binding joins endpoints on one tile, or a local one endpoints
+    that are not."""
 
 
 class InvalidBindingError(SdfmigError):

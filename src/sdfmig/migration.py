@@ -16,13 +16,13 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .analysis import ThroughputResult, self_timed_throughput, to_frames_per_second
+from .analysis import (DEFAULT_STATE_BUDGET, ThroughputResult, self_timed_throughput,
+                       to_frames_per_second)
 from .errors import (
     AlreadyHardwareError,
     InvalidMigrationSpecError,
     SdfmigError,
     UnknownActorError,
-    UnmappedActorError,
 )
 from .graph import ActorKind, Channel, SDFG, compute_repetition_vector, fresh_id
 from .mpsoc import (
@@ -33,6 +33,7 @@ from .mpsoc import (
     PlatformMapping,
     Tile,
     TileKind,
+    check_mapping,
 )
 from .transforms import build_bound_graph, prefetch_batch
 
@@ -119,10 +120,9 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
         raise UnknownActorError(f"no actor {spec.actor!r} in graph")
     if actor.kind != ActorKind.SOFTWARE:
         raise AlreadyHardwareError(f"actor {spec.actor!r} is not a software actor")
-    old_tile = mapping.tile_of(actor.id)
-    if old_tile is None:
-        raise UnmappedActorError(f"actor {spec.actor!r} is not mapped")
     repetition = compute_repetition_vector(graph)
+    check_mapping(graph, platform, mapping)
+    old_tile = mapping.actor_tile[actor.id]
 
     hw_exec_time = int(Fraction(actor.exec_time) / Fraction(spec.speedup))
     app_graph = graph.with_actors([
@@ -199,16 +199,15 @@ def explore_single_migrations(graph: SDFG, platform: Platform,
                               mapping: PlatformMapping,
                               defaults: MigrationSpec = MigrationSpec(),
                               clock_hz=Fraction(100_000_000),
-                              state_budget: int | None = None,
+                              state_budget: int = DEFAULT_STATE_BUDGET,
                               ) -> tuple[ThroughputResult, list[MigrationCandidate]]:
     """Migrate every software actor in turn and rank the outcomes by gain.
 
     Returns the baseline throughput plus one candidate per software actor,
     sorted by descending gain (ties and failures by actor id; failures
     last, carrying their error message instead of a result)."""
-    budget_kwargs = {} if state_budget is None else {"state_budget": state_budget}
     baseline = self_timed_throughput(build_bound_graph(graph, platform, mapping),
-                                     **budget_kwargs)
+                                     state_budget=state_budget)
     candidates: list[MigrationCandidate] = []
     for actor in sorted(graph.actors, key=lambda a: a.id):
         if actor.kind != ActorKind.SOFTWARE:
@@ -216,7 +215,7 @@ def explore_single_migrations(graph: SDFG, platform: Platform,
         try:
             migrated = migrate_task(graph, platform, mapping,
                                     replace(defaults, actor=actor.id))
-            result = self_timed_throughput(migrated.graph, **budget_kwargs)
+            result = self_timed_throughput(migrated.graph, state_budget=state_budget)
             candidates.append(MigrationCandidate(
                 actor=actor.id,
                 result=result,

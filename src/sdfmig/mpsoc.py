@@ -5,12 +5,26 @@ actor's execution time by the co-mapped actors' slices (the worst case where
 a token arrives right at the end of the actor's own slot). There is no
 slot-level simulation. A mapping sums its slices per tile once
 (:attr:`PlatformMapping.tile_slices`, cached like :attr:`Platform.tile_map`),
-so an actor's wait is its tile's total minus its own slice, and one
-slice-overflow check over those totals serves both :func:`compute_etam` and
-:func:`validate_mapping`.
+so an actor's wait is its tile's total minus its own slice.
 
 A channel binding is a :class:`BindingKind` plus the connection it uses,
 if any, and only the other fields that kind reads.
+
+The mapping rules are stated once, in ``_mapping_violations``: scenario
+load lists the broken ones (:func:`validate_mapping`), binding and migration
+raise the first (:func:`check_mapping`).
+
+rule                                                 diagnostic         error
+---------------------------------------------------  -----------------  ----------------------
+mapped actor not in the graph                        UnknownActor       UnknownActorError
+actor placed on a tile the platform lacks            UnknownTile        UnmappedActorError
+software actor with no tile                          UnmappedActor      UnmappedActorError
+slices over a processor's wheel                      SliceOverflow      SliceOverflowError
+binding names no channel of the graph                UnknownChannel     UnknownChannelError
+LOCAL endpoints not both on one tile (one unplaced)  BindingMismatch    SameTileError
+REMOTE endpoints both on one tile                    BindingMismatch    SameTileError
+REMOTE/PREFETCH connection not in the platform       UnknownConnection  UnknownConnectionError
+connection does not join producer -> consumer tile   BindingMismatch    InvalidBindingError
 """
 
 from __future__ import annotations
@@ -18,12 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Mapping as TMapping
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Mapping as TMapping
 
 from .errors import (
     InvalidBindingError,
+    SameTileError,
+    SdfmigError,
     SliceOverflowError,
+    UnknownActorError,
+    UnknownChannelError,
     UnknownConnectionError,
     UnmappedActorError,
 )
@@ -86,9 +104,6 @@ class Platform:
     @cached_property
     def connection_map(self) -> dict[str, NocConnection]:
         return {c.id: c for c in self.connections}
-
-    def tile(self, tile_id: str) -> Tile:
-        return self.tile_map[tile_id]
 
     def connection(self, conn_id: str) -> NocConnection:
         if conn_id not in self.connection_map:
@@ -171,90 +186,107 @@ class PlatformMapping:
 
 def tdma_wait(actor_id: str, platform: Platform, mapping: PlatformMapping) -> int:
     """Worst-case wait for an actor to re-enter its TDMA slot: the sum of the
-    other co-mapped actors' slices. Zero on hardware and memory tiles."""
-    tile_id = mapping.tile_of(actor_id)
-    if tile_id is None or tile_id not in platform.tile_map:
-        raise UnmappedActorError(f"actor {actor_id!r} is not mapped to a tile")
-    if platform.tile(tile_id).kind != TileKind.PROCESSOR:
+    other co-mapped actors' slices. Zero on hardware and memory tiles. Raises
+    the error of the placement or slice rule the actor's tile breaks."""
+    unplaced = _unplaced(actor_id, platform, mapping)
+    if unplaced is not None:
+        raise UnmappedActorError(unplaced[1])
+    tile = platform.tile_map[mapping.actor_tile[actor_id]]
+    if tile.kind != TileKind.PROCESSOR:
         return 0
-    return mapping.tile_slices[tile_id] - mapping.tdma_slice.get(actor_id, 0)
+    overflow = _overflow(tile, mapping)
+    if overflow is not None:
+        raise SliceOverflowError(overflow)
+    return mapping.tile_slices[tile.id] - mapping.tdma_slice.get(actor_id, 0)
 
 
 def compute_etam(graph: SDFG, platform: Platform,
                  mapping: PlatformMapping) -> dict[str, int]:
     """Execution time after mapping for every actor: software actors pay the
     co-mapped actors' TDMA slices on top of their own execution time, other
-    kinds are unchanged."""
-    overflows = _slice_overflows(platform, mapping)
-    if overflows:
-        tile, used = overflows[0]
-        raise SliceOverflowError(
-            f"tile {tile.id!r}: slices total {used} exceed wheel {tile.tdma_wheel}")
-    etam: dict[str, int] = {}
-    for actor in graph.actors:
-        if actor.kind == ActorKind.SOFTWARE:
-            tile_id = mapping.tile_of(actor.id)
-            if tile_id is None or tile_id not in platform.tile_map:
-                raise UnmappedActorError(
-                    f"software actor {actor.id!r} is not mapped to a tile")
-            etam[actor.id] = actor.exec_time + tdma_wait(actor.id, platform, mapping)
-        else:
-            etam[actor.id] = actor.exec_time
-    return etam
+    kinds are unchanged. Raises the errors of :func:`tdma_wait`."""
+    return {actor.id: actor.exec_time + tdma_wait(actor.id, platform, mapping)
+            if actor.kind == ActorKind.SOFTWARE else actor.exec_time
+            for actor in graph.actors}
 
 
-def _slice_overflows(platform: Platform,
-                     mapping: PlatformMapping) -> list[tuple[Tile, int]]:
-    """Every processor tile whose slices total more than its wheel, with that
-    total, in platform order."""
-    totals = mapping.tile_slices
-    return [(tile, totals.get(tile.id, 0)) for tile in platform.tiles
-            if tile.kind == TileKind.PROCESSOR
-            and totals.get(tile.id, 0) > tile.tdma_wheel]
+def _unplaced(actor_id: str, platform: Platform,
+              mapping: PlatformMapping) -> tuple[str, str] | None:
+    """``(code, message)`` when the actor sits on no tile of the platform."""
+    tile_id = mapping.tile_of(actor_id)
+    if tile_id is None:
+        return "UnmappedActor", f"actor {actor_id!r} has no tile"
+    if tile_id not in platform.tile_map:
+        return "UnknownTile", f"actor {actor_id!r} is mapped to unknown tile {tile_id!r}"
+    return None
+
+
+def _overflow(tile: Tile, mapping: PlatformMapping) -> str | None:
+    """The message when a processor tile's slices overflow its wheel."""
+    used = mapping.tile_slices.get(tile.id, 0)
+    if tile.kind == TileKind.PROCESSOR and used > tile.tdma_wheel:
+        return f"tile {tile.id!r}: slices total {used} exceed wheel {tile.tdma_wheel}"
+    return None
+
+
+def _mapping_violations(graph: SDFG, platform: Platform, mapping: PlatformMapping
+                        ) -> Iterator[tuple[str, str, Callable[[str], SdfmigError], str]]:
+    """``(code, subject, error, message)`` for every rule of the module
+    docstring that ``mapping`` breaks: actors, tiles, then bindings. A
+    binding breaks at most one rule, its kind's tile rule first."""
+    unplaced_software = [a.id for a in graph.actors if a.kind == ActorKind.SOFTWARE
+                         and a.id not in mapping.actor_tile]
+    for actor_id in [*mapping.actor_tile, *unplaced_software]:
+        if actor_id not in graph.actor_map:
+            yield ("UnknownActor", actor_id, UnknownActorError,
+                   f"mapped actor {actor_id!r} is not in the graph")
+        unplaced = _unplaced(actor_id, platform, mapping)
+        if unplaced is not None:
+            yield unplaced[0], actor_id, UnmappedActorError, unplaced[1]
+    for tile in platform.tiles:
+        overflow = _overflow(tile, mapping)
+        if overflow is not None:
+            yield "SliceOverflow", tile.id, SliceOverflowError, overflow
+    for channel_id, binding in mapping.channel_binding.items():
+        channel = graph.channel_map.get(channel_id)
+        if channel is None:
+            yield ("UnknownChannel", channel_id, UnknownChannelError,
+                   f"binding names channel {channel_id!r}, which is not in the graph")
+            continue
+        src_tile, dst_tile = mapping.tile_of(channel.src), mapping.tile_of(channel.dst)
+        connection = platform.connection_map.get(binding.connection)
+        if binding.kind == BindingKind.LOCAL:
+            if src_tile != dst_tile:
+                yield ("BindingMismatch", channel_id, SameTileError,
+                       f"channel {channel_id!r} bound locally but endpoints sit on "
+                       f"{src_tile!r} and {dst_tile!r}")
+        elif binding.kind == BindingKind.REMOTE and src_tile is not None \
+                and src_tile == dst_tile:
+            yield ("BindingMismatch", channel_id, SameTileError,
+                   f"channel {channel_id!r} bound to connection {binding.connection!r} "
+                   f"but both endpoints sit on {src_tile!r}")
+        elif connection is None:
+            yield ("UnknownConnection", channel_id, UnknownConnectionError,
+                   f"channel {channel_id!r} bound to unknown connection "
+                   f"{binding.connection!r}")
+        elif (src_tile, dst_tile) != (connection.src_tile, connection.dst_tile):
+            yield ("BindingMismatch", channel_id, partial(InvalidBindingError, "connection"),
+                   f"{connection.id!r} joins {connection.src_tile!r}->"
+                   f"{connection.dst_tile!r} but channel {channel_id!r} runs "
+                   f"{src_tile!r}->{dst_tile!r}")
 
 
 def validate_mapping(graph: SDFG, platform: Platform,
                      mapping: PlatformMapping) -> list[Diagnostic]:
-    """Structural checks on a mapping; empty result means it is usable."""
-    diags: list[Diagnostic] = []
-    for actor_id, tile_id in mapping.actor_tile.items():
-        if actor_id not in graph.actor_map:
-            diags.append(Diagnostic("UnknownActor", actor_id,
-                                    "mapped actor is not in the graph"))
-        if tile_id not in platform.tile_map:
-            diags.append(Diagnostic("UnknownTile", actor_id,
-                                    f"mapped to unknown tile {tile_id!r}"))
-    for actor in graph.actors:
-        if actor.kind == ActorKind.SOFTWARE and mapping.tile_of(actor.id) is None:
-            diags.append(Diagnostic("UnmappedActor", actor.id,
-                                    "software actor has no tile"))
-    for tile, used in _slice_overflows(platform, mapping):
-        diags.append(Diagnostic("SliceOverflow", tile.id,
-                                f"slices total {used} exceed wheel {tile.tdma_wheel}"))
-    for channel_id, binding in mapping.channel_binding.items():
-        channel = graph.channel_map.get(channel_id)
-        if channel is None:
-            diags.append(Diagnostic("UnknownChannel", channel_id,
-                                    "binding references unknown channel"))
-            continue
-        src_tile = mapping.tile_of(channel.src)
-        dst_tile = mapping.tile_of(channel.dst)
-        if binding.kind == BindingKind.LOCAL:
-            if src_tile is not None and dst_tile is not None and src_tile != dst_tile:
-                diags.append(Diagnostic("BindingMismatch", channel_id,
-                                        f"local binding but endpoints on {src_tile!r} "
-                                        f"and {dst_tile!r}"))
-            continue
-        connection = platform.connection_map.get(binding.connection)
-        if connection is None:
-            diags.append(Diagnostic("UnknownConnection", channel_id,
-                                    f"bound to unknown connection {binding.connection!r}"))
-        elif (src_tile, dst_tile) != (connection.src_tile, connection.dst_tile):
-            diags.append(Diagnostic("BindingMismatch", channel_id,
-                                    f"connection {connection.id!r} joins "
-                                    f"{connection.src_tile!r}->{connection.dst_tile!r} "
-                                    f"but endpoints sit on {src_tile!r}->{dst_tile!r}"))
-    return diags
+    """Every rule the mapping breaks, as diagnostics; empty means usable."""
+    return [Diagnostic(code, subject, message)
+            for code, subject, _, message in _mapping_violations(graph, platform, mapping)]
+
+
+def check_mapping(graph: SDFG, platform: Platform, mapping: PlatformMapping) -> None:
+    """Raise the error of the first rule the mapping breaks."""
+    for _, _, error, message in _mapping_violations(graph, platform, mapping):
+        raise error(message)
 
 
 def resolve_latency_bound(channel_id: str, graph: SDFG, platform: Platform,
@@ -267,9 +299,7 @@ def resolve_latency_bound(channel_id: str, graph: SDFG, platform: Platform,
         return binding.latency_bound
     channel = graph.channel(channel_id)
     for endpoint in (channel.dst, channel.src):
-        tile_id = mapping.tile_of(endpoint)
-        if tile_id is not None and tile_id in platform.tile_map:
-            tile = platform.tile(tile_id)
-            if tile.kind == TileKind.PROCESSOR:
-                return tile.tdma_wheel
+        tile = platform.tile_map.get(mapping.tile_of(endpoint))
+        if tile is not None and tile.kind == TileKind.PROCESSOR:
+            return tile.tdma_wheel
     return 0

@@ -52,10 +52,10 @@ def format_rational(value: Fraction) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-def to_decimal(value: Fraction, digits: int = 2) -> Decimal:
-    """Round an exact fraction to a fixed number of decimal places."""
+def to_decimal(value: Fraction) -> Decimal:
+    """Round an exact fraction to two decimal places, halves away from zero."""
     value = Fraction(value)
     with localcontext() as ctx:
         ctx.prec = 60
         raw = Decimal(value.numerator) / Decimal(value.denominator)
-        return raw.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_UP)
+        return raw.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)

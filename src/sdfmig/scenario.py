@@ -190,7 +190,9 @@ def load_scenario(path) -> Scenario:
     text = Path(path).read_text(encoding="utf-8")
     root = _parse_tree(text)
     if root.tag == "sdf3":
-        return Scenario(name=Path(path).stem, graph=_read_sdf3(root))
+        scenario = Scenario(name=Path(path).stem, graph=_read_sdf3(root))
+        _validate_scenario(scenario)
+        return scenario
     if root.tag != "scenario":
         line, column = root.where()
         raise ScenarioParseError(f"expected <scenario> root, got <{root.tag}>",
@@ -445,12 +447,7 @@ def _read_sdf3(root: _Node) -> SDFG:
             initial_tokens=r.integer("initialTokens", 0),
             token_size=token_sizes.get(name, 0),
         ))
-    graph = SDFG(actors=actors, channels=channels)
-    diagnostics = validate(graph)
-    if diagnostics:
-        raise ScenarioValidationError(
-            "; ".join(str(d) for d in diagnostics), diagnostics=tuple(diagnostics))
-    return graph
+    return SDFG(actors=actors, channels=channels)
 
 
 # ---------------------------------------------------------------------------

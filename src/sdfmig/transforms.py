@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from .errors import (
     BufferTooSmallError,
     InvalidBandwidthError,
-    SameTileError,
     UnknownActorError,
     UnknownChannelError,
 )
@@ -52,6 +51,7 @@ from .mpsoc import (
     NocConnection,
     Platform,
     PlatformMapping,
+    check_mapping,
     compute_etam,
     resolve_latency_bound,
 )
@@ -284,9 +284,12 @@ def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping)
     channel rewritten per its binding kind, and a unit self-loop on every
     actor.
 
-    Channels without a binding entry are left untouched.
+    Channels without a binding entry are left untouched. Raises the errors
+    of :func:`~sdfmig.graph.check_graph`, then those of
+    :func:`~sdfmig.mpsoc.check_mapping`.
     """
     repetition = compute_repetition_vector(graph)
+    check_mapping(graph, platform, mapping)
     etam = compute_etam(graph, platform, mapping)
     work = _WorkingGraph(graph)
     work.actors.update((a.id, replace(a, exec_time=etam[a.id])) for a in graph.actors)
@@ -297,7 +300,7 @@ def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping)
         binding = mapping.channel_binding.get(channel.id)
         if binding is None or binding.kind != BindingKind.PREFETCH:
             continue
-        connection = platform.connection(binding.connection)
+        connection = platform.connection_map[binding.connection]
         batch = prefetch_batch(repetition, channel.src, channel.dst)
         work.prefetch(channel.dst, MemoryAwareParams(
             n=batch,
@@ -312,21 +315,12 @@ def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping)
         binding = mapping.channel_binding.get(channel.id)
         if binding is None or binding.kind == BindingKind.PREFETCH:
             continue
-        src_tile, dst_tile = mapping.tile_of(channel.src), mapping.tile_of(channel.dst)
         if binding.kind == BindingKind.LOCAL:
-            if src_tile != dst_tile:
-                raise SameTileError(
-                    f"channel {channel.id!r} bound locally but endpoints sit on "
-                    f"{src_tile!r} and {dst_tile!r}")
             if binding.buffer_tokens is not None:
                 work.bind_local(channel.id, binding.buffer_tokens)
         else:
-            if src_tile is not None and src_tile == dst_tile:
-                raise SameTileError(
-                    f"channel {channel.id!r} bound to connection {binding.connection!r} "
-                    f"but both endpoints sit on {src_tile!r}")
             params = RemoteBindingParams(
-                connection=platform.connection(binding.connection),
+                connection=platform.connection_map[binding.connection],
                 alpha_src=binding.alpha_src if binding.alpha_src is not None else 1,
                 alpha_dst=binding.alpha_dst if binding.alpha_dst is not None else 1,
                 latency_bound=resolve_latency_bound(channel.id, graph, platform, mapping),

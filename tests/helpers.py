@@ -633,14 +633,17 @@ def reference_bound_graph(graph: SDFG, platform, mapping,
                           disable_concurrency: bool = True) -> SDFG:
     """``build_bound_graph`` as a composition of single rewrites, each building
     a new graph and drawing its ids with :func:`_set_union_id` on the graph
-    before it. Same checks, errors and rewrite order as the package."""
-    from sdfmig.errors import SameTileError
+    before it. Same checks, errors and rewrite order as the package: the
+    mapping rules are the package's own :func:`check_mapping`, run at the
+    same point."""
     from sdfmig.graph import compute_repetition_vector
-    from sdfmig.mpsoc import BindingKind, compute_etam, resolve_latency_bound, tdma_wait
+    from sdfmig.mpsoc import (BindingKind, check_mapping, compute_etam,
+                              resolve_latency_bound, tdma_wait)
     from sdfmig.transforms import (MemoryAwareParams, RemoteBindingParams,
                                    connection_actor_time, prefetch_batch)
 
     repetition = compute_repetition_vector(graph)
+    check_mapping(graph, platform, mapping)
     bound = graph.with_exec_times(compute_etam(graph, platform, mapping))
     waits = {a.id: (tdma_wait(a.id, platform, mapping)
                     if a.kind == ActorKind.SOFTWARE and mapping.tile_of(a.id) else 0)
@@ -661,19 +664,10 @@ def reference_bound_graph(graph: SDFG, platform, mapping,
         binding = mapping.channel_binding.get(channel.id)
         if binding is None or binding.kind == BindingKind.PREFETCH:
             continue
-        src_tile, dst_tile = mapping.tile_of(channel.src), mapping.tile_of(channel.dst)
         if binding.kind == BindingKind.LOCAL:
-            if src_tile != dst_tile:
-                raise SameTileError(
-                    f"channel {channel.id!r} bound locally but endpoints sit on "
-                    f"{src_tile!r} and {dst_tile!r}")
             if binding.buffer_tokens is not None:
                 bound = _reference_local(bound, channel.id, binding.buffer_tokens)
         else:
-            if src_tile is not None and src_tile == dst_tile:
-                raise SameTileError(
-                    f"channel {channel.id!r} bound to connection {binding.connection!r} "
-                    f"but both endpoints sit on {src_tile!r}")
             params = RemoteBindingParams(
                 connection=platform.connection(binding.connection),
                 alpha_src=binding.alpha_src if binding.alpha_src is not None else 1,

@@ -476,7 +476,6 @@ def test_to_frames_per_second():
     assert to_frames_per_second(Fraction(136, 10**9), "100e6") == Decimal("13.60")
     assert to_frames_per_second(0, 10**8) == Decimal("0.00")
     assert to_frames_per_second(Fraction(1, 5), 10) == Decimal("2.00")
-    assert to_frames_per_second(Fraction(1, 3), 100, digits=4) == Decimal("33.3333")
     for clock in (0, "-5"):
         with pytest.raises(InvalidClockError, match="positive"):
             to_frames_per_second(Fraction(1, 5), clock)

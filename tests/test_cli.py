@@ -233,6 +233,38 @@ def test_check_prefetch_bind_connection_not_joining_endpoints(tmp_path, capsys):
     assert "[BindingMismatch] izz_iq" in err
 
 
+HARDWARE_VLD_UNPLACED = [
+    ('<actor id="VLD" exec-time="2082463"/>',
+     '<actor id="VLD" exec-time="2082463" kind="hardware"/>'),
+    ('    <place actor="VLD" tile="T1" tdma-slice="50000"/>\n', ""),
+]
+VLD_IZZ_OVER_LOOP = [
+    ("</platform>",
+     '  <connection id="loop" src-tile="T1" dst-tile="T1" latency="3" '
+     'bandwidth="0.00406278"/>\n  </platform>'),
+    ('<bind channel="vld_izz" buffer-tokens="13"/>',
+     '<bind channel="vld_izz" connection="loop"/>'),
+]
+
+
+@pytest.mark.parametrize("edits", [HARDWARE_VLD_UNPLACED, VLD_IZZ_OVER_LOOP],
+                         ids=["local-unplaced-endpoint", "remote-inside-one-tile"])
+def test_check_binding_against_tiles_is_invalid_scenario(tmp_path, capsys, edits):
+    # Both used to load clean and exit 2 at binding.
+    from sdfmig.scenario import bundled_scenario_path
+
+    text = bundled_scenario_path("mjpeg_base").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    variant = tmp_path / "variant.xml"
+    variant.write_text(text)
+    code, out, err = run_cli(capsys, "check", str(variant))
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid scenario: [BindingMismatch] vld_izz: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["check", "explore"])
 def test_defaults_naming_unknown_connection_is_invalid_scenario(tmp_path, capsys, command):
     variant = mjpeg_variant(tmp_path, "</mapping>",

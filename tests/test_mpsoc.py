@@ -1,22 +1,36 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from helpers import mjpeg_application, mjpeg_mapping, mjpeg_platform, random_scenario
-from sdfmig.errors import SliceOverflowError, UnmappedActorError
+from sdfmig.errors import (
+    InvalidBindingError,
+    SameTileError,
+    SdfmigError,
+    SliceOverflowError,
+    UnknownActorError,
+    UnknownChannelError,
+    UnknownConnectionError,
+    UnmappedActorError,
+)
 from sdfmig.graph import Actor, ActorKind, Channel, SDFG
-from sdfmig.migration import MigrationSpec, migrate_task
+from sdfmig.migration import MigrationSpec, explore_single_migrations, migrate_task
 from sdfmig.mpsoc import (
     BindingKind,
     ChannelBinding,
+    NocConnection,
+    Platform,
     PlatformMapping,
     Tile,
     TileKind,
+    check_mapping,
     compute_etam,
     resolve_latency_bound,
     tdma_wait,
     validate_mapping,
 )
+from sdfmig.transforms import build_bound_graph
 
 CASE_STUDY_ETAM = {"VLD": 2132463, "IZZ": 74791, "IQ": 139582, "IDCT": 109165,
                "CC": 154374, "RE": 912484}
@@ -91,7 +105,7 @@ def test_tdma_wait_hardware_tile_is_zero():
 def brute_force_wait(actor_id, platform, mapping):
     """The sum of the other co-mapped actors' slices, by a scan of every
     placement."""
-    tile = platform.tile(mapping.actor_tile[actor_id])
+    tile = platform.tile_map[mapping.actor_tile[actor_id]]
     if tile.kind != TileKind.PROCESSOR:
         return 0
     return sum(mapping.tdma_slice.get(other, 0)
@@ -184,3 +198,123 @@ def test_resolve_latency_bound_defaults_to_consumer_wheel():
                            tdma_slice=mapping.tdma_slice, channel_binding={})
     assert resolve_latency_bound("izz_iq", graph, platform, bare) == 100000
     assert resolve_latency_bound("izz_iq", graph, platform, mapping) == 100000
+
+
+def _rebind(mapping, channel_id, binding):
+    return replace(mapping, channel_binding={**mapping.channel_binding,
+                                             channel_id: binding})
+
+
+def connection_joining_wrong_tiles():
+    # n2 joins T2->T3; izz_iq runs T1->T2. This used to analyse at 10.00 f/s.
+    binding = ChannelBinding(BindingKind.REMOTE, "n2", alpha_src=2, alpha_dst=1,
+                             latency_bound=100000)
+    return (mjpeg_application(), mjpeg_platform(),
+            _rebind(mjpeg_mapping(), "izz_iq", binding), InvalidBindingError, "izz_iq")
+
+
+def binding_on_unknown_channel():
+    # Binding used to ignore it without a word.
+    return (mjpeg_application(), mjpeg_platform(),
+            _rebind(mjpeg_mapping(), "nope", ChannelBinding(buffer_tokens=3)),
+            UnknownChannelError, "nope")
+
+
+def local_binding_with_unplaced_endpoint():
+    # VLD made hardware and left unplaced, with vld_izz still local: this used
+    # to load clean and fail only at binding.
+    graph = mjpeg_application()
+    graph = graph.with_actors([replace(a, kind=ActorKind.HARDWARE) if a.id == "VLD" else a
+                               for a in graph.actors])
+    mapping = mjpeg_mapping()
+    mapping = replace(mapping,
+                      actor_tile={a: t for a, t in mapping.actor_tile.items() if a != "VLD"},
+                      tdma_slice={a: s for a, s in mapping.tdma_slice.items() if a != "VLD"})
+    return graph, mjpeg_platform(), mapping, SameTileError, "vld_izz"
+
+
+def remote_binding_inside_one_tile():
+    platform = mjpeg_platform()
+    loop = NocConnection("loop", "T1", "T1", latency=3)
+    platform = Platform(platform.tiles, [*platform.connections, loop])
+    return (mjpeg_application(), platform,
+            _rebind(mjpeg_mapping(), "vld_izz", ChannelBinding(BindingKind.REMOTE, "loop")),
+            SameTileError, "vld_izz")
+
+
+FAULTY_MAPPINGS = [connection_joining_wrong_tiles, binding_on_unknown_channel,
+                   local_binding_with_unplaced_endpoint, remote_binding_inside_one_tile]
+
+
+@pytest.mark.parametrize("case", FAULTY_MAPPINGS, ids=lambda case: case.__name__)
+def test_faulty_mapping_fails_on_every_route(case):
+    graph, platform, mapping, error, subject = case()
+    diagnostics = validate_mapping(graph, platform, mapping)
+    assert [(d.code, d.subject) for d in diagnostics] == [
+        ("UnknownChannel" if error is UnknownChannelError else "BindingMismatch", subject)]
+    routes = [
+        lambda: check_mapping(graph, platform, mapping),
+        lambda: build_bound_graph(graph, platform, mapping),
+        lambda: migrate_task(graph, platform, mapping, MigrationSpec(actor="IDCT")),
+        lambda: explore_single_migrations(graph, platform, mapping),
+    ]
+    for route in routes:
+        with pytest.raises(error) as raised:
+            route()
+        assert str(raised.value).endswith(diagnostics[0].message)
+
+
+# The error each diagnostic code stands for; BindingMismatch is a tile rule
+# (SameTileError) or a connection joining other tiles (InvalidBindingError).
+ERROR_OF_CODE = {
+    "UnknownActor": UnknownActorError,
+    "UnknownTile": UnmappedActorError,
+    "UnmappedActor": UnmappedActorError,
+    "SliceOverflow": SliceOverflowError,
+    "UnknownChannel": UnknownChannelError,
+    "BindingMismatch": (SameTileError, InvalidBindingError),
+    "UnknownConnection": UnknownConnectionError,
+}
+
+
+def mutate_mapping(rng, graph, platform, mapping):
+    """One random edit of a mapping: swap a connection, drop a placement,
+    bind an unknown channel, or move an actor to another (or an unknown)
+    tile."""
+    edit = rng.choice(["swap", "drop", "unknown channel", "move"])
+    if edit == "swap" and mapping.channel_binding:
+        channel_id = rng.choice(sorted(mapping.channel_binding))
+        connection = rng.choice([c.id for c in platform.connections] + ["nope"])
+        return _rebind(mapping, channel_id, ChannelBinding(BindingKind.REMOTE, connection))
+    if edit == "unknown channel":
+        return _rebind(mapping, "nope", ChannelBinding())
+    actor_id = rng.choice(sorted(mapping.actor_tile))
+    actor_tile = dict(mapping.actor_tile)
+    if edit == "move":
+        actor_tile[actor_id] = rng.choice([t.id for t in platform.tiles] + ["T9"])
+    else:
+        del actor_tile[actor_id]
+    return replace(mapping, actor_tile=actor_tile)
+
+
+def test_validate_and_check_mapping_agree_on_mutated_mappings():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(300):
+        graph, platform, mapping = random_scenario(rng)
+        mapping = mutate_mapping(rng, graph, platform, mapping)
+        diagnostics = validate_mapping(graph, platform, mapping)
+        if not diagnostics:
+            check_mapping(graph, platform, mapping)
+            seen.add(None)
+            continue
+        first = diagnostics[0]
+        for route in (check_mapping, build_bound_graph):
+            with pytest.raises(SdfmigError) as raised:
+                route(graph, platform, mapping)
+            assert isinstance(raised.value, ERROR_OF_CODE[first.code])
+            assert str(raised.value).endswith(first.message)
+        seen.add(first.code)
+    # Every edit kind shows, valid results included.
+    assert {None, "UnknownTile", "UnmappedActor", "UnknownChannel", "BindingMismatch",
+            "UnknownConnection"} <= seen

@@ -7,6 +7,7 @@ missing install fails collection instead of skipping.
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     build_graph,
+    enumerate_cycle_ratios,
     fraction_max_cycle_ratio,
     oracle_throughput,
     random_consistent_graph,
@@ -27,7 +29,7 @@ from sdfmig.analysis import (
     mcm_throughput,
     self_timed_throughput,
 )
-from sdfmig.errors import SdfmigError
+from sdfmig.errors import DeadlockError, NotStronglyConnectedError, SdfmigError
 from sdfmig.graph import (
     Actor,
     Channel,
@@ -76,6 +78,51 @@ def test_cycle_ratio_routes_agree(graph):
     analytical = mcm_throughput(graph)
     assert analytical == oracle_throughput(graph)
     assert analytical == self_timed_throughput(graph).iterations_per_cycle
+
+
+@st.composite
+def homogeneous_graphs(draw) -> SDFG:
+    """Any homogeneous graph of 1 to 6 actors: edges, tokens and times are
+    drawn freely, so some graphs are not strongly connected and some have a
+    cycle without tokens. Half of them get a ring over every actor, so many
+    are strongly connected."""
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    tokens = st.integers(0, 2)
+    edges = draw(st.lists(st.tuples(node, node, tokens), max_size=2 * n))
+    if draw(st.booleans()):
+        edges += [(u, (u + 1) % n, draw(tokens)) for u in range(n)]
+    times = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    return SDFG(actors=[Actor(f"a{i}", t) for i, t in enumerate(times)],
+                channels=[Channel(f"c{i}", f"a{u}", f"a{v}", 1, 1, tokens)
+                          for i, (u, v, tokens) in enumerate(edges)])
+
+
+def strongly_connected_by_brute_force(graph: SDFG) -> bool:
+    """Every actor reaches every other, by a transitive closure."""
+    ids = [a.id for a in graph.actors]
+    reach = {(c.src, c.dst) for c in graph.channels} | {(a, a) for a in ids}
+    for k in ids:
+        reach |= {(i, j) for i in ids for j in ids if (i, k) in reach and (k, j) in reach}
+    return all((i, j) in reach for i in ids for j in ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(homogeneous_graphs())
+def test_mcm_pre_checks_match_brute_force(graph):
+    if not strongly_connected_by_brute_force(graph):
+        with pytest.raises(NotStronglyConnectedError):
+            mcm_throughput(graph)
+        return
+    ratios = enumerate_cycle_ratios(graph)
+    if Fraction(-1) in ratios:  # the oracle's token-free-cycle sentinel
+        with pytest.raises(DeadlockError):
+            mcm_throughput(graph)
+    elif not ratios or max(ratios) == 0:
+        with pytest.raises(SdfmigError, match="unbounded"):
+            mcm_throughput(graph)
+    else:
+        assert mcm_throughput(graph) == oracle_throughput(graph)
 
 
 @st.composite

@@ -352,6 +352,17 @@ def test_sdf3_rejects_non_integer_token_size(tmp_path):
     assert (err.value.line, err.value.column) == (27, 9)
 
 
+def test_sdf3_graph_faults_are_validation_errors(tmp_path):
+    # ch2 consumes 3 tokens per firing of A, so the balance equations fail.
+    sdf3 = tmp_path / "app.xml"
+    sdf3.write_text(SDF3_APP.replace('<port name="in0" type="in" rate="2"/>',
+                                     '<port name="in0" type="in" rate="3"/>'))
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(sdf3)
+    assert [(d.code, d.subject) for d in err.value.diagnostics] == [("Inconsistent", "ch2")]
+    assert str(err.value) == "; ".join(str(d) for d in err.value.diagnostics)
+
+
 QUOTING_SAMPLES = ["", "plain", "a b", 'say "hi"', "it's", """both ' and \"""",
                    "&", "a&b;", "<tag>", "x > y", "line\nbreak", "cr\rlf", "tab\tstop",
                    "&\"'<>\n\r\t", "\"'", "'\"", "naïve Ünïcödé", "漢字 \"引用\"",
