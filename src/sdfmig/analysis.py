@@ -8,8 +8,9 @@ Two independent routes:
   any consistent, bounded SDF graph. The simulator is one event-driven
   loop, a generator that settles an instant, yields that stable state's
   recurrence key, and advances to the next completion time;
-  :func:`iterate_states` drives the same loop. A worklist holds the actors
-  whose inputs gained tokens, so settling an instant checks only those.
+  :func:`iterate_states` drives the same loop. Each actor counts its inputs
+  below their rate, and a production wakes an actor only when its count
+  reaches 0, so settling an instant visits only enabled actors.
   Each firing in flight is one integer code, ``finish * n_actors + actor``,
   kept in an ascending list; the completion time is
   ``codes[0] // n_actors`` and every code below the next multiple of
@@ -120,14 +121,25 @@ class _Simulator:
 
     Each pass of the loop settles the current instant, yields, and advances
     to the next completion time. Settling starts every enabled firing and
-    runs zero-time completions to a fixpoint, checking only the actors on a
-    worklist of those whose inputs gained tokens. Each channel has one
-    consumer and enabling is monotone in tokens, so the firings started in
-    one instant, and the stable state they leave, do not depend on the
-    order the worklist is drained in. Each firing in flight is one integer
-    code, ``finish * n_actors + actor``, in an ascending list; advancing
-    jumps to the first code's finish time and completes every code below
-    the next multiple of ``n_actors``.
+    runs zero-time completions to a fixpoint. Each actor keeps an enabling
+    counter, ``short[ai]``, the number of its inputs holding fewer tokens
+    than their rate; :meth:`run` rebuilds the counts from the tokens when
+    it starts. A production that lifts a channel from below its consumption
+    rate to at least that rate decrements the consumer's count, and the
+    consumer joins the worklist when its count reaches 0. A start that
+    leaves an input below its rate increments the actor's own count. Only
+    an actor's own starts raise its count, so it joins the worklist at most
+    once between two pops. Invariant: at every pop, the count equals the
+    number of inputs below their rate, and a queued actor has a count of 0,
+    so a popped actor is enabled and needs no scan of its inputs. A
+    zero-time firing decides whether to start again before it produces, so
+    tokens it puts back on a self-loop wake it through its count instead.
+    Each channel has one consumer and enabling is monotone in tokens, so
+    the firings started in one instant, and the stable state they leave,
+    do not depend on the order the worklist is drained in. Each firing in
+    flight is one integer code, ``finish * n_actors + actor``, in an
+    ascending list; advancing jumps to the first code's finish time and
+    completes every code below the next multiple of ``n_actors``.
 
     The recurrence key is one flat tuple: the tokens of the spanning forest
     chosen by :func:`_key_channels`, then the codes in flight relative to
@@ -137,7 +149,12 @@ class _Simulator:
     tokens still decide enabling.
 
     ``marker`` is -1 to key every state, or an actor whose firing starts
-    select the states to key; it may change between two states.
+    select the states to key; it may change between two states, and
+    :meth:`run` reads it once at the top of each instant. A timed start of
+    the marker sets the flag ``keyed``, and only a keyed state yields its
+    key. The flag is a property of the state, a code in flight with all of
+    the marker's time left, because only a firing started in the current
+    instant has all of its time left.
     """
 
     def __init__(self, graph: SDFG):
@@ -157,12 +174,14 @@ class _Simulator:
         self.channel_ids = [c.id for c in graph.channels]
         self.tokens = [graph.channels[p].initial_tokens for p in order]
         self.consume: list[list[tuple[int, int]]] = [[] for _ in self.actor_ids]
-        # (channel, rate, consumer of the channel) per output channel.
-        self.produce: list[list[tuple[int, int, int]]] = [[] for _ in self.actor_ids]
+        # (channel, rate, consumer, consumption rate) per output channel.
+        self.produce: list[list[tuple[int, int, int, int]]] = [
+            [] for _ in self.actor_ids]
         for ci, position in enumerate(order):
             c = graph.channels[position]
             self.consume[index[c.dst]].append((ci, c.cons_rate))
-            self.produce[index[c.src]].append((ci, c.prod_rate, index[c.dst]))
+            self.produce[index[c.src]].append(
+                (ci, c.prod_rate, index[c.dst], c.cons_rate))
         self.codes: list[int] = []  # finish * n_actors + actor, ascending
         self.time = 0
         self.completions = [0] * n_actors
@@ -193,47 +212,44 @@ class _Simulator:
         n_actors, n_key = self.n_actors, self.n_key
         tokens, codes, completions = self.tokens, self.codes, self.completions
         consume, produce, step = self.consume, self.produce, self.step
-        pending = list(range(n_actors))  # worklist: actors to check
-        queued = [True] * n_actors
+        short = [sum(tokens[ci] < rate for ci, rate in inputs) for inputs in consume]
+        pending = [ai for ai in range(n_actors) if not short[ai]]  # enabled actors
         now_code = self.time * n_actors
         while True:
+            marker = self.marker
+            keyed = marker < 0
             instant = 0
             while pending:
                 ai = pending.pop()
-                queued[ai] = False
-                inputs = consume[ai]
-                while True:
+                inputs, stepped = consume[ai], step[ai]
+                enabled = True
+                while enabled:  # start one firing, then again while enabled
                     for ci, rate in inputs:
-                        if tokens[ci] < rate:
-                            break
-                    else:  # enabled: start one firing, then check again
-                        for ci, rate in inputs:
-                            tokens[ci] -= rate
-                        instant += 1
-                        if instant > _INSTANT_CAP:
-                            raise StateSpaceBudgetExceededError(
-                                "unbounded zero-time firing sequence at "
-                                f"t={self.time} (livelock)")
-                        if step[ai]:
-                            insort(codes, now_code + step[ai])
-                        else:
-                            for ci, rate, consumer in produce[ai]:
-                                tokens[ci] += rate
-                                if not queued[consumer]:
-                                    queued[consumer] = True
+                        left = tokens[ci] - rate
+                        tokens[ci] = left
+                        if left < rate:
+                            short[ai] += 1
+                            enabled = False
+                    instant += 1
+                    if instant > _INSTANT_CAP:
+                        raise StateSpaceBudgetExceededError(
+                            "unbounded zero-time firing sequence at "
+                            f"t={self.time} (livelock)")
+                    if stepped:
+                        insort(codes, now_code + stepped)
+                        if ai == marker:
+                            keyed = True
+                    else:
+                        for ci, rate, consumer, need in produce[ai]:
+                            held = tokens[ci]
+                            tokens[ci] = held + rate
+                            if held < need <= held + rate:
+                                short[consumer] -= 1
+                                if not short[consumer]:
                                     pending.append(consumer)
-                            completions[ai] += 1
-                        continue
-                    break
-            marker = self.marker
-            if marker < 0:
-                yield tuple(tokens[:n_key] + [code - now_code for code in codes])
-            else:
-                # Only a firing started now has all of its time left.
-                started = now_code + step[marker]
-                at = bisect_left(codes, started)
-                yield (tuple(tokens[:n_key] + [code - now_code for code in codes])
-                       if at < len(codes) and codes[at] == started else None)
+                        completions[ai] += 1
+            yield (tuple(tokens[:n_key] + [code - now_code for code in codes])
+                   if keyed else None)
             if not codes:
                 return
             first = codes[0]
@@ -242,11 +258,13 @@ class _Simulator:
             done = bisect_left(codes, now_code + n_actors)
             for code in codes[:done]:
                 ai = code - now_code
-                for ci, rate, consumer in produce[ai]:
-                    tokens[ci] += rate
-                    if not queued[consumer]:
-                        queued[consumer] = True
-                        pending.append(consumer)
+                for ci, rate, consumer, need in produce[ai]:
+                    held = tokens[ci]
+                    tokens[ci] = held + rate
+                    if held < need <= held + rate:
+                        short[consumer] -= 1
+                        if not short[consumer]:
+                            pending.append(consumer)
                 completions[ai] += 1
             del codes[:done]
 

@@ -16,6 +16,7 @@ import argparse
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .analysis import DEFAULT_STATE_BUDGET, self_timed_throughput, to_frames_per_second
@@ -93,7 +94,10 @@ def _positive_int_arg(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and the bundled scenarios it lists are package data."""
     parser = _Parser(prog="sdfmig",
                      description="Dataflow throughput analysis and "
                                  "software-to-hardware migration what-ifs.")

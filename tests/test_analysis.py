@@ -242,6 +242,56 @@ def test_engine_matches_reference_with_only_a_self_loop_cycle():
     assert_matches_reference(g)
 
 
+# Enabling counters: each actor counts its inputs below their rate, and only
+# a count reaching 0 wakes it. These graphs reach each edge of that rule;
+# parallel channels of different rates into one actor are
+# test_engine_matches_reference_on_multirate_parallel_edges.
+
+def test_counters_production_jumping_past_the_consumption_rate():
+    # A puts 5 tokens on a channel B takes 2 at a time: B starts twice, the
+    # channel is left at 1, and the next production lifts it from 1 to 6.
+    g = build_graph({"A": 3, "B": 2}, [("A", "B", 5, 2), ("B", "A", 2, 5, 10)])
+    assert_matches_reference(g)
+    assert_matches_reference(disable_auto_concurrency(g))
+
+
+def test_counters_start_leaving_inputs_at_or_above_the_rate():
+    # Four tokens on B -> A: A starts four firings at t=0, each start but the
+    # last leaving its input at or above the rate.
+    g = build_graph({"A": 5, "B": 2}, [("A", "B"), ("B", "A", 1, 1, 4)])
+    assert next(iterate_states(g)).active_firings == (("A", 5),) * 4
+    assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("loop_tokens", [1, 2])
+def test_counters_zero_time_actor_on_a_self_loop(loop_tokens):
+    # Z takes no time: with one token on its self-loop, each firing leaves
+    # the loop empty and the token it puts back wakes Z again in the same
+    # instant; with two, Z stays enabled through the firing.
+    g = build_graph({"A": 3, "Z": 0},
+                    [("A", "Z", 2, 1), ("Z", "A", 1, 2, 2), ("Z", "Z", 1, 1, loop_tokens)])
+    assert_matches_reference(g)
+
+
+def test_counters_rebuilt_for_the_replay_past_the_prefix(monkeypatch):
+    # The near-tie pair first repeats at state 2000, past the prefix, and the
+    # exact transient needs a replay from a stored checkpoint, with counts
+    # rebuilt from its tokens.
+    replays = []
+    restored = analysis._Simulator.restored
+
+    def spy(self, checkpoint):
+        replays.append(checkpoint[0])
+        return restored(self, checkpoint)
+
+    monkeypatch.setattr(analysis._Simulator, "restored", spy)
+    g = build_graph({"A": 1000, "C": 999},
+                    [("A", "A", 1, 1, 1), ("C", "C", 1, 1, 1), ("A", "C", 1, 1, 2),
+                     ("C", "A", 1, 1, 2)])
+    assert_matches_reference(g, max_states=2100)
+    assert replays == [998000]
+
+
 # Sparse recurrence keys: past the first analysis._KEY_PREFIX states, a state
 # is stored only when the reference actor has just started a firing.
 

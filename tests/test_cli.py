@@ -298,3 +298,44 @@ def test_non_positive_clock_is_invalid_scenario(tmp_path, capsys, command, clock
     code, out, err = run_cli(capsys, command, str(variant))
     assert (code, out) == (1, "")
     assert err.startswith("invalid scenario: <scenario>: attribute 'clock-hz' must be positive")
+
+
+ACCEPTANCE_TEXT = """\
+scenario: mjpeg_base
+throughput without migration (f/s): 13.91
+
+actor  with migration (f/s)  gain (f/s)
+IZZ                   28.42       14.51
+IQ                    18.02        4.11
+IDCT                  17.40        3.49
+VLD                   14.33        0.42
+CC                    13.91        0.00
+RE                    13.91        0.00
+"""
+
+PREFETCH_20000_CSV = """\
+actor,fps_before,fps_after,gain_fps
+IZZ,13.91,28.42,14.51
+IQ,13.91,18.02,4.11
+IDCT,13.91,17.40,3.49
+VLD,13.91,14.33,0.42
+CC,13.91,13.91,0.00
+RE,13.91,13.91,0.00
+"""
+
+
+def test_parser_built_once_carries_no_state_between_calls(tmp_path, capsys):
+    # main builds its parser once per process; a report, a usage error and
+    # a bad scenario in between must not change what the next call parses.
+    assert sdfmig.cli.build_parser() is sdfmig.cli.build_parser()
+    bad = tmp_path / "bad.xml"
+    bad.write_text('<scenario name="bad"><application><actor id="A" exec-time="1"/>'
+                   '<channel id="c" src="A" dst="ghost"/></application></scenario>')
+    assert run_cli(capsys, "explore", "mjpeg_base", "--format", "csv",
+                   "--prefetch", "20000") == (0, PREFETCH_20000_CSV, "")
+    assert run_cli(capsys, "explore", "mjpeg_base", "--speedup", "0") == (
+        3, "", "error: argument --speedup: must be positive, got '0'\n")
+    assert run_cli(capsys, "explore", str(bad)) == (
+        1, "", "invalid scenario: [DanglingEndpoint] c: channel 'c' names actor "
+               "'ghost', which is not in the graph\n")
+    assert run_cli(capsys, "explore", "mjpeg_base") == (0, ACCEPTANCE_TEXT, "")

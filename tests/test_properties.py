@@ -20,6 +20,7 @@ from helpers import (
     fraction_max_cycle_ratio,
     oracle_throughput,
     random_consistent_graph,
+    reference_states,
     reference_throughput,
 )
 from sdfmig import analysis
@@ -214,6 +215,18 @@ def test_sparse_keys_match_reference_simulator(seed, self_loops, zero_time, pref
         graph = graph.with_exec_times({rng.choice(graph.actors).id: 0})
     with patch.object(analysis, "_KEY_PREFIX", prefix):
         assert self_timed_throughput(graph) == reference_throughput(graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.booleans())
+def test_states_match_reference_simulator(seed, self_loops, zero_time):
+    # State by state, not only the throughput: the enabling counters must
+    # start exactly the firings a scan of every actor would.
+    rng = random.Random(seed)
+    graph = random_consistent_graph(rng, self_loops=self_loops)
+    if zero_time:
+        graph = graph.with_exec_times({rng.choice(graph.actors).id: 0})
+    assert list(iterate_states(graph, max_states=300)) == reference_states(graph, 300)
 
 
 @st.composite
