@@ -21,12 +21,13 @@ Two independent routes:
   flight and the same forest tokens differ in completions by a multiple of
   the repetition vector on each component, so by the balance equations
   they hold the same tokens on every channel: equal keys mean equal states.
-  The first ``_KEY_PREFIX`` states are stored; after them only the states
-  in which the reference actor has just started a firing, a property of
-  the state itself. The first stored repeat is then exactly one period
-  past the state it repeats, and the cycle's keys, with at most one replay
-  of the same loop from a stored state, give the exact transient; the
-  proof is in :func:`self_timed_throughput`.
+  States are stored until the marker, the timed actor that fires most per
+  iteration, has completed ``_PREFIX_FIRINGS`` firings; after that only
+  the states in which it has just started a firing, a property of the
+  state itself. The first stored repeat is then exactly one period past
+  the state it repeats, and the stored keys, with at most one lockstep
+  replay of the same loop from stored states, give the exact transient;
+  the proof is in :func:`self_timed_throughput`.
 * :func:`mcm_throughput` computes the maximum cycle ratio analytically with
   Howard's policy iteration in integers: each ratio is a reduced pair
   ``(W, T)`` with ``T > 0``, each potential is scaled by its cycle's ``T``,
@@ -39,13 +40,14 @@ All results are exact rationals.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from copy import copy
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 from math import gcd, inf
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -63,12 +65,11 @@ from .rational import to_decimal, to_fraction
 DEFAULT_STATE_BUDGET = 1_000_000
 # Firings started in one instant before the simulator reports a livelock.
 _INSTANT_CAP = 1_000_000
-# States self_timed_throughput stores before it stores only the reference
-# actor's firing starts. Every explore_mjpeg graph but IZZ at prefetch 20000
-# (14,908 states) repeats within 984 states, and pays nothing for sparse
-# keys below this; at 0 an explore_mjpeg round took 10% longer
-# (BENCH_15.json).
-_KEY_PREFIX = 1024
+# Firings the marker completes before self_timed_throughput stores only the
+# states in which it has just started a firing. At 1 a graph whose actors
+# all fire once per iteration replays a whole period; at 4 the median
+# explore_mjpeg job keys twice the states.
+_PREFIX_FIRINGS = 2
 
 
 @dataclass(frozen=True)
@@ -148,13 +149,15 @@ class _Simulator:
     :meth:`snapshot` reports them in the graph's order. Every channel's
     tokens still decide enabling.
 
-    ``marker`` is -1 to key every state, or an actor whose firing starts
-    select the states to key; it may change between two states, and
-    :meth:`run` reads it once at the top of each instant. A timed start of
-    the marker sets the flag ``keyed``, and only a keyed state yields its
-    key. The flag is a property of the state, a code in flight with all of
-    the marker's time left, because only a firing started in the current
-    instant has all of its time left.
+    ``marker`` is -1 to key every state, or a timed actor whose firing
+    starts select the states to key; it may change between two states, and
+    :meth:`run` reads it once at the top of each instant. A start of the
+    marker sets the flag ``keyed``, and :meth:`run` yields only the keys of
+    keyed states; the others it only simulates, counting ``index`` and
+    writing ``time`` and ``index`` only when it yields or returns. The flag
+    is a property of the state, a code in flight with all of the marker's
+    time left, because only a firing started in the current instant has all
+    of its time left.
     """
 
     def __init__(self, graph: SDFG):
@@ -184,36 +187,38 @@ class _Simulator:
                 (ci, c.prod_rate, index[c.dst], c.cons_rate))
         self.codes: list[int] = []  # finish * n_actors + actor, ascending
         self.time = 0
+        self.index = 0  # of the state held, s[0] being the first stable state
         self.completions = [0] * n_actors
         self.marker = -1
 
-    def checkpoint(self) -> tuple[int, ...]:
-        """The time, the tokens and the codes in flight as one flat tuple of
-        ints, which the cyclic garbage collector stops tracking at its first
-        pass."""
-        return (self.time, *self.tokens, *self.codes)
-
-    def restored(self, checkpoint: Sequence[int]) -> _Simulator:
-        """A copy of this simulator put back at a :meth:`checkpoint` of it,
-        keying every state and with no completion counted."""
+    def restored(self, index: int, time: int, key: tuple,
+                 rest: Sequence[int]) -> _Simulator:
+        """A copy of this simulator put back at the state ``s[index]`` of
+        its run, from that state's time, recurrence key and tokens outside
+        the key's forest; it keys every state and counts no completion."""
         clone = copy(self)
-        n = len(self.tokens)
-        clone.time = checkpoint[0]
-        clone.tokens, clone.codes = list(checkpoint[1:n + 1]), list(checkpoint[n + 1:])
+        n_key = self.n_key
+        now_code = time * self.n_actors
+        clone.index, clone.time = index, time
+        clone.tokens = [*key[:n_key], *rest]
+        clone.codes = [now_code + code for code in key[n_key:]]
         clone.completions = [0] * self.n_actors
         clone.marker = -1
         return clone
 
-    def run(self) -> Iterator[tuple | None]:
-        """Simulate from the current time, tokens and codes, yielding for
-        each stable state its recurrence key, or None when ``marker`` is an
-        actor that has not just started a firing in it; return once no
-        firing is in flight. Call once per simulator."""
+    def run(self, limit: int) -> Iterator[tuple]:
+        """Simulate on from the state ``s[index]`` held, yielding the
+        recurrence key of each state that is keyed: every state while
+        ``marker`` is -1, else those in which the marker has just started a
+        firing. Return after ``s[limit]``, or once no firing is in flight.
+        ``time`` and ``index`` are written at each yield and at the return.
+        Call once per simulator."""
         n_actors, n_key = self.n_actors, self.n_key
         tokens, codes, completions = self.tokens, self.codes, self.completions
         consume, produce, step = self.consume, self.produce, self.step
         short = [sum(tokens[ci] < rate for ci, rate in inputs) for inputs in consume]
         pending = [ai for ai in range(n_actors) if not short[ai]]  # enabled actors
+        index = self.index
         now_code = self.time * n_actors
         while True:
             marker = self.marker
@@ -234,7 +239,7 @@ class _Simulator:
                     if instant > _INSTANT_CAP:
                         raise StateSpaceBudgetExceededError(
                             "unbounded zero-time firing sequence at "
-                            f"t={self.time} (livelock)")
+                            f"t={now_code // n_actors} (livelock)")
                     if stepped:
                         insort(codes, now_code + stepped)
                         if ai == marker:
@@ -248,13 +253,14 @@ class _Simulator:
                                 if not short[consumer]:
                                     pending.append(consumer)
                         completions[ai] += 1
-            yield (tuple(tokens[:n_key] + [code - now_code for code in codes])
-                   if keyed else None)
-            if not codes:
+            if keyed:
+                self.time, self.index = now_code // n_actors, index
+                yield tuple(tokens[:n_key] + [code - now_code for code in codes])
+            if index >= limit or not codes:
+                self.time, self.index = now_code // n_actors, index
                 return
             first = codes[0]
             now_code = first - first % n_actors
-            self.time = first // n_actors
             done = bisect_left(codes, now_code + n_actors)
             for code in codes[:done]:
                 ai = code - now_code
@@ -267,6 +273,7 @@ class _Simulator:
                             pending.append(consumer)
                 completions[ai] += 1
             del codes[:done]
+            index += 1
 
     def snapshot(self) -> ExecutionState:
         n_actors, now, tokens = self.n_actors, self.time, self.tokens
@@ -325,7 +332,7 @@ def iterate_states(graph: SDFG, max_states: int = 10_000) -> Iterator[ExecutionS
     _check_budget("max_states", max_states)
     check_graph(graph)
     sim = _Simulator(graph)
-    return (sim.snapshot() for _ in islice(sim.run(), max_states))
+    return (sim.snapshot() for _ in sim.run(max_states - 1))
 
 
 def _budget_exceeded(state_budget: int) -> StateSpaceBudgetExceededError:
@@ -350,47 +357,60 @@ def self_timed_throughput(graph: SDFG,
     Which states are stored. Execution is deterministic and equal keys mean
     equal states, so the stable states ``s[0], s[1], ...`` are distinct up
     to the transient ``mu`` plus the period ``lam``, and from then on
-    ``s[i] == s[i + lam]`` exactly for ``i >= mu``; no state before
-    ``s[mu]`` equals one from ``s[mu]`` on. The first ``_KEY_PREFIX``
-    states are stored. After them a state is stored only when the reference
-    actor has just started a firing. With a timed reference that is a
-    property of the state, a code in flight with all of the reference's
-    time left, so two equal states past the prefix are both stored or
-    neither. A zero-time reference, or a graph that is not weakly
-    connected, stores every state.
+    ``s[i] == s[i + lam]`` exactly for ``i >= mu``; a state before
+    ``s[mu]`` equals no other state. The marker is the timed actor with the
+    largest repetition count, the smallest id on ties. Every state is stored
+    up to the first in which the marker has completed ``_PREFIX_FIRINGS``
+    firings: the prefix. After it a state is stored only when the marker
+    has just started a firing. That is a property of the state, a code in
+    flight with all of the marker's time left, so of two equal states past
+    the prefix both are stored or neither. With no timed actor, or on a
+    graph that is not weakly connected, every state is stored.
 
     Why the search stays exact:
 
-    * A stored repeat comes. On a weakly connected graph the completions of
+    * A stored repeat comes, and the first, ``s[b]``, has
+      ``b < mu + 2*lam``. On a weakly connected graph the completions of
       one period are a multiple of the repetition vector (the argument of
       :func:`_key_channels`), and not zero, since every state after the
-      first completes a firing. So the reference starts a firing at some
-      ``s[m]`` with ``mu <= m < mu + lam``, and ``s[m + lam]`` is a stored
-      repeat of the stored ``s[m]``: the first stored repeat ``s[b]`` has
-      ``b < mu + 2*lam``.
+      first completes a firing; so the marker starts a firing in every
+      period. If the prefix holds ``s[mu + lam]``, that is a stored repeat
+      of the stored ``s[mu]``. Otherwise the marker starts a firing at some
+      ``s[m]`` past the prefix with ``mu + lam <= m < mu + 2*lam``, and
+      ``s[m]`` repeats ``s[m - lam]``, which is stored: in the prefix, or
+      past it and equal to ``s[m]``.
     * ``b - j == lam`` for the stored ``s[j]`` that ``s[b]`` repeats, so
       the time and the reference's completions between them are one
       period's. ``b - j`` is a multiple of ``lam``; were it larger,
       ``s[b - lam]``, equal to ``s[b]``, would be stored too (in the prefix,
       or past it like ``s[b]``) and would have repeated ``s[j]`` first.
-    * ``mu`` comes from the cycle. The ``lam - 1`` states after ``s[b]``,
-      keyed, complete the cycle's keys. The first stored state in the cycle,
-      ``s[f]``, has ``mu <= f``. When ``f == 0``, ``mu == 0``. Otherwise the
-      stored state before it, ``s[e]``, is not in the cycle, so ``e < mu``:
-      when ``e == f - 1``, ``mu == f``, and else a replay of the same loop
-      from ``s[e]`` meets the cycle at ``s[mu]``. Inside the prefix every
-      state is stored, so a replay needs ``e`` at least the prefix's last
-      index, and from there on every stored state carries a checkpoint.
+    * ``mu`` comes from the stored states, ``mu <= j``. The walk goes back
+      over the stored ``s[x]`` before ``s[j]``; each ``s[x + lam]`` comes
+      before ``s[b]``, so it has been simulated. If ``s[x + lam]`` is
+      stored, equal keys put ``s[x]`` in the cycle, ``x >= mu``, and
+      different keys before it. If it is not and ``s[x]`` is past the
+      prefix, ``x < mu``: had ``s[x]`` been in the cycle, the equal
+      ``s[x + lam]``, past the prefix too, would be stored. If it is not
+      and ``s[x]`` is in the prefix, nothing is decided. The walk stops at
+      the first ``x < mu`` it finds, so ``low <= mu <= f``, where ``low``
+      is one past that ``x`` (0 if there is none) and ``s[f]`` the earliest
+      stored state found in the cycle (``s[j]`` at least). When
+      ``low == f``, ``mu == f``. Otherwise two replays of the same loop
+      step ``s[low]`` and ``s[low + lam]`` in lockstep; their keys differ
+      before ``s[mu]`` and agree there, so neither passes ``s[f + lam]``,
+      which is at most ``s[b]``. Each starts from the latest stored state
+      at or before its start, whose key and tokens outside the key's forest
+      make a checkpoint, or from ``s[0]`` when that state is in the prefix.
     * The budget error comes exactly when ``mu + lam > state_budget``, as
       when every state is stored. The stored states before the first repeat
       are distinct, so more than ``state_budget`` of them exceed it. As
       ``b <= 2*(mu + lam) - 1``, so does reaching ``s[2*state_budget - 1]``
-      without a stored repeat. Once ``mu`` and ``lam`` are known they are
-      compared directly, and an execution that stops at or past
-      ``s[state_budget]`` exceeds it too. So up to ``2*state_budget`` states
-      may be simulated, but no more than ``state_budget`` are stored and,
-      past the prefix, only the reference's firing starts: memory stays
-      sparse while it runs.
+      without a stored repeat, where :meth:`_Simulator.run` stops. Once
+      ``mu`` and ``lam`` are known they are compared directly, and an
+      execution that stops at or past ``s[state_budget]`` exceeds it too.
+      So up to ``2*state_budget`` states may be simulated, but no more than
+      ``state_budget`` are stored and, past the prefix, only the marker's
+      firing starts: memory stays sparse while it runs.
     """
     _check_budget("state budget", state_budget)
     repetition = compute_repetition_vector(graph)
@@ -398,59 +418,87 @@ def self_timed_throughput(graph: SDFG,
 
     sim = _Simulator(graph)
     ref_index = sim.actor_ids.index(reference)
-    completions = sim.completions
-    # Index of the prefix's last state. Sparse keys cannot find the period
-    # with a zero-time reference or on a graph that is not weakly connected;
-    # there every state is stored.
-    dense = (_KEY_PREFIX - 1 if sim.step[ref_index] and sim.n_key == sim.n_actors - 1
-             else inf)
-    # State key -> position in stored.
+    completions, tokens, n_key = sim.completions, sim.tokens, sim.n_key
+    # The marker, -1 where sparse keys cannot find the period: on a graph
+    # that is not weakly connected, or with no timed actor.
+    marker = -1
+    if n_key == sim.n_actors - 1:
+        timed_counts = [q if stepped else 0 for q, stepped in
+                        zip(map(repetition.entries.__getitem__, sim.actor_ids), sim.step)]
+        most = max(timed_counts)
+        if most:
+            marker = timed_counts.index(most)
+    # State key -> position in stored; list(seen) is the keys in that order.
     seen: dict[tuple, int] = {}
     # Per stored state, one flat tuple of ints, which the garbage collector
     # stops tracking at once: its index, the reference's completions and
-    # the time, then, from the prefix's last on, the rest of the
-    # simulator's checkpoint, where a replay can start.
+    # the time, then, past the prefix, the tokens outside the key's forest,
+    # where a replay can start.
     stored: list[tuple[int, ...]] = []
+    prefix = inf  # stored states in the prefix, once it has ended
+    prefix_firings = _PREFIX_FIRINGS
     # The first stored repeat's index at most, when mu + lam <= state_budget.
     last = 2 * state_budget - 1
-    states = sim.run()
-    for index, key in enumerate(states):
-        if key is not None:
-            first = seen.setdefault(key, len(stored))
-            if first < len(stored):
-                break
-            if first == state_budget:
-                raise _budget_exceeded(state_budget)
-            if index < dense:
-                stored.append((index, completions[ref_index], sim.time))
-            else:
-                stored.append((index, completions[ref_index], *sim.checkpoint()))
-                sim.marker = ref_index
-        if index >= last:
+    for key in sim.run(last):
+        first = seen.setdefault(key, len(stored))
+        if first < len(stored):
+            break
+        if first == state_budget:
             raise _budget_exceeded(state_budget)
+        if first < prefix:
+            stored.append((sim.index, completions[ref_index], sim.time))
+            if marker >= 0 and completions[marker] >= prefix_firings:
+                sim.marker = marker
+                prefix = len(stored)
+        else:
+            stored.append((sim.index, completions[ref_index], sim.time, *tokens[n_key:]))
     else:
-        if index >= state_budget:
+        if sim.index >= state_budget:
             raise _budget_exceeded(state_budget)
         raise DeadlockError(f"no enabled actor and no running firing at t={sim.time}")
 
-    mu, count, transient = stored[first][:3]
+    j, count, transient = stored[first][:3]
+    lam = sim.index - j
     period = sim.time - transient
     firings = completions[ref_index] - count
-    if index > dense:  # s[b] is past the prefix
-        lam = index - mu
-        sim.marker = -1
-        cycle = {key, *islice(states, lam - 1)}
-        f = min(seen[k] for k in cycle if k in seen)
-        mu, _, transient = stored[f][:3]
-        if f and stored[f - 1][0] < mu - 1:  # a gap, past the prefix
-            mu, _, *checkpoint = stored[f - 1]
-            replay = sim.restored(checkpoint)
-            for mu, key in enumerate(replay.run(), mu):
-                if key in cycle:
-                    break
-            transient = replay.time
-        if mu + lam > state_budget:
-            raise _budget_exceeded(state_budget)
+    # Walk the stored states back from s[j] to bound mu: low <= mu <= the
+    # index of stored[f], the earliest found in the cycle.
+    keys = list(seen)
+    f, low, q = first, 0, len(stored) - 1
+    for p in range(first - 1, -1, -1):
+        x = stored[p][0]
+        while stored[q][0] > x + lam:
+            q -= 1
+        if stored[q][0] == x + lam:
+            if keys[p] != keys[q]:
+                low = x + 1
+                break
+            f = p
+        elif p >= prefix:
+            low = x + 1
+            break
+    mu, _, transient = stored[f][:3]
+    if low < mu:
+
+        def replay(start: int) -> tuple[_Simulator, Iterator[tuple]]:
+            """A simulator and its keys from s[start] on, from the latest
+            stored checkpoint at or before it, else from s[0]."""
+            p = bisect_right(stored, start, key=itemgetter(0)) - 1
+            if p < prefix:
+                at = _Simulator(graph)
+            else:
+                index, _, time, *rest = stored[p]
+                at = sim.restored(index, time, keys[p], rest)
+            return at, islice(at.run(last), start - at.index, None)
+
+        at_low, low_keys = replay(low)
+        _, lam_keys = replay(low + lam)
+        for mu, (low_key, lam_key) in enumerate(zip(low_keys, lam_keys), low):
+            if low_key == lam_key:
+                break
+        transient = at_low.time
+    if mu + lam > state_budget:
+        raise _budget_exceeded(state_budget)
     if firings == 0:
         raise DeadlockError(
             f"reference actor {reference!r} never fires in the periodic phase")

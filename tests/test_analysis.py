@@ -273,27 +273,56 @@ def test_counters_zero_time_actor_on_a_self_loop(loop_tokens):
     assert_matches_reference(g)
 
 
+def near_tie_pair(a_time, c_time):
+    """A and C, each on a self-loop, with two tokens each way between them:
+    a transient of about ``c_time / (a_time - c_time)`` firings of A."""
+    return build_graph({"A": a_time, "C": c_time},
+                       [("A", "A", 1, 1, 1), ("C", "C", 1, 1, 1), ("A", "C", 1, 1, 2),
+                        ("C", "A", 1, 1, 2)])
+
+
 def test_counters_rebuilt_for_the_replay_past_the_prefix(monkeypatch):
     # The near-tie pair first repeats at state 2000, past the prefix, and the
-    # exact transient needs a replay from a stored checkpoint, with counts
-    # rebuilt from its tokens.
-    replays = []
+    # exact transient needs replays from stored states, with counts rebuilt
+    # from their tokens. Each restore puts back a stored state exactly: one
+    # in which the marker A has just started a firing.
+    g = near_tie_pair(1000, 999)
+    states = list(iterate_states(g, max_states=2100))
+    restores = []
     restored = analysis._Simulator.restored
 
-    def spy(self, checkpoint):
-        replays.append(checkpoint[0])
-        return restored(self, checkpoint)
+    def spy(self, index, time, key, rest):
+        clone = restored(self, index, time, key, rest)
+        restores.append((index, clone.snapshot()))
+        return clone
 
     monkeypatch.setattr(analysis._Simulator, "restored", spy)
-    g = build_graph({"A": 1000, "C": 999},
-                    [("A", "A", 1, 1, 1), ("C", "C", 1, 1, 1), ("A", "C", 1, 1, 2),
-                     ("C", "A", 1, 1, 2)])
     assert_matches_reference(g, max_states=2100)
-    assert replays == [998000]
+    assert 1 <= len(restores) <= 2
+    for index, snapshot in restores:
+        assert snapshot == states[index]
+        assert ("A", 1000) in snapshot.active_firings
 
 
-# Sparse recurrence keys: past the first analysis._KEY_PREFIX states, a state
-# is stored only when the reference actor has just started a firing.
+# Sparse recurrence keys: past a prefix of analysis._PREFIX_FIRINGS firings of
+# the marker, the timed actor that fires most per iteration, a state is
+# stored only when the marker has just started a firing.
+
+def spy_markers(monkeypatch) -> list[str]:
+    """The actors that self_timed_throughput's simulators key on, recorded
+    each time a run resumes with a marker set."""
+    markers = []
+    run = analysis._Simulator.run
+
+    def spy(self, limit):
+        for key in run(self, limit):
+            yield key
+            if self.marker >= 0:
+                markers.append(self.actor_ids[self.marker])
+
+    monkeypatch.setattr(analysis._Simulator, "run", spy)
+    return markers
+
 
 def mjpeg_graph(spec=None):
     """The bound mjpeg_base graph, or the one migrated by ``spec``, a change
@@ -329,9 +358,9 @@ def test_sparse_keys_match_every_state_keyed_on_explore_grid(monkeypatch):
     graphs = explore_grid_graphs()
     assert len(graphs) == 37
     for g in graphs:
-        monkeypatch.setattr(analysis, "_KEY_PREFIX", 10**9)
+        monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", 10**9)
         every_state = self_timed_throughput(g)
-        monkeypatch.setattr(analysis, "_KEY_PREFIX", 0)
+        monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", 0)
         assert self_timed_throughput(g) == every_state
 
 
@@ -347,15 +376,15 @@ def test_izz_at_prefetch_20000_is_pinned(speedup, transient):
 def test_izz_budget_of_first_repeat_succeeds_and_one_less_raises():
     g = mjpeg_graph({"actor": "IZZ", "speedup": 2, "prefetch_time": 20000})
     n = first_repeat(g)
-    assert n > analysis._KEY_PREFIX
+    assert n > 10_000  # thousands of states past the prefix
     assert self_timed_throughput(g, state_budget=n).transient_cycles == 330124991
     with pytest.raises(StateSpaceBudgetExceededError):
         self_timed_throughput(g, state_budget=n - 1)
 
 
-@pytest.mark.parametrize("prefix", [0, 1, 3])
+@pytest.mark.parametrize("prefix", [0, 1, analysis._PREFIX_FIRINGS, 10**9])
 def test_sparse_budget_of_first_repeat_succeeds_and_one_less_raises(monkeypatch, prefix):
-    monkeypatch.setattr(analysis, "_KEY_PREFIX", prefix)
+    monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", prefix)
     rng = random.Random(23)
     for i in range(40):
         g = random_consistent_graph(rng, self_loops=i % 2 == 0)
@@ -366,11 +395,11 @@ def test_sparse_budget_of_first_repeat_succeeds_and_one_less_raises(monkeypatch,
                 self_timed_throughput(g, state_budget=n - 1)
 
 
-@pytest.mark.parametrize("prefix", [0, analysis._KEY_PREFIX])
+@pytest.mark.parametrize("prefix", [0, analysis._PREFIX_FIRINGS])
 def test_disconnected_reference_that_stops_still_never_fires(monkeypatch, prefix):
     # R fires three times and stops, as Q never fires. The near-tie pair A, C
     # runs on with a transient of thousands of states, past the prefix.
-    monkeypatch.setattr(analysis, "_KEY_PREFIX", prefix)
+    monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", prefix)
     pair = [("A", "A", 1, 1, 1), ("C", "C", 1, 1, 1), ("A", "C", 1, 1, 2),
             ("C", "A", 1, 1, 2)]
     assert first_repeat(build_graph({"A": 1000, "C": 999}, pair)) == 2000
@@ -380,14 +409,69 @@ def test_disconnected_reference_that_stops_still_never_fires(monkeypatch, prefix
         self_timed_throughput(g, state_budget=20_000)
 
 
-@pytest.mark.parametrize("prefix", [0, 1])
-def test_zero_time_reference_matches_reference(monkeypatch, prefix):
-    monkeypatch.setattr(analysis, "_KEY_PREFIX", prefix)
+@pytest.mark.parametrize("prefix", [0, 1, analysis._PREFIX_FIRINGS])
+def test_zero_time_reference_uses_sparse_keys_and_matches_reference(monkeypatch, prefix):
+    # The reference's completions are counted as they happen, so a zero-time
+    # reference on a connected graph leaves the states to a timed marker.
+    monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", prefix)
+    markers = spy_markers(monkeypatch)
     rng = random.Random(31)
     for i in range(30):
         g = random_consistent_graph(rng, self_loops=i % 2 == 0)
-        g = g.with_exec_times({resolve_reference_actor(g, compute_repetition_vector(g)): 0})
+        reference = resolve_reference_actor(g, compute_repetition_vector(g))
+        g = g.with_exec_times({reference: 0})
+        markers.clear()
         assert self_timed_throughput(g, state_budget=5000) == reference_throughput(g)
+        if prefix == 0:
+            assert markers and reference not in markers
+
+
+def test_marker_is_the_most_firing_timed_actor(monkeypatch):
+    # Z fires six times per iteration but takes no time; C and D fire twice
+    # and tie, so the smaller id keys the states.
+    g = build_graph({"A": 3, "Z": 0, "C": 2, "D": 1},
+                    [("A", "Z", 6, 1), ("Z", "A", 1, 6, 12), ("Z", "C", 1, 3),
+                     ("C", "Z", 3, 1, 12), ("C", "D"), ("D", "C", 1, 1, 2)])
+    markers = spy_markers(monkeypatch)
+    assert self_timed_throughput(g) == reference_throughput(g)
+    assert set(markers) == {"C"}
+    markers.clear()
+    self_timed_throughput(mjpeg_graph())
+    assert set(markers) == {"CC"}  # the first of the q=12 actors
+
+
+def test_mu_zero_where_state_zero_is_no_marker_start(monkeypatch):
+    # B holds the ring's token, so s[0] is B's firing, not a start of the
+    # marker A. With no prefix, s[lam] == s[0] is not stored and the walk
+    # finds no state before mu: the replay from s[0] gives mu == 0.
+    monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", 0)
+    g = build_graph({"A": 2, "B": 3}, [("A", "B", 1, 1, 1), ("B", "A")])
+    assert next(iterate_states(g)).active_firings == (("B", 3),)
+    r = self_timed_throughput(g)
+    assert r == reference_throughput(g)
+    assert (r.transient_cycles, r.period_cycles) == (0, 5)
+
+
+def test_walk_through_undecided_prefix_states(monkeypatch):
+    # At a prefix of one firing, the near-tie pair 5/3 repeats first at a
+    # stored state whose walk back passes prefix states with no stored state
+    # one period later. The lower bound for mu lands in the prefix, and no
+    # state past the prefix is stored before either replay's start, so both
+    # replays start from s[0].
+    monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", 1)
+    g = near_tie_pair(5, 3)
+    built = []
+    init = analysis._Simulator.__init__
+
+    def spy(self, graph):
+        built.append(graph)
+        init(self, graph)
+
+    monkeypatch.setattr(analysis._Simulator, "__init__", spy)
+    r = self_timed_throughput(g)
+    assert len(built) == 3
+    assert r == reference_throughput(g)
+    assert (r.transient_cycles, r.period_cycles) == (10, 5)
 
 
 def test_snapshots_keep_graph_channel_order():

@@ -205,15 +205,17 @@ def test_self_timed_matches_reference_simulator(graph):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32), st.booleans(), st.booleans(), st.sampled_from([0, 1]))
+@given(st.integers(0, 2**32), st.booleans(), st.booleans(),
+       st.sampled_from([0, 1, analysis._PREFIX_FIRINGS]))
 def test_sparse_keys_match_reference_simulator(seed, self_loops, zero_time, prefix):
-    # A prefix of 0 or 1 stores almost only the reference's firing starts,
-    # so the period and transient come from the sparse search and replay.
+    # Past a prefix of a few firings, only the marker's firing starts are
+    # stored, so the period and transient come from the sparse search and
+    # replays.
     rng = random.Random(seed)
     graph = random_consistent_graph(rng, self_loops=self_loops)
     if zero_time:
         graph = graph.with_exec_times({rng.choice(graph.actors).id: 0})
-    with patch.object(analysis, "_KEY_PREFIX", prefix):
+    with patch.object(analysis, "_PREFIX_FIRINGS", prefix):
         assert self_timed_throughput(graph) == reference_throughput(graph)
 
 
