@@ -121,6 +121,16 @@ _SDF3_CHANNEL_ATTRS = frozenset({"name", "srcActor", "srcPort", "dstActor", "dst
                                  "initialTokens", "size"})
 
 
+def _plain_integer(raw: str) -> int:
+    """``raw`` as an int when it is an optional ``-`` then ASCII digits, the
+    only form a scenario file holds; :class:`ValueError` for anything else,
+    such as the white space, ``+``, ``_`` or non-ASCII digits ``int`` takes."""
+    digits = raw[1:] if raw[:1] == "-" else raw
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(raw)
+    return int(raw)
+
+
 class _Reader:
     """Attribute access with position-aware errors and exact number parsing."""
 
@@ -149,7 +159,7 @@ class _Reader:
         if raw is None:
             return default
         try:
-            value = int(raw)
+            value = _plain_integer(raw)
         except ValueError:
             self.fail(f"attribute {name!r} must be an integer, got {raw!r}")
         if minimum is not None and value < minimum:
@@ -402,7 +412,7 @@ def _read_sdf3(root: _Node) -> SDFG:
         actor_name = properties.attrib.get("actor", "")
         for timing in find_all(properties, "executionTime"):
             try:
-                exec_times[actor_name] = int(timing.attrib.get("time", "0"))
+                exec_times[actor_name] = _plain_integer(timing.attrib.get("time", "0"))
             except ValueError:
                 line, column = timing.where()
                 raise ScenarioParseError("executionTime must be an integer",
@@ -412,7 +422,7 @@ def _read_sdf3(root: _Node) -> SDFG:
         channel_name = properties.attrib.get("channel", "")
         for size in find_all(properties, "tokenSize"):
             try:
-                token_sizes[channel_name] = int(size.attrib.get("sz", "0"))
+                token_sizes[channel_name] = _plain_integer(size.attrib.get("sz", "0"))
             except ValueError:
                 line, column = size.where()
                 raise ScenarioParseError("tokenSize must be an integer",
@@ -427,7 +437,7 @@ def _read_sdf3(root: _Node) -> SDFG:
         for port in node.children:
             if port.tag == "port":
                 try:
-                    rate = int(port.attrib.get("rate", "1"))
+                    rate = _plain_integer(port.attrib.get("rate", "1"))
                 except ValueError:
                     line, column = port.where()
                     raise ScenarioParseError("port rate must be an integer",

@@ -683,3 +683,38 @@ def reference_bound_graph(graph: SDFG, platform, mapping,
                                         a.id, a.id, 1, 1, 1))
         bound = SDFG(bound.actors, channels, bound.reference_actor)
     return bound
+
+
+# An SDF3-style application graph for the import shim: A and B in a ring,
+# rates 2 and 3, with execution times and one token size.
+SDF3_APP = """<sdf3 type="sdf" version="1.0">
+  <applicationGraph name="demo">
+    <sdf name="demo" type="demo">
+      <actor name="A" type="a">
+        <port name="out0" type="out" rate="2"/>
+        <port name="in0" type="in" rate="2"/>
+      </actor>
+      <actor name="B" type="b">
+        <port name="in0" type="in" rate="3"/>
+        <port name="out0" type="out" rate="3"/>
+      </actor>
+      <channel name="ch1" srcActor="A" srcPort="out0" dstActor="B" dstPort="in0"/>
+      <channel name="ch2" srcActor="B" srcPort="out0" dstActor="A" dstPort="in0" initialTokens="3"/>
+    </sdf>
+    <sdfProperties>
+      <actorProperties actor="A">
+        <processor type="arm" default="true">
+          <executionTime time="100"/>
+        </processor>
+      </actorProperties>
+      <actorProperties actor="B">
+        <processor type="arm" default="true">
+          <executionTime time="70"/>
+        </processor>
+      </actorProperties>
+      <channelProperties channel="ch1">
+        <tokenSize sz="512"/>
+      </channelProperties>
+    </sdfProperties>
+  </applicationGraph>
+</sdf3>"""

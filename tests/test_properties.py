@@ -6,8 +6,11 @@ missing install fails collection instead of skipping.
 
 import math
 import random
+import re
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    SDF3_APP,
     build_graph,
     enumerate_cycle_ratios,
     fraction_max_cycle_ratio,
@@ -40,6 +44,7 @@ from sdfmig.graph import (
     validate,
 )
 from sdfmig.mpsoc import Platform, PlatformMapping, Tile
+from sdfmig.scenario import bundled_scenario_path, load_scenario, scenario_to_text
 from sdfmig.transforms import build_bound_graph
 
 
@@ -275,3 +280,36 @@ def test_broken_graph_ends_in_sdfmig_error_at_every_entry_point(graph):
                   bind_on_one_tile, compute_repetition_vector):
         with pytest.raises(SdfmigError):
             entry(graph)
+
+
+# Scenario files with one attribute value replaced: each either raises a
+# typed error at load or survives save -> load -> save byte for byte.
+
+MUTATION_SOURCES = [bundled_scenario_path("mjpeg_base").read_text(encoding="utf-8"),
+                    bundled_scenario_path("two_stage_demo").read_text(encoding="utf-8"),
+                    SDF3_APP]
+ATTRIBUTE_VALUE = re.compile(r'[\w-]+="([^"]*)"')
+ODD_VALUES = ["", "0", "-0", "-1", "1", "2", "99999999999999999999", " 3 ", "+5", "1_000",
+              "٣", "1.5", "-2/7", "1/0", "0.00406278", "1e3", "inf", "nan", "true", "false",
+              "nope", "T1", "T2", "n1", "VLD", "IZZ", "izz_iq", "&amp;", "a&lt;b", "x y"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(MUTATION_SOURCES))), st.integers(0, 10**6),
+       st.sampled_from(ODD_VALUES) | st.integers(-10**6, 10**9).map(str)
+       | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+def test_mutated_scenario_is_refused_or_round_trips(source, spot, value):
+    text = MUTATION_SOURCES[source]
+    spots = list(ATTRIBUTE_VALUE.finditer(text))
+    match = spots[spot % len(spots)]
+    mutated = text[:match.start(1)] + value + text[match.end(1):]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.xml"
+        path.write_text(mutated, encoding="utf-8")
+        try:
+            scenario = load_scenario(path)
+        except SdfmigError:
+            return
+        saved = scenario_to_text(scenario)
+        path.write_text(saved, encoding="utf-8")
+        assert scenario_to_text(load_scenario(path)) == saved

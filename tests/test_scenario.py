@@ -4,7 +4,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
-from helpers import random_scenario
+from helpers import SDF3_APP, random_scenario
 from sdfmig.errors import (
     InvalidBindingError,
     ScenarioParseError,
@@ -297,37 +297,6 @@ def test_load_rejects_binding_mismatch(tmp_path):
     assert any(d.code == "BindingMismatch" for d in err.value.diagnostics)
 
 
-SDF3_APP = """<sdf3 type="sdf" version="1.0">
-  <applicationGraph name="demo">
-    <sdf name="demo" type="demo">
-      <actor name="A" type="a">
-        <port name="out0" type="out" rate="2"/>
-        <port name="in0" type="in" rate="2"/>
-      </actor>
-      <actor name="B" type="b">
-        <port name="in0" type="in" rate="3"/>
-        <port name="out0" type="out" rate="3"/>
-      </actor>
-      <channel name="ch1" srcActor="A" srcPort="out0" dstActor="B" dstPort="in0"/>
-      <channel name="ch2" srcActor="B" srcPort="out0" dstActor="A" dstPort="in0" initialTokens="3"/>
-    </sdf>
-    <sdfProperties>
-      <actorProperties actor="A">
-        <processor type="arm" default="true">
-          <executionTime time="100"/>
-        </processor>
-      </actorProperties>
-      <actorProperties actor="B">
-        <processor type="arm" default="true">
-          <executionTime time="70"/>
-        </processor>
-      </actorProperties>
-      <channelProperties channel="ch1">
-        <tokenSize sz="512"/>
-      </channelProperties>
-    </sdfProperties>
-  </applicationGraph>
-</sdf3>"""
 
 
 def test_sdf3_import_shim(tmp_path):
@@ -361,6 +330,48 @@ def test_sdf3_graph_faults_are_validation_errors(tmp_path):
         load_scenario(sdf3)
     assert [(d.code, d.subject) for d in err.value.diagnostics] == [("Inconsistent", "ch2")]
     assert str(err.value) == "; ".join(str(d) for d in err.value.diagnostics)
+
+
+def unplain_forms(value: str) -> list[str]:
+    """Forms of a decimal integer that ``int`` takes but a scenario does not:
+    surrounding white space, a plus sign, a digit separator and non-ASCII
+    digits."""
+    return [f" {value} ", f"+{value}", f"0_{value}",
+            value.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))]
+
+
+@pytest.mark.parametrize("original, attribute, line", [
+    pytest.param('exec-time="24791"', "exec-time", 21, id="actor"),
+    pytest.param('prod-rate="12" token-size="1024"', "token-size", 26, id="channel"),
+    pytest.param('alpha-src="2"', "alpha-src", 47, id="bind"),
+])
+def test_load_accepts_only_plain_integers(tmp_path, original, attribute, line):
+    text = bundled_scenario_path("mjpeg_base").read_text()
+    assert original in text
+    value = original.rsplit('"', 2)[1]
+    edited = tmp_path / "edited.xml"
+    for form in unplain_forms(value):
+        assert int(form) == int(value)
+        edited.write_text(text.replace(original, original.replace(value, form), 1))
+        with pytest.raises(ScenarioParseError,
+                           match=f"attribute '{attribute}' must be an integer, got") as err:
+            load_scenario(edited)
+        assert (err.value.line, err.value.column) == (line, 5)
+
+
+def test_sdf3_accepts_only_plain_integers(tmp_path):
+    sdf3 = tmp_path / "app.xml"
+    for original, message, line in [('<port name="out0" type="out" rate="3"/>',
+                                      "port rate", 10),
+                                     ('<executionTime time="100"/>', "executionTime", 18),
+                                     ('<tokenSize sz="512"/>', "tokenSize", 27)]:
+        assert original in SDF3_APP
+        value = original.rsplit('"', 2)[1]
+        for form in unplain_forms(value):
+            sdf3.write_text(SDF3_APP.replace(original, original.replace(value, form)))
+            with pytest.raises(ScenarioParseError, match=f"{message} must be an integer") as err:
+                load_scenario(sdf3)
+            assert err.value.line == line
 
 
 QUOTING_SAMPLES = ["", "plain", "a b", 'say "hi"', "it's", """both ' and \"""",
