@@ -436,7 +436,6 @@ def self_timed_throughput(graph: SDFG,
     # where a replay can start.
     stored: list[tuple[int, ...]] = []
     prefix = inf  # stored states in the prefix, once it has ended
-    prefix_firings = _PREFIX_FIRINGS
     # The first stored repeat's index at most, when mu + lam <= state_budget.
     last = 2 * state_budget - 1
     for key in sim.run(last):
@@ -447,7 +446,7 @@ def self_timed_throughput(graph: SDFG,
             raise _budget_exceeded(state_budget)
         if first < prefix:
             stored.append((sim.index, completions[ref_index], sim.time))
-            if marker >= 0 and completions[marker] >= prefix_firings:
+            if marker >= 0 and completions[marker] >= _PREFIX_FIRINGS:
                 sim.marker = marker
                 prefix = len(stored)
         else:
@@ -457,9 +456,9 @@ def self_timed_throughput(graph: SDFG,
             raise _budget_exceeded(state_budget)
         raise DeadlockError(f"no enabled actor and no running firing at t={sim.time}")
 
-    j, count, transient = stored[first][:3]
+    j, count, start = stored[first][:3]
     lam = sim.index - j
-    period = sim.time - transient
+    period = sim.time - start
     firings = completions[ref_index] - count
     # Walk the stored states back from s[j] to bound mu: low <= mu <= the
     # index of stored[f], the earliest found in the cycle.

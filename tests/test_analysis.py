@@ -382,7 +382,7 @@ def test_izz_budget_of_first_repeat_succeeds_and_one_less_raises():
         self_timed_throughput(g, state_budget=n - 1)
 
 
-@pytest.mark.parametrize("prefix", [0, 1, analysis._PREFIX_FIRINGS, 10**9])
+@pytest.mark.parametrize("prefix", [0, 1, analysis._PREFIX_FIRINGS, 3, 10**9])
 def test_sparse_budget_of_first_repeat_succeeds_and_one_less_raises(monkeypatch, prefix):
     monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", prefix)
     rng = random.Random(23)
@@ -410,7 +410,7 @@ def test_disconnected_reference_that_stops_still_never_fires(monkeypatch, prefix
 
 
 @pytest.mark.parametrize("prefix", [0, 1, analysis._PREFIX_FIRINGS])
-def test_zero_time_reference_uses_sparse_keys_and_matches_reference(monkeypatch, prefix):
+def test_zero_time_reference_matches_reference(monkeypatch, prefix):
     # The reference's completions are counted as they happen, so a zero-time
     # reference on a connected graph leaves the states to a timed marker.
     monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", prefix)
