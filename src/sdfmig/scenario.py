@@ -427,6 +427,10 @@ def _read_sdf3(root: _Node) -> SDFG:
                 line, column = size.where()
                 raise ScenarioParseError("tokenSize must be an integer",
                                          line=line, column=column)
+            if token_sizes[channel_name] < 0:
+                line, column = size.where()
+                raise ScenarioParseError("tokenSize must be at least 0",
+                                         line=line, column=column)
 
     actors = []
     for node in actor_nodes:

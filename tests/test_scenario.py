@@ -321,6 +321,16 @@ def test_sdf3_rejects_non_integer_token_size(tmp_path):
     assert (err.value.line, err.value.column) == (27, 9)
 
 
+def test_sdf3_rejects_negative_token_size(tmp_path):
+    # The native form refuses a negative token-size, so a negative SDF3 size
+    # would load but never load again once saved.
+    sdf3 = tmp_path / "app.xml"
+    sdf3.write_text(SDF3_APP.replace('<tokenSize sz="512"/>', '<tokenSize sz="-1"/>'))
+    with pytest.raises(ScenarioParseError, match="tokenSize must be at least 0") as err:
+        load_scenario(sdf3)
+    assert (err.value.line, err.value.column) == (27, 9)
+
+
 def test_sdf3_graph_faults_are_validation_errors(tmp_path):
     # ch2 consumes 3 tokens per firing of A, so the balance equations fail.
     sdf3 = tmp_path / "app.xml"
