@@ -21,13 +21,12 @@ Two independent routes:
   flight and the same forest tokens differ in completions by a multiple of
   the repetition vector on each component, so by the balance equations
   they hold the same tokens on every channel: equal keys mean equal states.
-  States are stored until the marker, the timed actor that fires most per
-  iteration, has completed ``_PREFIX_FIRINGS`` firings; after that only
-  the states in which it has just started a firing, a property of the
-  state itself. The first stored repeat is then exactly one period past
-  the state it repeats, and the stored keys, with at most one lockstep
-  replay of the same loop from stored states, give the exact transient;
-  the proof is in :func:`self_timed_throughput`.
+  Only the states in which the marker, the timed actor that fires most per
+  iteration, has just started a firing are stored, a property of the state
+  itself. The first stored repeat is then exactly one period past the
+  state it repeats, and at most one lockstep replay of the same loop from
+  stored states gives the exact transient; the proof is in
+  :func:`self_timed_throughput`.
 * :func:`mcm_throughput` computes the maximum cycle ratio analytically with
   Howard's policy iteration in integers: each ratio is a reduced pair
   ``(W, T)`` with ``T > 0``, each potential is scaled by its cycle's ``T``,
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
-from math import gcd, inf
+from math import gcd
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
@@ -65,11 +64,6 @@ from .rational import to_decimal, to_fraction
 DEFAULT_STATE_BUDGET = 1_000_000
 # Firings started in one instant before the simulator reports a livelock.
 _INSTANT_CAP = 1_000_000
-# Firings the marker completes before self_timed_throughput stores only the
-# states in which it has just started a firing. At 1 a graph whose actors
-# all fire once per iteration replays a whole period; at 4 the median
-# explore_mjpeg job keys twice the states.
-_PREFIX_FIRINGS = 2
 
 
 @dataclass(frozen=True)
@@ -112,7 +106,7 @@ def resolve_reference_actor(graph: SDFG, repetition: RepetitionVector) -> str:
 
 
 def _check_budget(name: str, value) -> None:
-    if not isinstance(value, int) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise InvalidStateBudgetError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -150,14 +144,13 @@ class _Simulator:
     tokens still decide enabling.
 
     ``marker`` is -1 to key every state, or a timed actor whose firing
-    starts select the states to key; it may change between two states, and
-    :meth:`run` reads it once at the top of each instant. A start of the
-    marker sets the flag ``keyed``, and :meth:`run` yields only the keys of
-    keyed states; the others it only simulates, counting ``index`` and
-    writing ``time`` and ``index`` only when it yields or returns. The flag
-    is a property of the state, a code in flight with all of the marker's
-    time left, because only a firing started in the current instant has all
-    of its time left.
+    starts select the states to key; it is set before :meth:`run`, which
+    reads it once. A start of the marker sets the flag ``keyed``, and
+    :meth:`run` yields only the keys of keyed states; the others it only
+    simulates, counting ``index`` and writing ``time`` and ``index`` only
+    when it yields or returns. The flag is a property of the state, a code
+    in flight with all of the marker's time left, because only a firing
+    started in the current instant has all of its time left.
     """
 
     def __init__(self, graph: SDFG):
@@ -218,10 +211,9 @@ class _Simulator:
         consume, produce, step = self.consume, self.produce, self.step
         short = [sum(tokens[ci] < rate for ci, rate in inputs) for inputs in consume]
         pending = [ai for ai in range(n_actors) if not short[ai]]  # enabled actors
-        index = self.index
+        index, marker = self.index, self.marker
         now_code = self.time * n_actors
         while True:
-            marker = self.marker
             keyed = marker < 0
             instant = 0
             while pending:
@@ -359,13 +351,11 @@ def self_timed_throughput(graph: SDFG,
     to the transient ``mu`` plus the period ``lam``, and from then on
     ``s[i] == s[i + lam]`` exactly for ``i >= mu``; a state before
     ``s[mu]`` equals no other state. The marker is the timed actor with the
-    largest repetition count, the smallest id on ties. Every state is stored
-    up to the first in which the marker has completed ``_PREFIX_FIRINGS``
-    firings: the prefix. After it a state is stored only when the marker
-    has just started a firing. That is a property of the state, a code in
-    flight with all of the marker's time left, so of two equal states past
-    the prefix both are stored or neither. With no timed actor, or on a
-    graph that is not weakly connected, every state is stored.
+    largest repetition count, the smallest id on ties. A state is stored
+    only when the marker has just started a firing. That is a property of
+    the state, a code in flight with all of the marker's time left, so of
+    two equal states both are stored or neither. With no timed actor, or on
+    a graph that is not weakly connected, every state is stored.
 
     Why the search stays exact:
 
@@ -373,34 +363,24 @@ def self_timed_throughput(graph: SDFG,
       ``b < mu + 2*lam``. On a weakly connected graph the completions of
       one period are a multiple of the repetition vector (the argument of
       :func:`_key_channels`), and not zero, since every state after the
-      first completes a firing; so the marker starts a firing in every
-      period. If the prefix holds ``s[mu + lam]``, that is a stored repeat
-      of the stored ``s[mu]``. Otherwise the marker starts a firing at some
-      ``s[m]`` past the prefix with ``mu + lam <= m < mu + 2*lam``, and
-      ``s[m]`` repeats ``s[m - lam]``, which is stored: in the prefix, or
-      past it and equal to ``s[m]``.
+      first completes a firing; so the marker starts a firing at some
+      ``s[m]`` with ``mu <= m < mu + lam``, and the stored ``s[m + lam]``
+      repeats the stored ``s[m]``.
     * ``b - j == lam`` for the stored ``s[j]`` that ``s[b]`` repeats, so
       the time and the reference's completions between them are one
       period's. ``b - j`` is a multiple of ``lam``; were it larger,
-      ``s[b - lam]``, equal to ``s[b]``, would be stored too (in the prefix,
-      or past it like ``s[b]``) and would have repeated ``s[j]`` first.
-    * ``mu`` comes from the stored states, ``mu <= j``. The walk goes back
-      over the stored ``s[x]`` before ``s[j]``; each ``s[x + lam]`` comes
-      before ``s[b]``, so it has been simulated. If ``s[x + lam]`` is
-      stored, equal keys put ``s[x]`` in the cycle, ``x >= mu``, and
-      different keys before it. If it is not and ``s[x]`` is past the
-      prefix, ``x < mu``: had ``s[x]`` been in the cycle, the equal
-      ``s[x + lam]``, past the prefix too, would be stored. If it is not
-      and ``s[x]`` is in the prefix, nothing is decided. The walk stops at
-      the first ``x < mu`` it finds, so ``low <= mu <= f``, where ``low``
-      is one past that ``x`` (0 if there is none) and ``s[f]`` the earliest
-      stored state found in the cycle (``s[j]`` at least). When
-      ``low == f``, ``mu == f``. Otherwise two replays of the same loop
-      step ``s[low]`` and ``s[low + lam]`` in lockstep; their keys differ
-      before ``s[mu]`` and agree there, so neither passes ``s[f + lam]``,
-      which is at most ``s[b]``. Each starts from the latest stored state
-      at or before its start, whose key and tokens outside the key's forest
-      make a checkpoint, or from ``s[0]`` when that state is in the prefix.
+      ``s[b - lam]``, equal to ``s[b]``, would be stored too and would
+      have repeated ``s[j]`` first.
+    * ``x < mu <= j`` for the stored ``s[x]`` just before ``s[j]``, with
+      ``x = -1`` when there is none. ``s[j]`` repeats, so ``mu <= j``; had
+      ``s[x]`` been in the cycle, the equal ``s[x + lam]`` would be stored
+      before ``s[b]`` and would have repeated first. When ``x + 1 < j``,
+      two replays of the same loop step ``s[x + 1]`` and
+      ``s[x + 1 + lam]`` in lockstep; their keys differ before ``s[mu]``
+      and agree there, so neither passes ``s[b]``. Each starts from the
+      latest stored state at or before its start, whose key and tokens
+      outside the key's forest make a checkpoint, or from ``s[0]`` when
+      there is none.
     * The budget error comes exactly when ``mu + lam > state_budget``, as
       when every state is stored. The stored states before the first repeat
       are distinct, so more than ``state_budget`` of them exceed it. As
@@ -409,8 +389,8 @@ def self_timed_throughput(graph: SDFG,
       ``mu`` and ``lam`` are known they are compared directly, and an
       execution that stops at or past ``s[state_budget]`` exceeds it too.
       So up to ``2*state_budget`` states may be simulated, but no more than
-      ``state_budget`` are stored and, past the prefix, only the marker's
-      firing starts: memory stays sparse while it runs.
+      ``state_budget`` are stored, and only the marker's firing starts:
+      memory stays sparse while it runs.
     """
     _check_budget("state budget", state_budget)
     repetition = compute_repetition_vector(graph)
@@ -419,23 +399,21 @@ def self_timed_throughput(graph: SDFG,
     sim = _Simulator(graph)
     ref_index = sim.actor_ids.index(reference)
     completions, tokens, n_key = sim.completions, sim.tokens, sim.n_key
-    # The marker, -1 where sparse keys cannot find the period: on a graph
-    # that is not weakly connected, or with no timed actor.
-    marker = -1
+    # The marker stays -1 where sparse keys cannot find the period: on a
+    # graph that is not weakly connected, or with no timed actor.
     if n_key == sim.n_actors - 1:
         timed_counts = [q if stepped else 0 for q, stepped in
                         zip(map(repetition.entries.__getitem__, sim.actor_ids), sim.step)]
         most = max(timed_counts)
         if most:
-            marker = timed_counts.index(most)
+            sim.marker = timed_counts.index(most)
     # State key -> position in stored; list(seen) is the keys in that order.
     seen: dict[tuple, int] = {}
     # Per stored state, one flat tuple of ints, which the garbage collector
     # stops tracking at once: its index, the reference's completions and
-    # the time, then, past the prefix, the tokens outside the key's forest,
-    # where a replay can start.
+    # the time, then the tokens outside the key's forest, where a replay can
+    # start.
     stored: list[tuple[int, ...]] = []
-    prefix = inf  # stored states in the prefix, once it has ended
     # The first stored repeat's index at most, when mu + lam <= state_budget.
     last = 2 * state_budget - 1
     for key in sim.run(last):
@@ -444,46 +422,26 @@ def self_timed_throughput(graph: SDFG,
             break
         if first == state_budget:
             raise _budget_exceeded(state_budget)
-        if first < prefix:
-            stored.append((sim.index, completions[ref_index], sim.time))
-            if marker >= 0 and completions[marker] >= _PREFIX_FIRINGS:
-                sim.marker = marker
-                prefix = len(stored)
-        else:
-            stored.append((sim.index, completions[ref_index], sim.time, *tokens[n_key:]))
+        stored.append((sim.index, completions[ref_index], sim.time, *tokens[n_key:]))
     else:
         if sim.index >= state_budget:
             raise _budget_exceeded(state_budget)
         raise DeadlockError(f"no enabled actor and no running firing at t={sim.time}")
 
-    j, count, start = stored[first][:3]
-    lam = sim.index - j
-    period = sim.time - start
+    mu, count, transient = stored[first][:3]
+    lam = sim.index - mu
+    period = sim.time - transient
     firings = completions[ref_index] - count
-    # Walk the stored states back from s[j] to bound mu: low <= mu <= the
-    # index of stored[f], the earliest found in the cycle.
-    keys = list(seen)
-    f, low, q = first, 0, len(stored) - 1
-    for p in range(first - 1, -1, -1):
-        x = stored[p][0]
-        while stored[q][0] > x + lam:
-            q -= 1
-        if stored[q][0] == x + lam:
-            if keys[p] != keys[q]:
-                low = x + 1
-                break
-            f = p
-        elif p >= prefix:
-            low = x + 1
-            break
-    mu, _, transient = stored[f][:3]
+    # low <= mu <= j, where low is one past the stored state before s[j].
+    low = stored[first - 1][0] + 1 if first else 0
     if low < mu:
+        keys = list(seen)
 
         def replay(start: int) -> tuple[_Simulator, Iterator[tuple]]:
             """A simulator and its keys from s[start] on, from the latest
             stored checkpoint at or before it, else from s[0]."""
             p = bisect_right(stored, start, key=itemgetter(0)) - 1
-            if p < prefix:
+            if p < 0:
                 at = _Simulator(graph)
             else:
                 index, _, time, *rest = stored[p]

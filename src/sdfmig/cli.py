@@ -33,7 +33,7 @@ from .migration import (
     migrate_task,
     migration_gain,
 )
-from .rational import parse_rational
+from .rational import parse_plain_integer, parse_rational
 from .scenario import (
     ExplorationReport,
     Scenario,
@@ -75,9 +75,9 @@ def _positive_rational_arg(text: str) -> Fraction:
 
 def _int_arg(text: str) -> int:
     try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        return parse_plain_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _non_negative_int_arg(text: str) -> int:

@@ -11,6 +11,17 @@ from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 
+def parse_plain_integer(text: str) -> int:
+    """``text`` as an int when it is an optional ``-`` then ASCII digits, the
+    only integer form a scenario file or a command-line flag holds;
+    :class:`ValueError` for anything else, such as the white space, ``+``,
+    ``_`` or non-ASCII digits ``int`` takes."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse decimal ('0.00406278'), integer, exponent ('100e6') or ratio
     ('1/3') notation into an exact fraction."""

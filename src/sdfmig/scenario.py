@@ -33,7 +33,7 @@ from .mpsoc import (
     TileKind,
     validate_mapping,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_plain_integer, parse_rational
 
 DEFAULT_CLOCK_HZ = Fraction(100_000_000)
 
@@ -121,16 +121,6 @@ _SDF3_CHANNEL_ATTRS = frozenset({"name", "srcActor", "srcPort", "dstActor", "dst
                                  "initialTokens", "size"})
 
 
-def _plain_integer(raw: str) -> int:
-    """``raw`` as an int when it is an optional ``-`` then ASCII digits, the
-    only form a scenario file holds; :class:`ValueError` for anything else,
-    such as the white space, ``+``, ``_`` or non-ASCII digits ``int`` takes."""
-    digits = raw[1:] if raw[:1] == "-" else raw
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(raw)
-    return int(raw)
-
-
 class _Reader:
     """Attribute access with position-aware errors and exact number parsing."""
 
@@ -159,7 +149,7 @@ class _Reader:
         if raw is None:
             return default
         try:
-            value = _plain_integer(raw)
+            value = parse_plain_integer(raw)
         except ValueError:
             self.fail(f"attribute {name!r} must be an integer, got {raw!r}")
         if minimum is not None and value < minimum:
@@ -404,6 +394,21 @@ def _read_sdf3(root: _Node) -> SDFG:
             found.extend(find_all(child, tag))
         return found
 
+    def integer(node: _Node, name: str, default: str, what: str,
+                minimum: int | None = None) -> int:
+        """``node``'s attribute ``name`` as a plain integer, else a parse
+        error at the node that calls the value ``what``."""
+        line, column = node.where()
+        try:
+            value = parse_plain_integer(node.attrib.get(name, default))
+        except ValueError:
+            raise ScenarioParseError(f"{what} must be an integer",
+                                     line=line, column=column) from None
+        if minimum is not None and value < minimum:
+            raise ScenarioParseError(f"{what} must be at least {minimum}",
+                                     line=line, column=column)
+        return value
+
     port_rates: dict[tuple[str, str], int] = {}
     actor_nodes = find_all(root, "actor")
     channel_nodes = find_all(root, "channel")
@@ -411,26 +416,12 @@ def _read_sdf3(root: _Node) -> SDFG:
     for properties in find_all(root, "actorProperties"):
         actor_name = properties.attrib.get("actor", "")
         for timing in find_all(properties, "executionTime"):
-            try:
-                exec_times[actor_name] = _plain_integer(timing.attrib.get("time", "0"))
-            except ValueError:
-                line, column = timing.where()
-                raise ScenarioParseError("executionTime must be an integer",
-                                         line=line, column=column)
+            exec_times[actor_name] = integer(timing, "time", "0", "executionTime")
     token_sizes: dict[str, int] = {}
     for properties in find_all(root, "channelProperties"):
         channel_name = properties.attrib.get("channel", "")
         for size in find_all(properties, "tokenSize"):
-            try:
-                token_sizes[channel_name] = _plain_integer(size.attrib.get("sz", "0"))
-            except ValueError:
-                line, column = size.where()
-                raise ScenarioParseError("tokenSize must be an integer",
-                                         line=line, column=column)
-            if token_sizes[channel_name] < 0:
-                line, column = size.where()
-                raise ScenarioParseError("tokenSize must be at least 0",
-                                         line=line, column=column)
+            token_sizes[channel_name] = integer(size, "sz", "0", "tokenSize", minimum=0)
 
     actors = []
     for node in actor_nodes:
@@ -440,13 +431,8 @@ def _read_sdf3(root: _Node) -> SDFG:
             raise ScenarioParseError("actor without name", line=line, column=column)
         for port in node.children:
             if port.tag == "port":
-                try:
-                    rate = _plain_integer(port.attrib.get("rate", "1"))
-                except ValueError:
-                    line, column = port.where()
-                    raise ScenarioParseError("port rate must be an integer",
-                                             line=line, column=column)
-                port_rates[(name, port.attrib.get("name", ""))] = rate
+                port_rates[(name, port.attrib.get("name", ""))] = integer(
+                    port, "rate", "1", "port rate")
         actors.append(Actor(id=name, exec_time=exec_times.get(name, 0)))
 
     channels = []

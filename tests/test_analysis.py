@@ -93,14 +93,14 @@ def test_self_timed_unbounded_graph_exhausts_budget():
         self_timed_throughput(disable_auto_concurrency(g), state_budget=500)
 
 
-@pytest.mark.parametrize("budget", [0, -5, 2.5])
+@pytest.mark.parametrize("budget", [0, -5, 2.5, True])
 def test_self_timed_rejects_bad_state_budget(budget):
     with pytest.raises(InvalidStateBudgetError, match="state budget"):
         self_timed_throughput(disable_auto_concurrency(two_actor_cycle()),
                               state_budget=budget)
 
 
-@pytest.mark.parametrize("max_states", [0, -1, 2.5, "3", None])
+@pytest.mark.parametrize("max_states", [0, -1, 2.5, "3", None, True])
 def test_iterate_states_rejects_bad_max_states(max_states):
     # Checked on the call, before the first state is asked for.
     with pytest.raises(InvalidStateBudgetError, match="max_states"):
@@ -282,10 +282,10 @@ def near_tie_pair(a_time, c_time):
 
 
 def test_counters_rebuilt_for_the_replay_past_the_prefix(monkeypatch):
-    # The near-tie pair first repeats at state 2000, past the prefix, and the
-    # exact transient needs replays from stored states, with counts rebuilt
-    # from their tokens. Each restore puts back a stored state exactly: one
-    # in which the marker A has just started a firing.
+    # The near-tie pair first repeats at state 2000, and the exact transient
+    # needs replays from stored states, with counts rebuilt from their
+    # tokens. Each restore puts back a stored state exactly: one in which the
+    # marker A has just started a firing.
     g = near_tie_pair(1000, 999)
     states = list(iterate_states(g, max_states=2100))
     restores = []
@@ -304,9 +304,8 @@ def test_counters_rebuilt_for_the_replay_past_the_prefix(monkeypatch):
         assert ("A", 1000) in snapshot.active_firings
 
 
-# Sparse recurrence keys: past a prefix of analysis._PREFIX_FIRINGS firings of
-# the marker, the timed actor that fires most per iteration, a state is
-# stored only when the marker has just started a firing.
+# Sparse recurrence keys: a state is stored only when the marker, the timed
+# actor that fires most per iteration, has just started a firing.
 
 def spy_markers(monkeypatch) -> list[str]:
     """The actors that self_timed_throughput's simulators key on, recorded
@@ -354,19 +353,16 @@ def first_repeat(graph) -> int:
     raise AssertionError("no repeated state")
 
 
-def test_sparse_keys_match_every_state_keyed_on_explore_grid(monkeypatch):
+def test_sparse_keys_match_every_state_keyed_on_explore_grid():
     graphs = explore_grid_graphs()
     assert len(graphs) == 37
     for g in graphs:
-        monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", 10**9)
-        every_state = self_timed_throughput(g)
-        monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", 0)
-        assert self_timed_throughput(g) == every_state
+        assert self_timed_throughput(g) == reference_throughput(g)
 
 
 @pytest.mark.parametrize("speedup, transient", [(2, 330124991), (4, 330118793)])
 def test_izz_at_prefetch_20000_is_pinned(speedup, transient):
-    # About 94 periods of transient: the search leaves the prefix.
+    # About 94 periods of transient, with only the marker's starts stored.
     r = self_timed_throughput(
         mjpeg_graph({"actor": "IZZ", "speedup": speedup, "prefetch_time": 20000}))
     assert (r.transient_cycles, r.period_cycles) == (transient, 3518526)
@@ -376,15 +372,13 @@ def test_izz_at_prefetch_20000_is_pinned(speedup, transient):
 def test_izz_budget_of_first_repeat_succeeds_and_one_less_raises():
     g = mjpeg_graph({"actor": "IZZ", "speedup": 2, "prefetch_time": 20000})
     n = first_repeat(g)
-    assert n > 10_000  # thousands of states past the prefix
+    assert n > 10_000  # thousands of states, most of them not stored
     assert self_timed_throughput(g, state_budget=n).transient_cycles == 330124991
     with pytest.raises(StateSpaceBudgetExceededError):
         self_timed_throughput(g, state_budget=n - 1)
 
 
-@pytest.mark.parametrize("prefix", [0, 1, analysis._PREFIX_FIRINGS, 3, 10**9])
-def test_sparse_budget_of_first_repeat_succeeds_and_one_less_raises(monkeypatch, prefix):
-    monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", prefix)
+def test_sparse_budget_of_first_repeat_succeeds_and_one_less_raises():
     rng = random.Random(23)
     for i in range(40):
         g = random_consistent_graph(rng, self_loops=i % 2 == 0)
@@ -395,11 +389,9 @@ def test_sparse_budget_of_first_repeat_succeeds_and_one_less_raises(monkeypatch,
                 self_timed_throughput(g, state_budget=n - 1)
 
 
-@pytest.mark.parametrize("prefix", [0, analysis._PREFIX_FIRINGS])
-def test_disconnected_reference_that_stops_still_never_fires(monkeypatch, prefix):
+def test_disconnected_reference_that_stops_still_never_fires():
     # R fires three times and stops, as Q never fires. The near-tie pair A, C
-    # runs on with a transient of thousands of states, past the prefix.
-    monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", prefix)
+    # runs on with a transient of thousands of states, every one stored.
     pair = [("A", "A", 1, 1, 1), ("C", "C", 1, 1, 1), ("A", "C", 1, 1, 2),
             ("C", "A", 1, 1, 2)]
     assert first_repeat(build_graph({"A": 1000, "C": 999}, pair)) == 2000
@@ -409,11 +401,9 @@ def test_disconnected_reference_that_stops_still_never_fires(monkeypatch, prefix
         self_timed_throughput(g, state_budget=20_000)
 
 
-@pytest.mark.parametrize("prefix", [0, 1, analysis._PREFIX_FIRINGS])
-def test_zero_time_reference_matches_reference(monkeypatch, prefix):
+def test_zero_time_reference_matches_reference(monkeypatch):
     # The reference's completions are counted as they happen, so a zero-time
     # reference on a connected graph leaves the states to a timed marker.
-    monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", prefix)
     markers = spy_markers(monkeypatch)
     rng = random.Random(31)
     for i in range(30):
@@ -422,8 +412,7 @@ def test_zero_time_reference_matches_reference(monkeypatch, prefix):
         g = g.with_exec_times({reference: 0})
         markers.clear()
         assert self_timed_throughput(g, state_budget=5000) == reference_throughput(g)
-        if prefix == 0:
-            assert markers and reference not in markers
+        assert markers and reference not in markers
 
 
 def test_marker_is_the_most_firing_timed_actor(monkeypatch):
@@ -440,11 +429,10 @@ def test_marker_is_the_most_firing_timed_actor(monkeypatch):
     assert set(markers) == {"CC"}  # the first of the q=12 actors
 
 
-def test_mu_zero_where_state_zero_is_no_marker_start(monkeypatch):
+def test_mu_zero_where_state_zero_is_no_marker_start():
     # B holds the ring's token, so s[0] is B's firing, not a start of the
-    # marker A. With no prefix, s[lam] == s[0] is not stored and the walk
-    # finds no state before mu: the replay from s[0] gives mu == 0.
-    monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", 0)
+    # marker A. s[lam] == s[0] is not stored and no stored state comes before
+    # the one repeated: the replay from s[0] gives mu == 0.
     g = build_graph({"A": 2, "B": 3}, [("A", "B", 1, 1, 1), ("B", "A")])
     assert next(iterate_states(g)).active_firings == (("B", 3),)
     r = self_timed_throughput(g)
@@ -452,24 +440,11 @@ def test_mu_zero_where_state_zero_is_no_marker_start(monkeypatch):
     assert (r.transient_cycles, r.period_cycles) == (0, 5)
 
 
-def test_walk_through_undecided_prefix_states(monkeypatch):
-    # At a prefix of one firing, the near-tie pair 5/3 repeats first at a
-    # stored state whose walk back passes prefix states with no stored state
-    # one period later. The lower bound for mu lands in the prefix, and no
-    # state past the prefix is stored before either replay's start, so both
-    # replays start from s[0].
-    monkeypatch.setattr(analysis, "_PREFIX_FIRINGS", 1)
+def test_walk_through_undecided_prefix_states():
+    # The near-tie pair 5/3 first repeats a stored state past the end of its
+    # transient, so the transient comes from the lockstep replay.
     g = near_tie_pair(5, 3)
-    built = []
-    init = analysis._Simulator.__init__
-
-    def spy(self, graph):
-        built.append(graph)
-        init(self, graph)
-
-    monkeypatch.setattr(analysis._Simulator, "__init__", spy)
     r = self_timed_throughput(g)
-    assert len(built) == 3
     assert r == reference_throughput(g)
     assert (r.transient_cycles, r.period_cycles) == (10, 5)
 

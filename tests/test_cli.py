@@ -169,6 +169,18 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     assert err.startswith("error: argument --")
 
 
+@pytest.mark.parametrize("flag", ["--prefetch", "--state-budget"])
+@pytest.mark.parametrize("value", ["1_000", "+5", " 7 ", "٣"])
+def test_integer_flags_accept_only_plain_integers(capsys, flag, value):
+    # The rule of scenario files: an optional minus sign and ASCII digits,
+    # not the white space, sign, separator or other digits int() takes.
+    assert int(value) > 0
+    code, out, err = run_cli(capsys, "explore", "mjpeg_base", flag, value)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: argument {flag}: not an integer: ")
+    assert err.count("\n") == 1
+
+
 def test_explore_demo_scenario(capsys):
     code, out, _ = run_cli(capsys, "explore", "two_stage_demo", "--format", "csv")
     assert code == 0
