@@ -633,6 +633,11 @@ def mcm_throughput(graph: SDFG) -> Fraction:
     return 1 / ratio
 
 
+# The clock of a scenario that sets no ``clock-hz``, and of an exploration
+# given none.
+DEFAULT_CLOCK_HZ = Fraction(100_000_000)
+
+
 def to_frames_per_second(result: ThroughputResult | Fraction | int | float,
                          clock_hz) -> Decimal:
     """Convert iterations-per-cycle into frames per second at a clock

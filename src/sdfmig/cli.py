@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -26,13 +25,8 @@ from .errors import (
     SdfmigError,
     UnknownActorError,
 )
-from .migration import (
-    MigrationCandidate,
-    MigrationSpec,
-    explore_single_migrations,
-    migrate_task,
-    migration_gain,
-)
+from .graph import disable_auto_concurrency
+from .migration import MigrationSpec, explore_single_migrations, migration_candidate
 from .rational import parse_plain_integer, parse_rational
 from .scenario import (
     ExplorationReport,
@@ -59,39 +53,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _rational_arg(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _flag_type(parse, accepts, rule: str):
+    """An argparse type: the flag's text read by ``parse`` (whose
+    ``ValueError`` is the message), refused as ``{rule}, got '<text>'`` when
+    ``accepts`` rejects the value."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    return convert
 
 
-def _positive_rational_arg(text: str) -> Fraction:
-    value = _rational_arg(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
-
-
-def _int_arg(text: str) -> int:
-    try:
-        return parse_plain_integer(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _non_negative_int_arg(text: str) -> int:
-    value = _int_arg(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
-    return value
-
-
-def _positive_int_arg(text: str) -> int:
-    value = _int_arg(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
+_positive_rational = _flag_type(parse_rational, lambda v: v > 0, "must be positive")
+_positive_int = _flag_type(parse_plain_integer, lambda v: v > 0, "must be positive")
+_non_negative_int = _flag_type(parse_plain_integer, lambda v: v >= 0,
+                               "must not be negative")
 
 
 @cache
@@ -107,10 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sub):
         sub.add_argument("scenario", help=scenario_help)
-        sub.add_argument("--freq", type=_positive_rational_arg, default=None,
+        sub.add_argument("--freq", type=_positive_rational, default=None,
                          help="clock frequency in Hz (default: scenario value, "
                               "usually 100e6)")
-        sub.add_argument("--state-budget", type=_positive_int_arg,
+        sub.add_argument("--state-budget", type=_positive_int,
                          default=DEFAULT_STATE_BUDGET,
                          help="max distinct execution states to explore")
 
@@ -127,10 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     explore = commands.add_parser("explore", help="rank all single-task migrations")
     add_common(explore)
     for sub in (migrate, explore):
-        sub.add_argument("--speedup", type=_positive_rational_arg,
+        sub.add_argument("--speedup", type=_positive_rational,
                          help="hardware speedup factor (default: the scenario's "
                               "<defaults>, else 2)")
-        sub.add_argument("--prefetch", type=_non_negative_int_arg,
+        sub.add_argument("--prefetch", type=_non_negative_int,
                          help="prefetch issue time in cycles (default: the "
                               "scenario's <defaults>, else 10000)")
         sub.add_argument("--format", choices=("text", "csv"), default="text")
@@ -151,7 +131,6 @@ def _resolve_scenario(argument: str) -> Path:
 def _bound(scenario: Scenario):
     if scenario.platform is not None and scenario.mapping is not None:
         return build_bound_graph(scenario.graph, scenario.platform, scenario.mapping)
-    from .graph import disable_auto_concurrency
     return disable_auto_concurrency(scenario.graph)
 
 
@@ -166,58 +145,37 @@ def run(args, out) -> int:
     scenario = load_scenario(_resolve_scenario(args.scenario))
     clock = args.freq if args.freq is not None else scenario.clock_hz
 
-    if args.command == "check":
+    if args.command in ("check", "throughput"):
         result = self_timed_throughput(_bound(scenario),
                                        state_budget=args.state_budget)
         out.write(f"scenario: {scenario.name}\n")
-        out.write("validation: ok\n")
-        out.write(f"periodic phase: {result.period_cycles} cycles, "
-                  f"{result.reference_firings_per_period} firing(s) of "
-                  f"{result.reference_actor}\n")
+        if args.command == "check":
+            out.write("validation: ok\n")
+            out.write(f"periodic phase: {result.period_cycles} cycles, "
+                      f"{result.reference_firings_per_period} firing(s) of "
+                      f"{result.reference_actor}\n")
+        else:
+            out.write(f"throughput: {to_frames_per_second(result, clock)} f/s\n")
         return EXIT_OK
 
-    if args.command == "throughput":
-        result = self_timed_throughput(_bound(scenario),
-                                       state_budget=args.state_budget)
-        out.write(f"scenario: {scenario.name}\n")
-        out.write(f"throughput: {to_frames_per_second(result, clock)} f/s\n")
-        return EXIT_OK
-
+    if scenario.platform is None or scenario.mapping is None:
+        question = "migration" if args.command == "migrate" else "exploration"
+        raise ScenarioValidationError(
+            f"{question} needs a scenario with a platform and a mapping")
+    mapped = (scenario.graph, scenario.platform, scenario.mapping)
+    spec = _spec_from_args(scenario, args)
     if args.command == "migrate":
-        if scenario.platform is None or scenario.mapping is None:
-            raise ScenarioValidationError(
-                "migration needs a scenario with a platform and a mapping")
-        spec = replace(_spec_from_args(scenario, args), actor=args.task)
-        baseline = self_timed_throughput(_bound(scenario),
+        baseline = self_timed_throughput(build_bound_graph(*mapped),
                                          state_budget=args.state_budget)
-        migrated = migrate_task(scenario.graph, scenario.platform,
-                                scenario.mapping, spec)
-        result = self_timed_throughput(migrated.graph,
-                                       state_budget=args.state_budget)
-        candidate = MigrationCandidate(
-            actor=args.task, result=result,
-            fps_after=to_frames_per_second(result, clock),
-            gain_fps=migration_gain(baseline, result, clock))
-        report = ExplorationReport(scenario=scenario.name, clock_hz=clock,
-                                   baseline=baseline, candidates=(candidate,))
-        out.write(emit_report(report, format=args.format).decode())
-        return EXIT_OK
-
-    if args.command == "explore":
-        if scenario.platform is None or scenario.mapping is None:
-            raise ScenarioValidationError(
-                "exploration needs a scenario with a platform and a mapping")
+        candidates = [migration_candidate(*mapped, replace(spec, actor=args.task),
+                                          baseline, clock, args.state_budget)]
+    else:
         baseline, candidates = explore_single_migrations(
-            scenario.graph, scenario.platform, scenario.mapping,
-            _spec_from_args(scenario, args), clock_hz=clock,
-            state_budget=args.state_budget)
-        report = ExplorationReport(scenario=scenario.name, clock_hz=clock,
-                                   baseline=baseline,
-                                   candidates=tuple(candidates))
-        out.write(emit_report(report, format=args.format).decode())
-        return EXIT_OK
-
-    raise _UsageError(f"unknown command {args.command!r}")  # pragma: no cover
+            *mapped, spec, clock_hz=clock, state_budget=args.state_budget)
+    report = ExplorationReport(scenario=scenario.name, clock_hz=clock,
+                               baseline=baseline, candidates=tuple(candidates))
+    out.write(emit_report(report, format=args.format).decode())
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -47,7 +47,8 @@ class UnmappedActorError(SdfmigError):
 
 
 class SliceOverflowError(SdfmigError):
-    """TDMA slices on a tile exceed the tile's wheel size."""
+    """TDMA slices on a tile exceed the tile's wheel size, or a slice is
+    negative."""
 
 
 class BufferTooSmallError(SdfmigError):
@@ -60,8 +61,9 @@ class SameTileError(SdfmigError):
 
 
 class InvalidBindingError(SdfmigError):
-    """A channel binding's kind is not a ``BindingKind``, it lacks the
-    connection its kind needs, or it sets a field its kind never reads."""
+    """A channel binding's kind is not a ``BindingKind``, it sets a count or
+    time below its minimum, it lacks the connection its kind needs, or it sets
+    a field its kind never reads."""
 
     def __init__(self, field: str, rule: str):
         super().__init__(f"{field} {rule}")

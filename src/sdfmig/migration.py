@@ -16,8 +16,8 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .analysis import (DEFAULT_STATE_BUDGET, ThroughputResult, self_timed_throughput,
-                       to_frames_per_second)
+from .analysis import (DEFAULT_CLOCK_HZ, DEFAULT_STATE_BUDGET, ThroughputResult,
+                       self_timed_throughput, to_frames_per_second)
 from .errors import (
     AlreadyHardwareError,
     InvalidMigrationSpecError,
@@ -195,10 +195,23 @@ def migration_gain(base: ThroughputResult, migrated: ThroughputResult,
     return to_frames_per_second(migrated, clock_hz) - to_frames_per_second(base, clock_hz)
 
 
+def migration_candidate(graph: SDFG, platform: Platform, mapping: PlatformMapping,
+                        spec: MigrationSpec, baseline: ThroughputResult, clock_hz,
+                        state_budget: int = DEFAULT_STATE_BUDGET) -> MigrationCandidate:
+    """One row of a report: migrate ``spec.actor``, analyze the migrated graph
+    and compare it with ``baseline`` at ``clock_hz``. Raises the errors of
+    :func:`migrate_task` and :func:`self_timed_throughput`."""
+    migrated = migrate_task(graph, platform, mapping, spec)
+    result = self_timed_throughput(migrated.graph, state_budget=state_budget)
+    return MigrationCandidate(actor=spec.actor, result=result,
+                              fps_after=to_frames_per_second(result, clock_hz),
+                              gain_fps=migration_gain(baseline, result, clock_hz))
+
+
 def explore_single_migrations(graph: SDFG, platform: Platform,
                               mapping: PlatformMapping,
                               defaults: MigrationSpec = MigrationSpec(),
-                              clock_hz=Fraction(100_000_000),
+                              clock_hz=DEFAULT_CLOCK_HZ,
                               state_budget: int = DEFAULT_STATE_BUDGET,
                               ) -> tuple[ThroughputResult, list[MigrationCandidate]]:
     """Migrate every software actor in turn and rank the outcomes by gain.
@@ -213,15 +226,9 @@ def explore_single_migrations(graph: SDFG, platform: Platform,
         if actor.kind != ActorKind.SOFTWARE:
             continue
         try:
-            migrated = migrate_task(graph, platform, mapping,
-                                    replace(defaults, actor=actor.id))
-            result = self_timed_throughput(migrated.graph, state_budget=state_budget)
-            candidates.append(MigrationCandidate(
-                actor=actor.id,
-                result=result,
-                fps_after=to_frames_per_second(result, clock_hz),
-                gain_fps=migration_gain(baseline, result, clock_hz),
-            ))
+            candidates.append(migration_candidate(
+                graph, platform, mapping, replace(defaults, actor=actor.id),
+                baseline, clock_hz, state_budget))
         except SdfmigError as exc:
             candidates.append(MigrationCandidate(actor=actor.id, error=str(exc)))
     candidates.sort(key=lambda c: (c.gain_fps is None,

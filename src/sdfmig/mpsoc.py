@@ -8,7 +8,8 @@ slot-level simulation. A mapping sums its slices per tile once
 so an actor's wait is its tile's total minus its own slice.
 
 A channel binding is a :class:`BindingKind` plus the connection it uses,
-if any, and only the other fields that kind reads.
+if any, and only the other fields that kind reads, each at least its
+minimum (buffer tokens, latency bound and prefetch time 0, chain buffers 1).
 
 The mapping rules are stated once, in ``_mapping_violations``: scenario
 load lists the broken ones (:func:`validate_mapping`), binding and migration
@@ -19,6 +20,7 @@ rule                                                 diagnostic         error
 mapped actor not in the graph                        UnknownActor       UnknownActorError
 actor placed on a tile the platform lacks            UnknownTile        UnmappedActorError
 software actor with no tile                          UnmappedActor      UnmappedActorError
+negative TDMA slice                                  NegativeSlice      SliceOverflowError
 slices over a processor's wheel                      SliceOverflow      SliceOverflowError
 binding names no channel of the graph                UnknownChannel     UnknownChannelError
 LOCAL endpoints not both on one tile (one unplaced)  BindingMismatch    SameTileError
@@ -127,6 +129,9 @@ _BINDING_FIELDS = {
     BindingKind.REMOTE: ("connection", "alpha_src", "alpha_dst", "latency_bound"),
     BindingKind.PREFETCH: ("connection", "buffer_tokens", "prefetch_time"),
 }
+# The least value of each count or time a binding can set.
+_FIELD_MINIMUM = {"buffer_tokens": 0, "alpha_src": 1, "alpha_dst": 1,
+                  "latency_bound": 0, "prefetch_time": 0}
 
 
 @dataclass(frozen=True)
@@ -137,6 +142,8 @@ class ChannelBinding:
     ``latency_bound`` is the guaranteed token latency over the connection; it
     is an input produced by the surrounding design flow, defaulting to the
     consumer tile's TDMA wheel. Each kind takes only the fields it reads.
+    ``buffer_tokens``, ``latency_bound`` and ``prefetch_time`` are at least 0,
+    and ``alpha_src``/``alpha_dst`` (chain buffers, in tokens) at least 1.
     """
 
     kind: BindingKind = BindingKind.LOCAL
@@ -151,6 +158,10 @@ class ChannelBinding:
         kind = self.kind
         if not isinstance(kind, BindingKind):
             raise InvalidBindingError("kind", f"must be a BindingKind, got {kind!r}")
+        for name, minimum in _FIELD_MINIMUM.items():
+            value = getattr(self, name)
+            if value is not None and value < minimum:
+                raise InvalidBindingError(name, f"must be at least {minimum}, got {value}")
         if kind is not BindingKind.LOCAL and self.connection is None:
             raise InvalidBindingError("connection",
                                       f"is required by a {kind.value} binding")
@@ -232,7 +243,7 @@ def _overflow(tile: Tile, mapping: PlatformMapping) -> str | None:
 def _mapping_violations(graph: SDFG, platform: Platform, mapping: PlatformMapping
                         ) -> Iterator[tuple[str, str, Callable[[str], SdfmigError], str]]:
     """``(code, subject, error, message)`` for every rule of the module
-    docstring that ``mapping`` breaks: actors, tiles, then bindings. A
+    docstring that ``mapping`` breaks: actors, slices, tiles, then bindings. A
     binding breaks at most one rule, its kind's tile rule first."""
     unplaced_software = [a.id for a in graph.actors if a.kind == ActorKind.SOFTWARE
                          and a.id not in mapping.actor_tile]
@@ -243,6 +254,10 @@ def _mapping_violations(graph: SDFG, platform: Platform, mapping: PlatformMappin
         unplaced = _unplaced(actor_id, platform, mapping)
         if unplaced is not None:
             yield unplaced[0], actor_id, UnmappedActorError, unplaced[1]
+    for actor_id, slice_cycles in mapping.tdma_slice.items():
+        if slice_cycles < 0:
+            yield ("NegativeSlice", actor_id, SliceOverflowError,
+                   f"actor {actor_id!r}: tdma slice must be at least 0, got {slice_cycles}")
     for tile in platform.tiles:
         overflow = _overflow(tile, mapping)
         if overflow is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .analysis import ThroughputResult, to_frames_per_second
+from .analysis import DEFAULT_CLOCK_HZ, ThroughputResult, to_frames_per_second
 from .errors import (
     InvalidBindingError,
     ScenarioParseError,
@@ -34,8 +34,6 @@ from .mpsoc import (
     validate_mapping,
 )
 from .rational import format_rational, parse_plain_integer, parse_rational
-
-DEFAULT_CLOCK_HZ = Fraction(100_000_000)
 
 
 @dataclass(frozen=True)
@@ -347,11 +345,11 @@ def _read_mapping(node: _Node) -> PlatformMapping:
                 bindings[channel] = ChannelBinding(
                     kind=kind,
                     connection=connection,
-                    buffer_tokens=r.integer("buffer-tokens", minimum=0),
-                    alpha_src=r.integer("alpha-src", minimum=1),
-                    alpha_dst=r.integer("alpha-dst", minimum=1),
-                    latency_bound=r.integer("latency-bound", minimum=0),
-                    prefetch_time=r.integer("prefetch-time", minimum=0),
+                    buffer_tokens=r.integer("buffer-tokens"),
+                    alpha_src=r.integer("alpha-src"),
+                    alpha_dst=r.integer("alpha-dst"),
+                    latency_bound=r.integer("latency-bound"),
+                    prefetch_time=r.integer("prefetch-time"),
                 )
             except InvalidBindingError as exc:
                 r.fail(f"attribute {exc.field.replace('_', '-')!r} {exc.rule}")

@@ -187,6 +187,38 @@ def test_explore_demo_scenario(capsys):
     assert len(out.strip().split("\n")) == 3
 
 
+GRAPH_ONLY = """<scenario name="solo">
+  <application>
+    <actor id="A" exec-time="10"/>
+    <channel id="loop" src="A" dst="A" initial-tokens="1"/>
+  </application>
+</scenario>"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(["check"], "scenario: solo\nvalidation: ok\nperiodic phase: 10 cycles, "
+                            "1 firing(s) of A\n", id="check"),
+    pytest.param(["throughput"], "scenario: solo\nthroughput: 10000000.00 f/s\n",
+                 id="throughput"),
+])
+def test_graph_only_scenario_is_analyzed_as_is(tmp_path, capsys, argv, expected):
+    scenario = tmp_path / "solo.xml"
+    scenario.write_text(GRAPH_ONLY)
+    assert run_cli(capsys, *argv, str(scenario)) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, question", [
+    pytest.param(["migrate", "--task", "A"], "migration", id="migrate"),
+    pytest.param(["explore"], "exploration", id="explore"),
+])
+def test_graph_only_scenario_cannot_migrate(tmp_path, capsys, argv, question):
+    scenario = tmp_path / "solo.xml"
+    scenario.write_text(GRAPH_ONLY)
+    assert run_cli(capsys, *argv, str(scenario)) == (
+        1, "", f"invalid scenario: {question} needs a scenario with a platform "
+               "and a mapping\n")
+
+
 def test_cli_import_stays_light():
     # xml.sax.saxutils imports urllib.request, and with it http.client, email
     # and ssl: megabytes of memory and tens of milliseconds per process.

@@ -15,6 +15,7 @@ from sdfmig.analysis import self_timed_throughput, to_frames_per_second
 from sdfmig.errors import (
     AlreadyHardwareError,
     InvalidMigrationSpecError,
+    SdfmigError,
     UnknownActorError,
     UnknownConnectionError,
     UnmappedActorError,
@@ -26,6 +27,7 @@ from sdfmig.migration import (
     classify_channel,
     explore_single_migrations,
     migrate_task,
+    migration_candidate,
     migration_gain,
     spec_range_error,
 )
@@ -313,3 +315,47 @@ def test_migrate_rejects_unknown_hw_connection(actor):
     g, p, m = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
     with pytest.raises(UnknownConnectionError, match="'nope'"):
         migrate_task(g, p, m, MigrationSpec(actor=actor, hw_connection="nope"))
+
+
+def far_connection_scenario(connections):
+    """A(10) -> B(20) over ``c`` and B -> A over ``r``, both local on T1; the
+    platform's ``connections`` join only T2 and T3, so none touches T1."""
+    g = SDFG(actors=[Actor("A", 10), Actor("B", 20)],
+             channels=[Channel("c", "A", "B", token_size=8),
+                       Channel("r", "B", "A", initial_tokens=2)])
+    platform = Platform(tiles=[Tile("T1", tdma_wheel=20), Tile("T2", tdma_wheel=20),
+                               Tile("T3", tdma_wheel=20)],
+                        connections=connections)
+    mapping = PlatformMapping(actor_tile={"A": "T1", "B": "T1"},
+                              tdma_slice={"A": 5, "B": 5},
+                              channel_binding={"c": ChannelBinding(buffer_tokens=4),
+                                               "r": ChannelBinding()})
+    return g, platform, mapping
+
+
+def test_new_link_copies_first_connection_when_none_touches_vacated_tile():
+    z = NocConnection("z", "T2", "T3", latency=1, bandwidth=Fraction(2))
+    g, platform, mapping = far_connection_scenario([z])
+    baseline, candidates = explore_single_migrations(g, platform, mapping)
+    assert to_frames_per_second(baseline, CLOCK) == Decimal("4000000.00")
+    assert [(c.actor, c.fps_after) for c in candidates] == [
+        ("B", Decimal("4999.75")), ("A", Decimal("4998.75"))]
+    migrated = migrate_task(g, platform, mapping, MigrationSpec(actor="B"))
+    for link in ("noc_c", "noc_r"):
+        copied = migrated.platform.connection(link)
+        assert (copied.latency, copied.bandwidth) == (z.latency, z.bandwidth)
+    # migrate and explore build the row in one function.
+    assert migration_candidate(g, platform, mapping, MigrationSpec(actor="B"),
+                               baseline, CLOCK) == candidates[0]
+
+
+def test_every_row_fails_when_the_platform_has_no_connection():
+    g, platform, mapping = far_connection_scenario([])
+    _, candidates = explore_single_migrations(g, platform, mapping)
+    message = "platform has no connection to model the hardware link for 'c'"
+    assert [(c.actor, c.result, c.error) for c in candidates] == [
+        ("A", None, message), ("B", None, message)]
+    with pytest.raises(SdfmigError, match=message):
+        migration_candidate(g, platform, mapping, MigrationSpec(actor="A"),
+                            self_timed_throughput(build_bound_graph(g, platform, mapping)),
+                            CLOCK)
