@@ -62,8 +62,8 @@ class SameTileError(SdfmigError):
 
 class InvalidBindingError(SdfmigError):
     """A channel binding's kind is not a ``BindingKind``, it sets a count or
-    time below its minimum, it lacks the connection its kind needs, or it sets
-    a field its kind never reads."""
+    time that is not an ``int`` or is below its minimum, it lacks the
+    connection its kind needs, or it sets a field its kind never reads."""
 
     def __init__(self, field: str, rule: str):
         super().__init__(f"{field} {rule}")
@@ -80,9 +80,9 @@ class UnknownActorError(SdfmigError):
 
 
 class MalformedGraphError(SdfmigError):
-    """A graph holds initial tokens that are not an integer of at least 0,
-    an execution time or rate that is not an integer, or a reference actor
-    that is not in the graph."""
+    """A graph holds initial tokens or a token size that is not an integer
+    of at least 0, an execution time or rate that is not an integer, or a
+    reference actor that is not in the graph."""
 
 
 class UnknownConnectionError(SdfmigError):

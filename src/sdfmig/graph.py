@@ -206,6 +206,7 @@ class Diagnostic:
 DANGLING_ENDPOINT = "DanglingEndpoint"
 ZERO_RATE = "ZeroRate"
 NEGATIVE_TOKENS = "NegativeTokens"
+NEGATIVE_TOKEN_SIZE = "NegativeTokenSize"
 NEGATIVE_EXEC_TIME = "NegativeExecTime"
 DUPLICATE_ID = "DuplicateId"
 BAD_REFERENCE = "BadReference"
@@ -246,6 +247,10 @@ def _violations(graph: SDFG) -> Iterator[tuple[str, str, type[SdfmigError], str]
             yield (NEGATIVE_TOKENS, c.id, MalformedGraphError,
                    f"channel {c.id!r} has initial tokens {c.initial_tokens!r}; they must "
                    "be an integer of at least 0")
+        if not isinstance(c.token_size, int) or c.token_size < 0:
+            yield (NEGATIVE_TOKEN_SIZE, c.id, MalformedGraphError,
+                   f"channel {c.id!r} has token size {c.token_size!r}; it must be "
+                   "an integer of at least 0")
     if graph.reference_actor is not None and graph.reference_actor not in actor_ids:
         yield (BAD_REFERENCE, graph.reference_actor, MalformedGraphError,
                f"reference actor {graph.reference_actor!r} is not in the graph")
@@ -257,9 +262,9 @@ def check_graph(graph: SDFG) -> None:
     endpoint that is not an actor (:class:`UnknownActorError`), a rate below
     1 (:class:`InvalidRateError`), a negative execution time
     (:class:`NegativeExecutionTimeError`), or (:class:`MalformedGraphError`)
-    negative initial tokens, a value that is not an integer or an unknown
-    reference actor. Only a pass is remembered, per graph object, so later
-    calls on a well-formed graph are free."""
+    negative initial tokens or token size, a value that is not an integer
+    or an unknown reference actor. Only a pass is remembered, per graph
+    object, so later calls on a well-formed graph are free."""
     graph._well_formed
 
 

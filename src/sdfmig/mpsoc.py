@@ -8,8 +8,9 @@ slot-level simulation. A mapping sums its slices per tile once
 so an actor's wait is its tile's total minus its own slice.
 
 A channel binding is a :class:`BindingKind` plus the connection it uses,
-if any, and only the other fields that kind reads, each at least its
-minimum (buffer tokens, latency bound and prefetch time 0, chain buffers 1).
+if any, and only the other fields that kind reads, each an ``int`` of at
+least its minimum (buffer tokens, latency bound and prefetch time 0, chain
+buffers 1).
 
 The mapping rules are stated once, in ``_mapping_violations``: scenario
 load lists the broken ones (:func:`validate_mapping`), binding and migration
@@ -142,8 +143,10 @@ class ChannelBinding:
     ``latency_bound`` is the guaranteed token latency over the connection; it
     is an input produced by the surrounding design flow, defaulting to the
     consumer tile's TDMA wheel. Each kind takes only the fields it reads.
-    ``buffer_tokens``, ``latency_bound`` and ``prefetch_time`` are at least 0,
-    and ``alpha_src``/``alpha_dst`` (chain buffers, in tokens) at least 1.
+    The five counts are ``int`` (a ``bool`` is not), checked for every field
+    before any range: ``buffer_tokens``, ``latency_bound`` and
+    ``prefetch_time`` are at least 0, and ``alpha_src``/``alpha_dst`` (chain
+    buffers, in tokens) at least 1.
     """
 
     kind: BindingKind = BindingKind.LOCAL
@@ -158,6 +161,10 @@ class ChannelBinding:
         kind = self.kind
         if not isinstance(kind, BindingKind):
             raise InvalidBindingError("kind", f"must be a BindingKind, got {kind!r}")
+        for name in _FIELD_MINIMUM:
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise InvalidBindingError(name, f"must be an int, got {value!r}")
         for name, minimum in _FIELD_MINIMUM.items():
             value = getattr(self, name)
             if value is not None and value < minimum:
@@ -191,6 +198,17 @@ class PlatformMapping:
             totals[tile_id] = totals.get(tile_id, 0) + self.tdma_slice.get(actor_id, 0)
         return totals
 
+    @cached_property
+    def negative_slices(self) -> dict[str, str]:
+        """Tile id -> the message for the first actor placed on it whose TDMA
+        slice is negative."""
+        found: dict[str, str] = {}
+        for actor_id, slice_cycles in self.tdma_slice.items():
+            if slice_cycles < 0:
+                found.setdefault(self.actor_tile.get(actor_id),
+                                 _negative_slice(actor_id, slice_cycles))
+        return found
+
     def tile_of(self, actor_id: str) -> str | None:
         return self.actor_tile.get(actor_id)
 
@@ -198,16 +216,17 @@ class PlatformMapping:
 def tdma_wait(actor_id: str, platform: Platform, mapping: PlatformMapping) -> int:
     """Worst-case wait for an actor to re-enter its TDMA slot: the sum of the
     other co-mapped actors' slices. Zero on hardware and memory tiles. Raises
-    the error of the placement or slice rule the actor's tile breaks."""
+    the error of the placement or slice rule the actor's tile breaks: a
+    negative slice on the tile, then slices over its wheel."""
     unplaced = _unplaced(actor_id, platform, mapping)
     if unplaced is not None:
         raise UnmappedActorError(unplaced[1])
     tile = platform.tile_map[mapping.actor_tile[actor_id]]
     if tile.kind != TileKind.PROCESSOR:
         return 0
-    overflow = _overflow(tile, mapping)
-    if overflow is not None:
-        raise SliceOverflowError(overflow)
+    fault = mapping.negative_slices.get(tile.id) or _overflow(tile, mapping)
+    if fault is not None:
+        raise SliceOverflowError(fault)
     return mapping.tile_slices[tile.id] - mapping.tdma_slice.get(actor_id, 0)
 
 
@@ -230,6 +249,10 @@ def _unplaced(actor_id: str, platform: Platform,
     if tile_id not in platform.tile_map:
         return "UnknownTile", f"actor {actor_id!r} is mapped to unknown tile {tile_id!r}"
     return None
+
+
+def _negative_slice(actor_id: str, slice_cycles: int) -> str:
+    return f"actor {actor_id!r}: tdma slice must be at least 0, got {slice_cycles}"
 
 
 def _overflow(tile: Tile, mapping: PlatformMapping) -> str | None:
@@ -257,7 +280,7 @@ def _mapping_violations(graph: SDFG, platform: Platform, mapping: PlatformMappin
     for actor_id, slice_cycles in mapping.tdma_slice.items():
         if slice_cycles < 0:
             yield ("NegativeSlice", actor_id, SliceOverflowError,
-                   f"actor {actor_id!r}: tdma slice must be at least 0, got {slice_cycles}")
+                   _negative_slice(actor_id, slice_cycles))
     for tile in platform.tiles:
         overflow = _overflow(tile, mapping)
         if overflow is not None:

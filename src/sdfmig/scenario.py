@@ -1,10 +1,12 @@
 """Scenario files: application graph, platform, mapping and migration
 defaults in one self-describing XML document, plus report emission.
 
-Numeric attributes are parsed exactly (a bandwidth of 0.00406278 stays the
-rational 203139/50000000); serialization is canonical, so saving the same
-scenario twice produces identical bytes. An import shim reads the
-application-graph subset of SDF3-style XML files.
+The attribute tables (``_ACTOR`` ... ``_DEFAULTS``) are the format's one
+statement: load and save both read them. Numeric attributes are parsed
+exactly (a bandwidth of 0.00406278 stays the rational 203139/50000000);
+serialization is canonical, so saving the same scenario twice produces
+identical bytes. An import shim reads the application-graph subset of
+SDF3-style XML files.
 """
 
 from __future__ import annotations
@@ -102,68 +104,99 @@ def _parse_tree(text: str) -> _Node:
     return root[0]
 
 
-# Attributes each element accepts; anything else is an unknown attribute.
-_SCENARIO_ATTRS = frozenset({"name", "clock-hz"})
-_APPLICATION_ATTRS = frozenset({"reference-actor"})
-_ACTOR_ATTRS = frozenset({"id", "exec-time", "kind", "name"})
-_CHANNEL_ATTRS = frozenset({"id", "src", "dst", "prod-rate", "cons-rate",
-                            "initial-tokens", "token-size"})
-_TILE_ATTRS = frozenset({"id", "kind", "tdma-wheel"})
-_CONNECTION_ATTRS = frozenset({"id", "src-tile", "dst-tile", "latency", "bandwidth"})
-_PLACE_ATTRS = frozenset({"actor", "tile", "tdma-slice"})
-_BIND_ATTRS = frozenset({"channel", "connection", "prefetch", "buffer-tokens",
-                         "alpha-src", "alpha-dst", "latency-bound", "prefetch-time"})
-_DEFAULTS_ATTRS = frozenset({"speedup", "prefetch-time", "hw-connection",
-                             "hw-buffer-tokens", "alpha-src", "alpha-dst"})
-_SDF3_CHANNEL_ATTRS = frozenset({"name", "srcActor", "srcPort", "dstActor", "dstPort",
-                                 "initialTokens", "size"})
+# One table per element that carries attributes, a row (attribute, type,
+# default) per attribute in the order save writes them; the field is the
+# attribute with "_" for "-". Load accepts no other attribute and gives the
+# default for an absent one; save leaves out a value equal to its default.
+# A _REQUIRED attribute must be present and is always written; _NATURAL is
+# an int of at least 0.
+_REQUIRED = object()
+_NATURAL = object()
 
 
-class _Reader:
-    """Attribute access with position-aware errors and exact number parsing."""
+def _table(*rows) -> dict:
+    """Attribute -> (field, type, default), in row order."""
+    return {attribute: (attribute.replace("-", "_"), kind, default)
+            for attribute, kind, default in rows}
 
-    def __init__(self, node: _Node, allowed: frozenset[str]):
-        self.node = node
-        if not node.attrib.keys() <= allowed:
-            unknown = sorted(set(node.attrib) - allowed)[0]
-            line, column = node.where()
-            raise ScenarioParseError(f"unknown attribute {unknown!r} on <{node.tag}>",
-                                     line=line, column=column)
 
-    def fail(self, message: str):
-        line, column = self.node.where()
-        raise ScenarioParseError(f"<{self.node.tag}>: {message}",
+_ACTOR = _table(("id", str, _REQUIRED), ("exec-time", int, 0),
+                ("kind", ActorKind, ActorKind.SOFTWARE), ("name", str, ""))
+_CHANNEL = _table(("id", str, _REQUIRED), ("src", str, _REQUIRED), ("dst", str, _REQUIRED),
+                  ("prod-rate", int, 1), ("cons-rate", int, 1),
+                  ("initial-tokens", int, 0), ("token-size", _NATURAL, 0))
+_TILE = _table(("id", str, _REQUIRED), ("kind", TileKind, TileKind.PROCESSOR),
+               ("tdma-wheel", _NATURAL, 0))
+_CONNECTION = _table(("id", str, _REQUIRED), ("src-tile", str, _REQUIRED),
+                     ("dst-tile", str, _REQUIRED), ("latency", _NATURAL, 0),
+                     ("bandwidth", Fraction, _REQUIRED))
+_PLACE = _table(("actor", str, _REQUIRED), ("tile", str, _REQUIRED),
+                ("tdma-slice", _NATURAL, None))
+_BIND = _table(("channel", str, _REQUIRED), ("prefetch", bool, False),
+               ("connection", str, None), ("buffer-tokens", int, None),
+               ("alpha-src", int, None), ("alpha-dst", int, None),
+               ("latency-bound", int, None), ("prefetch-time", int, None))
+_DEFAULTS = _table(("speedup", Fraction, MigrationSpec.speedup),
+                   ("prefetch-time", int, MigrationSpec.prefetch_time),
+                   ("hw-connection", str, None), ("hw-buffer-tokens", int, None),
+                   ("alpha-src", int, MigrationSpec.alpha_src),
+                   ("alpha-dst", int, MigrationSpec.alpha_dst))
+
+# Read through the same rows, but written by hand (the root and
+# <application>) or never (the SDF3 import).
+_APPLICATION = _table(("reference-actor", str, None))
+_SDF3_CHANNEL = _table(("srcActor", str, _REQUIRED), ("dstActor", str, _REQUIRED),
+                       ("name", str, _REQUIRED), ("srcPort", str, ""), ("dstPort", str, ""),
+                       ("initialTokens", int, 0), ("size", str, None))
+
+
+def _fail(node: _Node, message: str):
+    line, column = node.where()
+    raise ScenarioParseError(f"<{node.tag}>: {message}", line=line, column=column)
+
+
+def _fields(node: _Node, table: dict) -> dict:
+    """The node's attributes read by ``table``, in table order, by field:
+    each parsed as its type, or its default when absent. An attribute the
+    table lacks is unknown."""
+    attrib = node.attrib
+    if not attrib.keys() <= table.keys():
+        unknown = sorted(attrib.keys() - table.keys())[0]
+        line, column = node.where()
+        raise ScenarioParseError(f"unknown attribute {unknown!r} on <{node.tag}>",
                                  line=line, column=column)
-
-    def text(self, name: str, default: str | None = None) -> str:
-        value = self.node.attrib.get(name, default)
-        if value is None:
-            self.fail(f"missing attribute {name!r}")
-        return value
-
-    def integer(self, name: str, default: int | None = None,
-                minimum: int | None = None) -> int | None:
-        raw = self.node.attrib.get(name)
+    values = {}
+    for attribute, (field, kind, default) in table.items():
+        raw = attrib.get(attribute)
         if raw is None:
-            return default
-        try:
-            value = parse_plain_integer(raw)
-        except ValueError:
-            self.fail(f"attribute {name!r} must be an integer, got {raw!r}")
-        if minimum is not None and value < minimum:
-            self.fail(f"attribute {name!r} must be at least {minimum}, got {value}")
-        return value
-
-    def rational(self, name: str, default: Fraction | None = None) -> Fraction:
-        raw = self.node.attrib.get(name)
-        if raw is None:
-            if default is None:
-                self.fail(f"missing attribute {name!r}")
-            return default
-        try:
-            return parse_rational(raw)
-        except ValueError:
-            self.fail(f"attribute {name!r} must be a number, got {raw!r}")
+            if default is _REQUIRED:
+                _fail(node, f"missing attribute {attribute!r}")
+            values[field] = default
+        elif kind is str:
+            values[field] = raw
+        elif kind is int or kind is _NATURAL:
+            try:  # plain digits, the common case, need no call to parse
+                values[field] = value = (int(raw) if raw.isdigit() and raw.isascii()
+                                         else parse_plain_integer(raw))
+            except ValueError:
+                _fail(node, f"attribute {attribute!r} must be an integer, got {raw!r}")
+            if kind is _NATURAL and value < 0:
+                _fail(node, f"attribute {attribute!r} must be at least 0, got {value}")
+        elif kind is Fraction:
+            try:
+                values[field] = parse_rational(raw)
+            except ValueError:
+                _fail(node, f"attribute {attribute!r} must be a number, got {raw!r}")
+        elif kind is bool:
+            if raw not in ("true", "false"):
+                _fail(node, f"{attribute} must be 'true' or 'false'")
+            values[field] = raw == "true"
+        else:
+            try:
+                values[field] = kind(raw)
+            except ValueError:
+                _fail(node, f"unknown {node.tag} kind {raw!r}")
+    return values
 
 
 def _expect_children(node: _Node, allowed: set[str]) -> None:
@@ -195,11 +228,11 @@ def load_scenario(path) -> Scenario:
         line, column = root.where()
         raise ScenarioParseError(f"expected <scenario> root, got <{root.tag}>",
                                  line=line, column=column)
-    reader = _Reader(root, _SCENARIO_ATTRS)
-    name = reader.text("name", Path(path).stem)
-    clock = reader.rational("clock-hz", DEFAULT_CLOCK_HZ)
+    head = _fields(root, _table(("name", str, Path(path).stem),
+                                ("clock-hz", Fraction, DEFAULT_CLOCK_HZ)))
+    name, clock = head["name"], head["clock_hz"]
     if clock <= 0:
-        reader.fail(f"attribute 'clock-hz' must be positive, got {format_rational(clock)}")
+        _fail(root, f"attribute 'clock-hz' must be positive, got {format_rational(clock)}")
     _expect_children(root, {"description", "application", "platform", "mapping",
                             "defaults"})
 
@@ -231,7 +264,7 @@ def load_scenario(path) -> Scenario:
     connection = defaults.hw_connection
     if connection is not None and (platform is None
                                    or connection not in platform.connection_map):
-        _Reader(defaults_node, _DEFAULTS_ATTRS).fail(
+        _fail(defaults_node,
             f"attribute 'hw-connection' names no connection of the platform, "
             f"got {connection!r}")
 
@@ -253,126 +286,66 @@ def _validate_scenario(scenario: Scenario) -> None:
 
 
 def _read_application(node: _Node) -> SDFG:
-    _Reader(node, _APPLICATION_ATTRS)
+    reference = _fields(node, _APPLICATION)["reference_actor"]
     _expect_children(node, {"actor", "channel"})
     actors: list[Actor] = []
     channels: list[Channel] = []
     for child in node.children:
         if child.tag == "actor":
-            r = _Reader(child, _ACTOR_ATTRS)
-            kind_text = r.text("kind", ActorKind.SOFTWARE.value)
-            try:
-                kind = ActorKind(kind_text)
-            except ValueError:
-                r.fail(f"unknown actor kind {kind_text!r}")
-            actors.append(Actor(
-                id=r.text("id"),
-                exec_time=r.integer("exec-time", 0),
-                kind=kind,
-                name=r.text("name", "") or r.text("id"),
-            ))
+            actors.append(Actor(**_fields(child, _ACTOR)))
         else:
-            r = _Reader(child, _CHANNEL_ATTRS)
-            channels.append(Channel(
-                id=r.text("id"),
-                src=r.text("src"),
-                dst=r.text("dst"),
-                prod_rate=r.integer("prod-rate", 1),
-                cons_rate=r.integer("cons-rate", 1),
-                initial_tokens=r.integer("initial-tokens", 0),
-                token_size=r.integer("token-size", 0, minimum=0),
-            ))
-    return SDFG(actors=actors, channels=channels,
-                reference_actor=node.attrib.get("reference-actor"))
+            channels.append(Channel(**_fields(child, _CHANNEL)))
+    return SDFG(actors=actors, channels=channels, reference_actor=reference)
 
 
 def _read_platform(node: _Node) -> Platform:
-    _Reader(node, frozenset())
+    _fields(node, {})
     _expect_children(node, {"tile", "connection"})
     tiles: list[Tile] = []
     connections: list[NocConnection] = []
     for child in node.children:
         if child.tag == "tile":
-            r = _Reader(child, _TILE_ATTRS)
-            kind_text = r.text("kind", TileKind.PROCESSOR.value)
-            try:
-                kind = TileKind(kind_text)
-            except ValueError:
-                r.fail(f"unknown tile kind {kind_text!r}")
-            tiles.append(Tile(
-                id=r.text("id"), kind=kind,
-                tdma_wheel=r.integer("tdma-wheel", 0, minimum=0),
-            ))
+            tiles.append(Tile(**_fields(child, _TILE)))
         else:
-            r = _Reader(child, _CONNECTION_ATTRS)
-            bandwidth = r.rational("bandwidth")
-            if bandwidth <= 0:
-                r.fail("bandwidth must be positive")
-            connections.append(NocConnection(
-                id=r.text("id"),
-                src_tile=r.text("src-tile"),
-                dst_tile=r.text("dst-tile"),
-                latency=r.integer("latency", 0, minimum=0),
-                bandwidth=bandwidth,
-            ))
+            connection = NocConnection(**_fields(child, _CONNECTION))
+            if connection.bandwidth <= 0:
+                _fail(child, "bandwidth must be positive")
+            connections.append(connection)
     return Platform(tiles=tiles, connections=connections)
 
 
 def _read_mapping(node: _Node) -> PlatformMapping:
-    _Reader(node, frozenset())
+    _fields(node, {})
     _expect_children(node, {"place", "bind"})
     actor_tile: dict[str, str] = {}
     tdma_slice: dict[str, int] = {}
     bindings: dict[str, ChannelBinding] = {}
     for child in node.children:
         if child.tag == "place":
-            r = _Reader(child, _PLACE_ATTRS)
-            actor = r.text("actor")
-            actor_tile[actor] = r.text("tile")
-            slice_cycles = r.integer("tdma-slice", minimum=0)
-            if slice_cycles is not None:
-                tdma_slice[actor] = slice_cycles
+            place = _fields(child, _PLACE)
+            actor_tile[place["actor"]] = place["tile"]
+            if place["tdma_slice"] is not None:
+                tdma_slice[place["actor"]] = place["tdma_slice"]
         else:
-            r = _Reader(child, _BIND_ATTRS)
-            channel = r.text("channel")
-            prefetch = r.text("prefetch", "false")
-            if prefetch not in ("true", "false"):
-                r.fail("prefetch must be 'true' or 'false'")
-            connection = child.attrib.get("connection")
-            kind = (BindingKind.PREFETCH if prefetch == "true" else
-                    BindingKind.LOCAL if connection is None else BindingKind.REMOTE)
+            values = _fields(child, _BIND)
+            channel = values.pop("channel")
+            kind = (BindingKind.PREFETCH if values.pop("prefetch") else
+                    BindingKind.LOCAL if values["connection"] is None else BindingKind.REMOTE)
             try:
-                bindings[channel] = ChannelBinding(
-                    kind=kind,
-                    connection=connection,
-                    buffer_tokens=r.integer("buffer-tokens"),
-                    alpha_src=r.integer("alpha-src"),
-                    alpha_dst=r.integer("alpha-dst"),
-                    latency_bound=r.integer("latency-bound"),
-                    prefetch_time=r.integer("prefetch-time"),
-                )
+                bindings[channel] = ChannelBinding(kind=kind, **values)
             except InvalidBindingError as exc:
-                r.fail(f"attribute {exc.field.replace('_', '-')!r} {exc.rule}")
+                _fail(child, f"attribute {exc.field.replace('_', '-')!r} {exc.rule}")
     return PlatformMapping(actor_tile=actor_tile, tdma_slice=tdma_slice,
                            channel_binding=bindings)
 
 
 def _read_defaults(node: _Node) -> MigrationSpec:
-    r = _Reader(node, _DEFAULTS_ATTRS)
+    spec = MigrationSpec(**_fields(node, _DEFAULTS))
     _expect_children(node, set())
-    base = MigrationSpec()
-    spec = MigrationSpec(
-        speedup=r.rational("speedup", base.speedup),
-        prefetch_time=r.integer("prefetch-time", base.prefetch_time),
-        hw_connection=node.attrib.get("hw-connection"),
-        hw_buffer_tokens=r.integer("hw-buffer-tokens"),
-        alpha_src=r.integer("alpha-src", base.alpha_src),
-        alpha_dst=r.integer("alpha-dst", base.alpha_dst),
-    )
     problem = spec_range_error(spec)
     if problem is not None:
         field_name, rule = problem
-        r.fail(f"attribute {field_name.replace('_', '-')!r} {rule}")
+        _fail(node, f"attribute {field_name.replace('_', '-')!r} {rule}")
     return spec
 
 
@@ -435,14 +408,13 @@ def _read_sdf3(root: _Node) -> SDFG:
 
     channels = []
     for node in channel_nodes:
-        r = _Reader(node, _SDF3_CHANNEL_ATTRS)
-        src, dst = r.text("srcActor"), r.text("dstActor")
-        name = r.text("name")
+        f = _fields(node, _SDF3_CHANNEL)
+        src, dst, name = f["srcActor"], f["dstActor"], f["name"]
         channels.append(Channel(
             id=name, src=src, dst=dst,
-            prod_rate=port_rates.get((src, r.text("srcPort", "")), 1),
-            cons_rate=port_rates.get((dst, r.text("dstPort", "")), 1),
-            initial_tokens=r.integer("initialTokens", 0),
+            prod_rate=port_rates.get((src, f["srcPort"]), 1),
+            cons_rate=port_rates.get((dst, f["dstPort"]), 1),
+            initial_tokens=f["initialTokens"],
             token_size=token_sizes.get(name, 0),
         ))
     return SDFG(actors=actors, channels=channels)
@@ -483,6 +455,28 @@ def _quote(value: str) -> str:
     return '"' + value.replace('"', "&quot;") + '"'
 
 
+def _element(tag: str, table: dict, values: dict, keep: tuple[str, ...] = ()) -> str:
+    """``<tag .../>`` with the attributes of ``table`` in table order, each
+    field's value taken from ``values``. A value equal to its default is
+    left out unless its field is in ``keep``."""
+    line = "<" + tag
+    for attribute, (field, kind, default) in table.items():
+        value = values[field]
+        if default is not _REQUIRED and value == default and field not in keep:
+            continue
+        if kind is str:
+            line += f" {attribute}={_quote(value)}"
+        elif kind is int or kind is _NATURAL:
+            line += f' {attribute}="{value}"'
+        elif kind is Fraction:
+            line += f" {attribute}={_quote(format_rational(value))}"
+        elif kind is bool:
+            line += f' {attribute}="{"true" if value else "false"}"'
+        else:
+            line += f" {attribute}={_quote(value.value)}"
+    return line + "/>"
+
+
 def scenario_to_text(scenario: Scenario) -> str:
     out: list[str] = []
     head = [f"name={_quote(scenario.name)}"]
@@ -499,88 +493,40 @@ def scenario_to_text(scenario: Scenario) -> str:
            if graph.reference_actor else "")
     out.append(f"  <application{ref}>")
     for actor in sorted(graph.actors, key=lambda a: a.id):
-        attrs = [f"id={_quote(actor.id)}", f'exec-time="{actor.exec_time}"']
-        if actor.kind != ActorKind.SOFTWARE:
-            attrs.append(f"kind={_quote(actor.kind.value)}")
-        if actor.name != actor.id:
-            attrs.append(f"name={_quote(actor.name)}")
-        out.append(f"    <actor {' '.join(attrs)}/>")
+        # Two exceptions to leaving defaults out: exec-time="0" is written,
+        # and name only when it differs from the id.
+        name = actor.name if actor.name != actor.id else ""
+        out.append("    " + _element("actor", _ACTOR, {**vars(actor), "name": name},
+                                     keep=("exec_time",)))
     for channel in sorted(graph.channels, key=lambda c: c.id):
-        attrs = [f"id={_quote(channel.id)}",
-                 f"src={_quote(channel.src)}",
-                 f"dst={_quote(channel.dst)}"]
-        if channel.prod_rate != 1:
-            attrs.append(f'prod-rate="{channel.prod_rate}"')
-        if channel.cons_rate != 1:
-            attrs.append(f'cons-rate="{channel.cons_rate}"')
-        if channel.initial_tokens:
-            attrs.append(f'initial-tokens="{channel.initial_tokens}"')
-        if channel.token_size:
-            attrs.append(f'token-size="{channel.token_size}"')
-        out.append(f"    <channel {' '.join(attrs)}/>")
+        out.append("    " + _element("channel", _CHANNEL, vars(channel)))
     out.append("  </application>")
 
     if scenario.platform is not None:
         out.append("  <platform>")
         for tile in sorted(scenario.platform.tiles, key=lambda t: t.id):
-            attrs = [f"id={_quote(tile.id)}"]
-            if tile.kind != TileKind.PROCESSOR:
-                attrs.append(f"kind={_quote(tile.kind.value)}")
-            if tile.tdma_wheel:
-                attrs.append(f'tdma-wheel="{tile.tdma_wheel}"')
-            out.append(f"    <tile {' '.join(attrs)}/>")
+            out.append("    " + _element("tile", _TILE, vars(tile)))
         for conn in sorted(scenario.platform.connections, key=lambda c: c.id):
-            attrs = [f"id={_quote(conn.id)}",
-                     f"src-tile={_quote(conn.src_tile)}",
-                     f"dst-tile={_quote(conn.dst_tile)}"]
-            if conn.latency:
-                attrs.append(f'latency="{conn.latency}"')
-            attrs.append(f"bandwidth={_quote(format_rational(conn.bandwidth))}")
-            out.append(f"    <connection {' '.join(attrs)}/>")
+            out.append("    " + _element("connection", _CONNECTION, vars(conn)))
         out.append("  </platform>")
 
     if scenario.mapping is not None:
         out.append("  <mapping>")
         mapping = scenario.mapping
         for actor_id in sorted(mapping.actor_tile):
-            attrs = [f"actor={_quote(actor_id)}",
-                     f"tile={_quote(mapping.actor_tile[actor_id])}"]
-            if actor_id in mapping.tdma_slice:
-                attrs.append(f'tdma-slice="{mapping.tdma_slice[actor_id]}"')
-            out.append(f"    <place {' '.join(attrs)}/>")
+            place = {"actor": actor_id, "tile": mapping.actor_tile[actor_id],
+                     "tdma_slice": mapping.tdma_slice.get(actor_id)}
+            out.append("    " + _element("place", _PLACE, place))
         for channel_id in sorted(mapping.channel_binding):
             binding = mapping.channel_binding[channel_id]
-            attrs = [f"channel={_quote(channel_id)}"]
-            if binding.kind == BindingKind.PREFETCH:
-                attrs.append('prefetch="true"')
-            if binding.kind != BindingKind.LOCAL:
-                attrs.append(f"connection={_quote(binding.connection)}")
-            for label, value in (("buffer-tokens", binding.buffer_tokens),
-                                 ("alpha-src", binding.alpha_src),
-                                 ("alpha-dst", binding.alpha_dst),
-                                 ("latency-bound", binding.latency_bound),
-                                 ("prefetch-time", binding.prefetch_time)):
-                if value is not None:
-                    attrs.append(f'{label}="{value}"')
-            out.append(f"    <bind {' '.join(attrs)}/>")
+            bind = {**vars(binding), "channel": channel_id,
+                    "prefetch": binding.kind == BindingKind.PREFETCH}
+            out.append("    " + _element("bind", _BIND, bind))
         out.append("  </mapping>")
 
-    defaults, base = scenario.defaults, MigrationSpec()
-    attrs = []
-    if defaults.speedup != base.speedup:
-        attrs.append(f"speedup={_quote(format_rational(defaults.speedup))}")
-    if defaults.prefetch_time != base.prefetch_time:
-        attrs.append(f'prefetch-time="{defaults.prefetch_time}"')
-    if defaults.hw_connection is not None:
-        attrs.append(f"hw-connection={_quote(defaults.hw_connection)}")
-    if defaults.hw_buffer_tokens is not None:
-        attrs.append(f'hw-buffer-tokens="{defaults.hw_buffer_tokens}"')
-    if defaults.alpha_src != base.alpha_src:
-        attrs.append(f'alpha-src="{defaults.alpha_src}"')
-    if defaults.alpha_dst != base.alpha_dst:
-        attrs.append(f'alpha-dst="{defaults.alpha_dst}"')
-    if attrs:
-        out.append(f"  <defaults {' '.join(attrs)}/>")
+    defaults = _element("defaults", _DEFAULTS, vars(scenario.defaults))
+    if defaults != "<defaults/>":
+        out.append("  " + defaults)
     out.append("</scenario>")
     return "\n".join(out) + "\n"
 

@@ -25,6 +25,7 @@ from sdfmig.graph import (
     validate,
 )
 from sdfmig.mpsoc import Platform, PlatformMapping, Tile
+from sdfmig.scenario import bundled_scenario_path, load_scenario
 from sdfmig.transforms import build_bound_graph
 
 
@@ -228,10 +229,10 @@ def test_graphs_are_immutable():
 
 
 def ring(times=(2, 3), tokens=(0, 1), rates=(1, 1), ids=("c0", "c1"),
-         extra_actors=(), reference=None, dst="B"):
+         extra_actors=(), reference=None, dst="B", size=0):
     """A (times[0]) -> B (times[1]) -> A, with one field broken per case."""
     actors = [Actor("A", times[0]), Actor("B", times[1]), *extra_actors]
-    channels = [Channel(ids[0], "A", dst, *rates, tokens[0]),
+    channels = [Channel(ids[0], "A", dst, *rates, tokens[0], size),
                 Channel(ids[1], "B", "A", 1, 1, tokens[1])]
     return SDFG(actors, channels, reference_actor=reference)
 
@@ -268,6 +269,12 @@ BAD_GRAPHS = [
                  id="dangling-endpoint"),
     pytest.param(ring(reference="ghost"), MalformedGraphError, "BadReference",
                  id="unknown-reference"),
+    pytest.param(ring(size=-1), MalformedGraphError, "NegativeTokenSize",
+                 id="negative-token-size"),
+    pytest.param(ring(size="64"), MalformedGraphError, "NegativeTokenSize",
+                 id="string-token-size"),
+    pytest.param(ring(size=64.0), MalformedGraphError, "NegativeTokenSize",
+                 id="float-token-size"),
 ]
 
 ENTRY_POINTS = [self_timed_throughput, iterate_states, mcm_throughput,
@@ -280,6 +287,24 @@ def test_bad_graph_ends_in_typed_error_at_every_entry_point(graph, error, code, 
     with pytest.raises(error):
         entry(graph)
     assert code in [d.code for d in validate(graph)]
+
+
+@pytest.mark.parametrize("size", [-1, "64", 64.0])
+def test_token_size_is_checked_through_the_api(size):
+    # On two_stage_demo, -1 used to validate clean and give the connection
+    # actor ac_data a time of 2 cycles, below the link's latency of 4; "64"
+    # escaped binding as a bare TypeError and 64.0 ended in a
+    # MalformedGraphError naming ac_data.
+    scenario = load_scenario(bundled_scenario_path("two_stage_demo"))
+    graph = scenario.graph.with_channels(
+        [replace(c, token_size=size) for c in scenario.graph.channels])
+    message = (f"channel 'data' has token size {size!r}; it must be an integer "
+               "of at least 0")
+    assert [(d.code, d.subject, d.message) for d in validate(graph)] == [
+        ("NegativeTokenSize", "data", message)]
+    with pytest.raises(MalformedGraphError) as raised:
+        build_bound_graph(graph, scenario.platform, scenario.mapping)
+    assert str(raised.value) == message
 
 
 def test_validate_lists_structural_and_balance_diagnostics_in_one_call():

@@ -127,6 +127,25 @@ def test_tdma_wait_matches_brute_force_sum():
                         == brute_force_wait(actor_id, case_platform, case_mapping))
 
 
+def test_negative_slice_is_refused_by_tdma_wait_and_compute_etam():
+    # IZZ's slice at -50000 used to give VLD a wait of -50000 and an
+    # after-mapping time of 2032463.
+    graph, platform, mapping = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
+    mapping = replace(mapping, tdma_slice={**mapping.tdma_slice, "IZZ": -50000})
+    message = "actor 'IZZ': tdma slice must be at least 0, got -50000"
+    for actor_id in ("VLD", "IZZ"):
+        with pytest.raises(SliceOverflowError) as raised:
+            tdma_wait(actor_id, platform, mapping)
+        assert str(raised.value) == message
+    with pytest.raises(SliceOverflowError) as raised:
+        compute_etam(graph, platform, mapping)
+    assert str(raised.value) == message
+    # Actors on T2 and T3 keep their waits.
+    for actor_id in ("IQ", "IDCT", "CC", "RE"):
+        assert tdma_wait(actor_id, platform, mapping) == (
+            CASE_STUDY_ETAM[actor_id] - graph.actor(actor_id).exec_time)
+
+
 def test_tdma_wait_unmapped_actor():
     mapping = PlatformMapping(actor_tile={}, tdma_slice={}, channel_binding={})
     with pytest.raises(UnmappedActorError):
@@ -294,6 +313,29 @@ def test_binding_below_its_minimum_fails_where_it_is_built(binding, field, value
         replace(binding, **{field: value})
     assert (err.value.field, err.value.rule) == (
         field, f"must be at least {minimum}, got {value}")
+
+
+BINDING_OF_FIELD = {"buffer_tokens": ChannelBinding(buffer_tokens=13),
+                    "alpha_src": IZZ_IQ, "alpha_dst": IZZ_IQ, "latency_bound": IZZ_IQ,
+                    "prefetch_time": ChannelBinding(BindingKind.PREFETCH, "n1",
+                                                    prefetch_time=20)}
+
+
+@pytest.mark.parametrize("value", ["13", 13.0, True], ids=["str", "float", "bool"])
+@pytest.mark.parametrize("field", list(BINDING_OF_FIELD))
+def test_binding_count_of_the_wrong_type_fails_where_it_is_built(field, value):
+    # On vld_izz, buffer_tokens="13" used to raise a bare TypeError, 13.0 to
+    # end in a MalformedGraphError naming vld_izz__buf, and True to deadlock
+    # at t=0; alpha_src=2.0 and alpha_src=True were accepted.
+    with pytest.raises(InvalidBindingError) as err:
+        replace(BINDING_OF_FIELD[field], **{field: value})
+    assert (err.value.field, err.value.rule) == (field, f"must be an int, got {value!r}")
+
+
+def test_binding_types_are_checked_before_ranges():
+    with pytest.raises(InvalidBindingError) as err:
+        replace(IZZ_IQ, alpha_src=0, latency_bound="5")
+    assert (err.value.field, err.value.rule) == ("latency_bound", "must be an int, got '5'")
 
 
 # The error each diagnostic code stands for; BindingMismatch is a tile rule

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from xml.sax.saxutils import escape, quoteattr
 
@@ -11,11 +12,26 @@ from sdfmig.errors import (
     ScenarioValidationError,
     UnknownReportFormatError,
 )
-from sdfmig.graph import ActorKind
-from sdfmig.mpsoc import BindingKind, ChannelBinding
+from sdfmig.graph import SDFG, Actor, ActorKind, Channel
+from sdfmig.mpsoc import (
+    BindingKind,
+    ChannelBinding,
+    NocConnection,
+    Platform,
+    PlatformMapping,
+    Tile,
+    TileKind,
+)
 from sdfmig.migration import MigrationCandidate, MigrationSpec, migrate_task
 from sdfmig.analysis import self_timed_throughput
 from sdfmig.scenario import (
+    _ACTOR,
+    _BIND,
+    _CHANNEL,
+    _CONNECTION,
+    _DEFAULTS,
+    _PLACE,
+    _TILE,
     ExplorationReport,
     Scenario,
     _escape,
@@ -415,6 +431,59 @@ def test_description_save_load_save_is_byte_identical(tmp_path, description):
     loaded = load_scenario(target)
     assert loaded.description == description.strip()
     assert scenario_to_text(loaded) == scenario_to_text(scenario)
+
+
+def every_row_scenario():
+    """A valid scenario that sets every attribute of every table away from
+    its default, plus a zero-time actor and a tdma-slice of 0."""
+    graph = SDFG(
+        actors=[Actor("A", 0), Actor("B", 5, name="Beta"),
+                Actor("G", 3, ActorKind.INFRASTRUCTURE),
+                Actor("H", 7, ActorKind.HARDWARE)],
+        channels=[Channel("ab", "A", "B", 2, 2, 0, 8), Channel("ba", "B", "A", 1, 1, 2),
+                  Channel("bh", "B", "H"), Channel("ha", "H", "A", 1, 1, 1, 16)])
+    platform = Platform(
+        tiles=[Tile("T1", tdma_wheel=100), Tile("M", TileKind.MEMORY),
+               Tile("HW", TileKind.HARDWARE_BLOCK)],
+        connections=[NocConnection("n1", "T1", "HW", 3, Fraction(1, 3)),
+                     NocConnection("n2", "HW", "T1", bandwidth=Fraction("0.5"))])
+    mapping = PlatformMapping(
+        actor_tile={"A": "T1", "B": "T1", "H": "HW"}, tdma_slice={"A": 10, "B": 0},
+        channel_binding={
+            "ab": ChannelBinding(buffer_tokens=4),
+            "bh": ChannelBinding(BindingKind.REMOTE, "n1", alpha_src=3, alpha_dst=1,
+                                 latency_bound=50),
+            "ha": ChannelBinding(BindingKind.PREFETCH, "n2", buffer_tokens=2,
+                                 prefetch_time=20)})
+    defaults = MigrationSpec(speedup=Fraction(3, 2), prefetch_time=500, hw_connection="n1",
+                             hw_buffer_tokens=4, alpha_src=3, alpha_dst=1)
+    return Scenario(name="every_row", graph=graph, platform=platform, mapping=mapping,
+                    defaults=defaults, clock_hz=Fraction(50_000_000))
+
+
+def test_every_attribute_round_trips_byte_identically(tmp_path):
+    scenario = every_row_scenario()
+    saved = scenario_to_text(scenario)
+    target = tmp_path / "s.xml"
+    target.write_text(saved, encoding="utf-8")
+    loaded = load_scenario(target)
+    assert loaded == scenario
+    assert scenario_to_text(loaded) == saved
+    # Every attribute of every table is written somewhere, so each row took
+    # part in the round trip.
+    for tag, table in [("actor", _ACTOR), ("channel", _CHANNEL), ("tile", _TILE),
+                       ("connection", _CONNECTION), ("place", _PLACE), ("bind", _BIND),
+                       ("defaults", _DEFAULTS)]:
+        written = {name for line in saved.splitlines()
+                   if line.lstrip().startswith(f"<{tag} ")
+                   for name in re.findall(r' ([\w-]+)=', line)}
+        assert written == set(table), tag
+    # Two exceptions to leaving defaults out: a zero exec-time is written,
+    # and a name only when it differs from the id.
+    assert '<actor id="A" exec-time="0"/>' in saved
+    assert '<actor id="B" exec-time="5" name="Beta"/>' in saved
+    assert '<place actor="B" tile="T1" tdma-slice="0"/>' in saved
+    assert '<defaults speedup="1.5" prefetch-time="500" hw-connection="n1"' in saved
 
 
 def test_save_is_deterministic():
