@@ -10,17 +10,22 @@ Two independent routes:
   recurrence key, and advances to the next completion time;
   :func:`iterate_states` drives the same loop. Each actor counts its inputs
   below their rate, and a production wakes an actor only when its count
-  reaches 0, so settling an instant visits only enabled actors.
-  Each firing in flight is one integer code, ``finish * n_actors + actor``,
-  kept in an ascending list; the completion time is
-  ``codes[0] // n_actors`` and every code below the next multiple of
-  ``n_actors`` completes then. The recurrence key is one flat tuple: the
-  token counts of a spanning forest of the channels that are not
-  self-loops, then the codes relative to now, ``remaining * n_actors +
-  actor``, which decode uniquely. Two states with the same firings in
-  flight and the same forest tokens differ in completions by a multiple of
-  the repetition vector on each component, so by the balance equations
-  they hold the same tokens on every channel: equal keys mean equal states.
+  reaches 0, so settling an instant visits only enabled actors. A
+  self-loop of equal rates is no channel of the loop: ``k`` tokens at rate
+  ``r`` cap the actor at ``k // r`` firings in flight (the smallest cap
+  over its self-loops), and a cap reached counts as one more input below
+  its rate. Each firing in flight is one integer code, ``finish * n_actors
+  + actor``, kept in an ascending list; the completion time is
+  ``codes[0] // n_actors``. Advancing completes ``codes[0]``, then each
+  next code while it is below the next multiple of ``n_actors``; most
+  instants complete one firing, so this takes no search and no slice.
+  The recurrence key is one flat tuple: the token counts of a spanning
+  forest of the channels that are not self-loops, then the codes relative
+  to now, ``remaining * n_actors + actor``, which decode uniquely. Two
+  states with the same firings in flight and the same forest tokens differ
+  in completions by a multiple of the repetition vector on each component,
+  so by the balance equations they hold the same tokens on every channel:
+  equal keys mean equal states.
   Only the states in which the marker, the timed actor that fires most per
   iteration, has just started a firing are stored, a property of the state
   itself. The first stored repeat is then exactly one period past the
@@ -39,13 +44,13 @@ All results are exact rationals.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from copy import copy
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, inf
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
@@ -118,30 +123,56 @@ class _Simulator:
     to the next completion time. Settling starts every enabled firing and
     runs zero-time completions to a fixpoint. Each actor keeps an enabling
     counter, ``short[ai]``, the number of its inputs holding fewer tokens
-    than their rate; :meth:`run` rebuilds the counts from the tokens when
-    it starts. A production that lifts a channel from below its consumption
-    rate to at least that rate decrements the consumer's count, and the
-    consumer joins the worklist when its count reaches 0. A start that
-    leaves an input below its rate increments the actor's own count. Only
-    an actor's own starts raise its count, so it joins the worklist at most
-    once between two pops. Invariant: at every pop, the count equals the
-    number of inputs below their rate, and a queued actor has a count of 0,
-    so a popped actor is enabled and needs no scan of its inputs. A
-    zero-time firing decides whether to start again before it produces, so
-    tokens it puts back on a self-loop wake it through its count instead.
-    Each channel has one consumer and enabling is monotone in tokens, so
-    the firings started in one instant, and the stable state they leave,
-    do not depend on the order the worklist is drained in. Each firing in
-    flight is one integer code, ``finish * n_actors + actor``, in an
-    ascending list; advancing jumps to the first code's finish time and
-    completes every code below the next multiple of ``n_actors``.
+    than their rate, plus one while its cap is reached; :meth:`run`
+    rebuilds the counts from the tokens and the codes when it starts. A
+    production that lifts a channel from below its consumption rate to at
+    least that rate decrements the consumer's count, and the consumer joins
+    the worklist when its count reaches 0. A start that leaves an input
+    below its rate increments the actor's own count. Only an actor's own
+    starts raise its count, so it joins the worklist at most once between
+    two pops. Invariant: at every pop, the count equals the number of
+    inputs below their rate, plus one at the cap, and a queued actor has a
+    count of 0, so a popped actor is enabled and needs no scan of its
+    inputs. A zero-time firing decides whether to start again before it
+    produces, so tokens it puts back on a channel to itself wake it through
+    its count instead. Each channel has one consumer and enabling is
+    monotone in tokens, so the firings started in one instant, and the
+    stable state they leave, do not depend on the order the worklist is
+    drained in.
+
+    Self-loops become a cap. A self-loop whose two rates are equal, ``r``,
+    with ``k`` initial tokens, is left out of ``tokens``, ``consume`` and
+    ``produce``: each timed start of its actor takes ``r`` from it and each
+    completion puts ``r`` back, and a zero-time firing does both in one
+    step, so at every point of a settle it holds ``k - r * in_flight``,
+    where ``in_flight`` counts the actor's codes. It enables the actor
+    exactly when ``k - r * in_flight >= r``, that is when ``in_flight <
+    k // r``. The actor's ``cap`` is the smallest ``k // r`` over its
+    folded self-loops, infinite with none, and :meth:`run` keeps ``free[ai]
+    = cap - in_flight``, rebuilt from the codes as the counts are from the
+    tokens. ``free[ai] == 0`` is one more input below its rate: a timed
+    start that takes ``free`` to 0 raises ``short``, and a completion that
+    lifts it from 0 lowers ``short`` and wakes the actor when that reaches
+    0. A zero-time actor never changes ``free``, so a cap of 0 keeps it
+    from firing and any other cap never stops it. :meth:`snapshot` reports
+    each folded self-loop's tokens from its codes.
+
+    Each firing in flight is one integer code, ``finish * n_actors +
+    actor``, in an ascending list. Advancing jumps to the finish time of
+    ``codes[0]``, completes it, and completes each next code while it is
+    below the next multiple of ``n_actors``, popping one at a time: most
+    instants complete exactly one firing, so a search for the end of the
+    instant and a slice of the list would cost more than they save.
 
     The recurrence key is one flat tuple: the tokens of the spanning forest
     chosen by :func:`_key_channels`, then the codes in flight relative to
     now, ``remaining * n_actors + actor``, which decode uniquely. Channels
     are held forest first, so the key reads one slice of the token list;
-    :meth:`snapshot` reports them in the graph's order. Every channel's
-    tokens still decide enabling.
+    :meth:`snapshot` reports them in the graph's order. Every other
+    channel's tokens still decide enabling. The forest holds no self-loop,
+    so folding them leaves the key as it was; the tokens outside the
+    forest, which a stored checkpoint keeps, no longer hold the folded
+    ones.
 
     ``marker`` is -1 to key every state, or a timed actor whose firing
     starts select the states to key; it is set before :meth:`run`, which
@@ -163,12 +194,20 @@ class _Simulator:
         self.step = [t * n_actors + ai if t else 0 for ai, t in enumerate(exec_time)]
         key_channels = _key_channels(graph, index)
         self.n_key = len(key_channels)
-        in_key = set(key_channels)
-        order = key_channels + [p for p in range(len(graph.channels)) if p not in in_key]
-        # Graph position -> simulator position, the inverse of order.
-        self.slot = sorted(range(len(order)), key=order.__getitem__)
-        self.channel_ids = [c.id for c in graph.channels]
+        loops = [p for p, c in enumerate(graph.channels)
+                 if c.src == c.dst and c.prod_rate == c.cons_rate]
+        placed = set(key_channels).union(loops)
+        order = key_channels + [p for p in range(len(graph.channels)) if p not in placed]
+        # (actor, initial tokens, rate) per folded self-loop.
+        self.loops = [(index[c.src], c.initial_tokens, c.cons_rate)
+                      for c in map(graph.channels.__getitem__, loops)]
+        self.cap = [inf] * n_actors
+        for ai, k, r in self.loops:
+            self.cap[ai] = min(self.cap[ai], k // r)
         self.tokens = [graph.channels[p].initial_tokens for p in order]
+        # Graph position -> position in tokens followed by the folded loops.
+        self.slot = sorted(range(len(graph.channels)), key=(order + loops).__getitem__)
+        self.channel_ids = [c.id for c in graph.channels]
         self.consume: list[list[tuple[int, int]]] = [[] for _ in self.actor_ids]
         # (channel, rate, consumer, consumption rate) per output channel.
         self.produce: list[list[tuple[int, int, int, int]]] = [
@@ -209,7 +248,11 @@ class _Simulator:
         n_actors, n_key = self.n_actors, self.n_key
         tokens, codes, completions = self.tokens, self.codes, self.completions
         consume, produce, step = self.consume, self.produce, self.step
-        short = [sum(tokens[ci] < rate for ci, rate in inputs) for inputs in consume]
+        free = self.cap[:]
+        for code in codes:
+            free[code % n_actors] -= 1
+        short = [sum(tokens[ci] < rate for ci, rate in inputs) + (not room)
+                 for inputs, room in zip(consume, free)]
         pending = [ai for ai in range(n_actors) if not short[ai]]  # enabled actors
         index, marker = self.index, self.marker
         now_code = self.time * n_actors
@@ -234,6 +277,11 @@ class _Simulator:
                             f"t={now_code // n_actors} (livelock)")
                     if stepped:
                         insort(codes, now_code + stepped)
+                        room = free[ai] - 1
+                        free[ai] = room
+                        if not room:
+                            short[ai] += 1
+                            enabled = False
                         if ai == marker:
                             keyed = True
                     else:
@@ -251,10 +299,10 @@ class _Simulator:
             if index >= limit or not codes:
                 self.time, self.index = now_code // n_actors, index
                 return
-            first = codes[0]
-            now_code = first - first % n_actors
-            done = bisect_left(codes, now_code + n_actors)
-            for code in codes[:done]:
+            code = codes.pop(0)
+            now_code = code - code % n_actors
+            end = now_code + n_actors
+            while True:  # complete every code below end, one at a time
                 ai = code - now_code
                 for ci, rate, consumer, need in produce[ai]:
                     held = tokens[ci]
@@ -264,18 +312,28 @@ class _Simulator:
                         if not short[consumer]:
                             pending.append(consumer)
                 completions[ai] += 1
-            del codes[:done]
+                room = free[ai]
+                free[ai] = room + 1
+                if not room:
+                    short[ai] -= 1
+                    if not short[ai]:
+                        pending.append(ai)
+                if not codes or codes[0] >= end:
+                    break
+                code = codes.pop(0)
             index += 1
 
     def snapshot(self) -> ExecutionState:
-        n_actors, now, tokens = self.n_actors, self.time, self.tokens
-        in_flight = sorted((code % n_actors, code // n_actors - now) for code in self.codes)
+        n_actors, now, codes = self.n_actors, self.time, self.codes
+        in_flight = [0] * n_actors
+        for code in codes:
+            in_flight[code % n_actors] += 1
+        held = self.tokens + [k - r * in_flight[ai] for ai, k, r in self.loops]
         return ExecutionState(
             time=now,
-            channel_tokens={cid: tokens[ci]
-                            for cid, ci in zip(self.channel_ids, self.slot)},
-            active_firings=tuple((self.actor_ids[ai], remaining)
-                                 for ai, remaining in in_flight),
+            channel_tokens={cid: held[ci] for cid, ci in zip(self.channel_ids, self.slot)},
+            active_firings=tuple(sorted((self.actor_ids[code % n_actors],
+                                         code // n_actors - now) for code in codes)),
         )
 
 

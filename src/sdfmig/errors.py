@@ -47,8 +47,8 @@ class UnmappedActorError(SdfmigError):
 
 
 class SliceOverflowError(SdfmigError):
-    """TDMA slices on a tile exceed the tile's wheel size, or a slice is
-    negative."""
+    """TDMA slices on a tile exceed the tile's wheel size, or a slice is not
+    an ``int`` (a ``bool`` is not) or is negative."""
 
 
 class BufferTooSmallError(SdfmigError):
@@ -128,7 +128,8 @@ class ScenarioParseError(SdfmigError):
 
 
 class ScenarioValidationError(SdfmigError):
-    """Scenario file parsed but its contents violate model invariants."""
+    """A scenario's contents violate model invariants: a scenario file that
+    parsed, or a scenario that save would write but load would refuse."""
 
     def __init__(self, message: str, diagnostics: tuple = ()):
         super().__init__(message)

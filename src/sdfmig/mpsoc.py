@@ -21,6 +21,7 @@ rule                                                 diagnostic         error
 mapped actor not in the graph                        UnknownActor       UnknownActorError
 actor placed on a tile the platform lacks            UnknownTile        UnmappedActorError
 software actor with no tile                          UnmappedActor      UnmappedActorError
+TDMA slice not an int (a bool is not)                InvalidSlice       SliceOverflowError
 negative TDMA slice                                  NegativeSlice      SliceOverflowError
 slices over a processor's wheel                      SliceOverflow      SliceOverflowError
 binding names no channel of the graph                UnknownChannel     UnknownChannelError
@@ -192,21 +193,23 @@ class PlatformMapping:
 
     @cached_property
     def tile_slices(self) -> dict[str, int]:
-        """Tile id -> total TDMA slice of the actors placed on it."""
+        """Tile id -> total TDMA slice of the actors placed on it.
+        Slices that are not an ``int`` count 0; :attr:`slice_faults` names
+        them."""
         totals: dict[str, int] = {}
         for actor_id, tile_id in self.actor_tile.items():
-            totals[tile_id] = totals.get(tile_id, 0) + self.tdma_slice.get(actor_id, 0)
+            slice_cycles = self.tdma_slice.get(actor_id, 0)
+            if isinstance(slice_cycles, int) and not isinstance(slice_cycles, bool):
+                totals[tile_id] = totals.get(tile_id, 0) + slice_cycles
         return totals
 
     @cached_property
-    def negative_slices(self) -> dict[str, str]:
+    def slice_faults(self) -> dict[str, str]:
         """Tile id -> the message for the first actor placed on it whose TDMA
-        slice is negative."""
+        slice is not an int, else is negative."""
         found: dict[str, str] = {}
-        for actor_id, slice_cycles in self.tdma_slice.items():
-            if slice_cycles < 0:
-                found.setdefault(self.actor_tile.get(actor_id),
-                                 _negative_slice(actor_id, slice_cycles))
+        for _, actor_id, message in _slice_faults(self):
+            found.setdefault(self.actor_tile.get(actor_id), message)
         return found
 
     def tile_of(self, actor_id: str) -> str | None:
@@ -217,14 +220,15 @@ def tdma_wait(actor_id: str, platform: Platform, mapping: PlatformMapping) -> in
     """Worst-case wait for an actor to re-enter its TDMA slot: the sum of the
     other co-mapped actors' slices. Zero on hardware and memory tiles. Raises
     the error of the placement or slice rule the actor's tile breaks: a
-    negative slice on the tile, then slices over its wheel."""
+    slice on the tile that is not an int or is negative, then slices over
+    its wheel."""
     unplaced = _unplaced(actor_id, platform, mapping)
     if unplaced is not None:
         raise UnmappedActorError(unplaced[1])
     tile = platform.tile_map[mapping.actor_tile[actor_id]]
     if tile.kind != TileKind.PROCESSOR:
         return 0
-    fault = mapping.negative_slices.get(tile.id) or _overflow(tile, mapping)
+    fault = mapping.slice_faults.get(tile.id) or _overflow(tile, mapping)
     if fault is not None:
         raise SliceOverflowError(fault)
     return mapping.tile_slices[tile.id] - mapping.tdma_slice.get(actor_id, 0)
@@ -251,8 +255,18 @@ def _unplaced(actor_id: str, platform: Platform,
     return None
 
 
-def _negative_slice(actor_id: str, slice_cycles: int) -> str:
-    return f"actor {actor_id!r}: tdma slice must be at least 0, got {slice_cycles}"
+def _slice_faults(mapping: PlatformMapping) -> Iterator[tuple[str, str, str]]:
+    """``(code, actor, message)`` for every TDMA slice that is not an int
+    (a bool is not), then for every negative one."""
+    negative = []
+    for actor_id, slice_cycles in mapping.tdma_slice.items():
+        if isinstance(slice_cycles, bool) or not isinstance(slice_cycles, int):
+            yield ("InvalidSlice", actor_id,
+                   f"actor {actor_id!r}: tdma slice must be an int, got {slice_cycles!r}")
+        elif slice_cycles < 0:
+            negative.append(("NegativeSlice", actor_id, f"actor {actor_id!r}: tdma slice "
+                             f"must be at least 0, got {slice_cycles}"))
+    yield from negative
 
 
 def _overflow(tile: Tile, mapping: PlatformMapping) -> str | None:
@@ -277,10 +291,8 @@ def _mapping_violations(graph: SDFG, platform: Platform, mapping: PlatformMappin
         unplaced = _unplaced(actor_id, platform, mapping)
         if unplaced is not None:
             yield unplaced[0], actor_id, UnmappedActorError, unplaced[1]
-    for actor_id, slice_cycles in mapping.tdma_slice.items():
-        if slice_cycles < 0:
-            yield ("NegativeSlice", actor_id, SliceOverflowError,
-                   _negative_slice(actor_id, slice_cycles))
+    for code, actor_id, message in _slice_faults(mapping):
+        yield code, actor_id, SliceOverflowError, message
     for tile in platform.tiles:
         overflow = _overflow(tile, mapping)
         if overflow is not None:

@@ -11,6 +11,7 @@ SDF3-style XML files.
 
 from __future__ import annotations
 
+import re
 import xml.parsers.expat
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -142,8 +143,10 @@ _DEFAULTS = _table(("speedup", Fraction, MigrationSpec.speedup),
                    ("alpha-src", int, MigrationSpec.alpha_src),
                    ("alpha-dst", int, MigrationSpec.alpha_dst))
 
-# Read through the same rows, but written by hand (the root and
-# <application>) or never (the SDF3 import).
+# The two elements with attributes and children, and the SDF3 import, which
+# is never written. Load reads the root with the file's stem as the default
+# name; save always writes it.
+_SCENARIO = _table(("name", str, _REQUIRED), ("clock-hz", Fraction, DEFAULT_CLOCK_HZ))
 _APPLICATION = _table(("reference-actor", str, None))
 _SDF3_CHANNEL = _table(("srcActor", str, _REQUIRED), ("dstActor", str, _REQUIRED),
                        ("name", str, _REQUIRED), ("srcPort", str, ""), ("dstPort", str, ""),
@@ -424,19 +427,27 @@ def _read_sdf3(root: _Node) -> SDFG:
 # saving
 
 def save_scenario(scenario: Scenario, path) -> None:
-    """Write the canonical text form: elements sorted by id, attributes in a
-    fixed order, defaults omitted. Saving the same value twice is
-    byte-identical."""
+    """Write the canonical text form of :func:`scenario_to_text`, with its
+    errors."""
     Path(path).write_text(scenario_to_text(scenario), encoding="utf-8")
 
 
-_NEEDS_ESCAPE = frozenset('&<>"\n\r\t')
+# Characters XML 1.0 cannot hold, not even as a character reference.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# ASCII characters an attribute value cannot hold as they are: the ones to
+# escape, and the controls XML refuses.
+_NOT_PLAIN = frozenset('&<>"').union(map(chr, range(0x20)))
 
 
 def _escape(text: str) -> str:
     """Character data with ``&``, ``<`` and ``>`` escaped, as
     ``xml.sax.saxutils.escape`` does, and ``\r`` written as ``&#13;``, which
-    a parser would otherwise read back as ``\n``."""
+    a parser would otherwise read back as ``\n``. A character XML cannot
+    hold is a :class:`ScenarioValidationError`."""
+    bad = _NOT_XML.search(text)
+    if bad is not None:
+        raise ScenarioValidationError(
+            f"character {bad.group()!r} cannot be written to a scenario file, in {text!r}")
     return (text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
             .replace("\r", "&#13;"))
 
@@ -445,7 +456,7 @@ def _quote(value: str) -> str:
     """An attribute value quoted and escaped exactly as
     ``xml.sax.saxutils.quoteattr`` does: in double quotes, or in single
     quotes when it holds ``"`` but no ``'``."""
-    if _NEEDS_ESCAPE.isdisjoint(value):
+    if value.isascii() and _NOT_PLAIN.isdisjoint(value):
         return f'"{value}"'
     value = _escape(value).replace("\n", "&#10;").replace("\t", "&#9;")
     if '"' not in value:
@@ -455,79 +466,135 @@ def _quote(value: str) -> str:
     return '"' + value.replace('"', "&quot;") + '"'
 
 
-def _element(tag: str, table: dict, values: dict, keep: tuple[str, ...] = ()) -> str:
-    """``<tag .../>`` with the attributes of ``table`` in table order, each
-    field's value taken from ``values``. A value equal to its default is
-    left out unless its field is in ``keep``."""
+def _unwritable(tag: str, attribute: str, rule: str, value) -> ScenarioValidationError:
+    return ScenarioValidationError(
+        f"<{tag}>: attribute {attribute!r} must be {rule}, got {value!r}")
+
+
+def _element(tag: str, table: dict, values: dict, keep: tuple[str, ...] = (),
+             end: str = "/>") -> str:
+    """``<tag ...`` and ``end`` with the attributes of ``table`` in table
+    order, each field's value taken from ``values`` and checked against its
+    row's type, as load reads it. A value equal to its default is left out
+    unless its field is in ``keep``."""
     line = "<" + tag
     for attribute, (field, kind, default) in table.items():
         value = values[field]
         if default is not _REQUIRED and value == default and field not in keep:
             continue
         if kind is str:
+            if type(value) is not str:  # a str enum would write its member name
+                raise _unwritable(tag, attribute, "a string", value)
             line += f" {attribute}={_quote(value)}"
         elif kind is int or kind is _NATURAL:
+            if type(value) is not int:  # nor a bool
+                raise _unwritable(tag, attribute, "an integer", value)
+            if kind is _NATURAL and value < 0:
+                raise _unwritable(tag, attribute, "at least 0", value)
             line += f' {attribute}="{value}"'
         elif kind is Fraction:
+            if type(value) is not Fraction and type(value) is not int:
+                raise _unwritable(tag, attribute, "an int or a Fraction", value)
             line += f" {attribute}={_quote(format_rational(value))}"
         elif kind is bool:
             line += f' {attribute}="{"true" if value else "false"}"'
         else:
+            if not isinstance(value, kind):
+                raise _unwritable(tag, attribute, f"a {kind.__name__}", value)
             line += f" {attribute}={_quote(value.value)}"
-    return line + "/>"
+    return line + end
 
 
 def scenario_to_text(scenario: Scenario) -> str:
+    """The canonical text form: elements sorted by id, attributes in a fixed
+    order, defaults omitted. Saving the same value twice is byte-identical.
+
+    Save refuses what load refuses, with a :class:`ScenarioValidationError`:
+    a value not of its attribute's type or range, a ``<defaults>`` field out
+    of range (:func:`~sdfmig.migration.spec_range_error`) or naming an
+    actor, a ``hw-connection`` naming no connection, a clock or bandwidth
+    that is not positive, a mapping without a platform, a slice for an
+    actor with no tile, a character XML cannot hold, and every diagnostic of
+    load's validation. So the text written loads back equal, but for the
+    description, which load strips."""
     out: list[str] = []
-    head = [f"name={_quote(scenario.name)}"]
-    if scenario.clock_hz != DEFAULT_CLOCK_HZ:
-        head.append(f"clock-hz={_quote(format_rational(scenario.clock_hz))}")
-    out.append(f"<scenario {' '.join(head)}>")
+    clock = scenario.clock_hz
+    out.append(_element("scenario", _SCENARIO, {"name": scenario.name, "clock_hz": clock},
+                        end=">"))
+    if clock <= 0:
+        raise _unwritable("scenario", "clock-hz", "positive", clock)
+    description = scenario.description
+    if not isinstance(description, str):
+        raise ScenarioValidationError(f"<description> must be a string, got {description!r}")
     # Loading strips the description, so saving writes it stripped.
-    description = scenario.description.strip()
+    description = description.strip()
     if description:
         out.append(f"  <description>{_escape(description)}</description>")
 
     graph = scenario.graph
-    ref = (f" reference-actor={_quote(graph.reference_actor)}"
-           if graph.reference_actor else "")
-    out.append(f"  <application{ref}>")
-    for actor in sorted(graph.actors, key=lambda a: a.id):
+    out.append("  " + _element("application", _APPLICATION,
+                               {"reference_actor": graph.reference_actor}, end=">"))
+    # Ids sort as text, so one of another type is refused by its row, not by
+    # the sort.
+    for actor in sorted(graph.actors, key=lambda a: str(a.id)):
         # Two exceptions to leaving defaults out: exec-time="0" is written,
         # and name only when it differs from the id.
         name = actor.name if actor.name != actor.id else ""
         out.append("    " + _element("actor", _ACTOR, {**vars(actor), "name": name},
                                      keep=("exec_time",)))
-    for channel in sorted(graph.channels, key=lambda c: c.id):
+    for channel in sorted(graph.channels, key=lambda c: str(c.id)):
         out.append("    " + _element("channel", _CHANNEL, vars(channel)))
     out.append("  </application>")
 
-    if scenario.platform is not None:
+    platform, mapping = scenario.platform, scenario.mapping
+    if platform is not None:
         out.append("  <platform>")
-        for tile in sorted(scenario.platform.tiles, key=lambda t: t.id):
+        for tile in sorted(platform.tiles, key=lambda t: str(t.id)):
             out.append("    " + _element("tile", _TILE, vars(tile)))
-        for conn in sorted(scenario.platform.connections, key=lambda c: c.id):
+        for conn in sorted(platform.connections, key=lambda c: str(c.id)):
             out.append("    " + _element("connection", _CONNECTION, vars(conn)))
+            if conn.bandwidth <= 0:
+                raise _unwritable("connection", "bandwidth", "positive", conn.bandwidth)
         out.append("  </platform>")
 
-    if scenario.mapping is not None:
+    if mapping is not None:
+        if platform is None:
+            raise ScenarioValidationError("a scenario with a mapping needs a platform")
         out.append("  <mapping>")
-        mapping = scenario.mapping
-        for actor_id in sorted(mapping.actor_tile):
+        for actor_id in sorted(mapping.actor_tile, key=str):
             place = {"actor": actor_id, "tile": mapping.actor_tile[actor_id],
                      "tdma_slice": mapping.tdma_slice.get(actor_id)}
             out.append("    " + _element("place", _PLACE, place))
-        for channel_id in sorted(mapping.channel_binding):
+        unplaced = mapping.tdma_slice.keys() - mapping.actor_tile.keys()
+        if unplaced:
+            raise ScenarioValidationError(
+                f"<place>: a tdma slice needs a tile, but actor "
+                f"{sorted(unplaced, key=str)[0]!r} has none")
+        for channel_id in sorted(mapping.channel_binding, key=str):
             binding = mapping.channel_binding[channel_id]
             bind = {**vars(binding), "channel": channel_id,
                     "prefetch": binding.kind == BindingKind.PREFETCH}
             out.append("    " + _element("bind", _BIND, bind))
         out.append("  </mapping>")
 
-    defaults = _element("defaults", _DEFAULTS, vars(scenario.defaults))
+    spec = scenario.defaults
+    problem = spec_range_error(spec)
+    if problem is not None:
+        field_name, rule = problem
+        raise ScenarioValidationError(
+            f"<defaults>: attribute {field_name.replace('_', '-')!r} {rule}")
+    defaults = _element("defaults", _DEFAULTS, vars(spec))
+    if spec.actor != "":
+        raise ScenarioValidationError(f"<defaults> cannot name an actor, got {spec.actor!r}")
+    connection = spec.hw_connection
+    if connection is not None and (platform is None
+                                   or connection not in platform.connection_map):
+        raise _unwritable("defaults", "hw-connection", "a connection of the platform",
+                          connection)
     if defaults != "<defaults/>":
         out.append("  " + defaults)
     out.append("</scenario>")
+    _validate_scenario(scenario)
     return "\n".join(out) + "\n"
 
 

@@ -304,6 +304,67 @@ def test_counters_rebuilt_for_the_replay_past_the_prefix(monkeypatch):
         assert ("A", 1000) in snapshot.active_firings
 
 
+# A self-loop of equal rates r with k tokens is folded into a cap of k // r
+# firings in flight; the states still report its tokens, k - r * in flight.
+
+def test_self_loop_below_its_rate_deadlocks_as_the_reference_does():
+    # A's loop holds 1 token at rate 2, so A never fires and B runs dry.
+    g = build_graph({"A": 2, "B": 3}, [("A", "B"), ("B", "A", 1, 1, 1), ("A", "A", 2, 2, 1)])
+    with pytest.raises(DeadlockError, match="at t=0$"):
+        self_timed_throughput(g)
+    with pytest.raises(DeadlockError):
+        reference_throughput(g)
+    assert list(iterate_states(g)) == reference_states(g, 10_000)
+    assert next(iterate_states(g)).channel_tokens == {"c0": 0, "c1": 1, "c2": 1}
+
+
+def loop_pair(*loops):
+    """A (time 5) and B (time 3) with four tokens each way, A on the given
+    ``(rate, tokens)`` self-loops."""
+    return build_graph({"A": 5, "B": 3}, [("A", "B", 1, 1, 4), ("B", "A", 1, 1, 4)]
+                       + [("A", "A", rate, rate, tokens) for rate, tokens in loops])
+
+
+@pytest.mark.parametrize("loops", [((1, 1), (1, 2)), ((2, 3),)], ids=["caps-1-and-2", "k-2r-1"])
+def test_folded_self_loops_act_as_their_smallest_cap(loops):
+    g, capped = loop_pair(*loops), loop_pair((1, 1))
+    assert self_timed_throughput(g) == self_timed_throughput(capped)
+    states = list(iterate_states(g, max_states=50))
+    assert [s.active_firings for s in states] == [
+        s.active_firings for s in iterate_states(capped, max_states=50)]
+    for s in states:
+        in_flight = sum(actor == "A" for actor, _ in s.active_firings)
+        for i, (rate, tokens) in enumerate(loops, 2):
+            assert s.channel_tokens[f"c{i}"] == tokens - rate * in_flight
+    assert_matches_reference(g)
+
+
+def test_restored_checkpoints_equal_the_states_with_folded_self_loops(monkeypatch):
+    # The near-tie pair with A's loop at rate 2 holding 3 tokens (cap 1) and
+    # C on two loops of caps 1 and 2: the same run, replayed from stored
+    # states whose folded loops are rebuilt from the firings in flight.
+    g = build_graph({"A": 1000, "C": 999},
+                    [("A", "A", 2, 2, 3), ("C", "C", 1, 1, 1), ("C", "C", 3, 3, 7),
+                     ("A", "C", 1, 1, 2), ("C", "A", 1, 1, 2)])
+    states = list(iterate_states(g, max_states=2100))
+    expected = self_timed_throughput(near_tie_pair(1000, 999))
+    restores = []
+    restored = analysis._Simulator.restored
+
+    def spy(self, index, time, key, rest):
+        clone = restored(self, index, time, key, rest)
+        restores.append((index, clone.snapshot()))
+        return clone
+
+    monkeypatch.setattr(analysis._Simulator, "restored", spy)
+    assert self_timed_throughput(g) == expected
+    assert 1 <= len(restores) <= 2
+    for index, snapshot in restores:
+        assert snapshot == states[index]
+        assert snapshot.channel_tokens["c0"] == 1
+    assert states == reference_states(g, 2100)
+
+
 # Sparse recurrence keys: a state is stored only when the marker, the timed
 # actor that fires most per iteration, has just started a firing.
 

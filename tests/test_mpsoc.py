@@ -146,6 +146,37 @@ def test_negative_slice_is_refused_by_tdma_wait_and_compute_etam():
             CASE_STUDY_ETAM[actor_id] - graph.actor(actor_id).exec_time)
 
 
+@pytest.mark.parametrize("value", ["50000", 50000.0, True], ids=["str", "float", "bool"])
+def test_slice_of_the_wrong_type_is_refused_on_every_route(value):
+    # IZZ's slice as "50000" used to end in a bare TypeError from validation
+    # and binding, 50000.0 to validate clean and fail binding with a
+    # MalformedGraphError naming VLD, and True to analyse at 1/7137125
+    # iterations per cycle.
+    graph, platform, mapping = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
+    mapping = replace(mapping, tdma_slice={**mapping.tdma_slice, "IZZ": value})
+    message = f"actor 'IZZ': tdma slice must be an int, got {value!r}"
+    assert [(d.code, d.subject, d.message)
+            for d in validate_mapping(graph, platform, mapping)] == [
+        ("InvalidSlice", "IZZ", message)]
+    routes = [lambda: check_mapping(graph, platform, mapping),
+              lambda: build_bound_graph(graph, platform, mapping),
+              lambda: compute_etam(graph, platform, mapping),
+              lambda: tdma_wait("VLD", platform, mapping),
+              lambda: tdma_wait("IZZ", platform, mapping)]
+    for route in routes:
+        with pytest.raises(SliceOverflowError) as raised:
+            route()
+        assert str(raised.value) == message
+    # The type is checked before the sign and the wheel: a second actor's
+    # negative slice is listed after it, and T1's other slices still count.
+    mapping = replace(mapping, tdma_slice={**mapping.tdma_slice, "VLD": -1})
+    assert [d.code for d in validate_mapping(graph, platform, mapping)] == [
+        "InvalidSlice", "NegativeSlice"]
+    for actor_id in ("IQ", "IDCT", "CC", "RE"):
+        assert tdma_wait(actor_id, platform, mapping) == (
+            CASE_STUDY_ETAM[actor_id] - graph.actor(actor_id).exec_time)
+
+
 def test_tdma_wait_unmapped_actor():
     mapping = PlatformMapping(actor_tile={}, tdma_slice={}, channel_binding={})
     with pytest.raises(UnmappedActorError):
@@ -344,6 +375,7 @@ ERROR_OF_CODE = {
     "UnknownActor": UnknownActorError,
     "UnknownTile": UnmappedActorError,
     "UnmappedActor": UnmappedActorError,
+    "InvalidSlice": SliceOverflowError,
     "NegativeSlice": SliceOverflowError,
     "SliceOverflow": SliceOverflowError,
     "UnknownChannel": UnknownChannelError,

@@ -421,6 +421,20 @@ def test_save_escapes_special_characters(tmp_path):
         assert load_scenario(target) == scenario
 
 
+@pytest.mark.parametrize("change, message", [
+    # Written as alpha-src="True", which load refused.
+    ({"defaults": MigrationSpec(alpha_src=True)},
+     "<defaults>: attribute 'alpha-src' must be an int, got True"),
+    ({"name": "bell\x07"}, "character '\\x07' cannot be written to a scenario file"),
+    ({"clock_hz": Fraction(0)}, "<scenario>: attribute 'clock-hz' must be positive, got"),
+])
+def test_save_refuses_what_load_refuses(change, message):
+    scenario = Scenario(**{"name": "s", "graph": load_mjpeg().graph, **change})
+    with pytest.raises(ScenarioValidationError) as raised:
+        scenario_to_text(scenario)
+    assert str(raised.value).startswith(message)
+
+
 @pytest.mark.parametrize("description", ["cr\rlf", " x ", "\r\n", "a\r\nb \t",
                                          "\t&<>\r\n\"'\n", "naïve\u2028"])
 def test_description_save_load_save_is_byte_identical(tmp_path, description):
