@@ -72,7 +72,8 @@ class InvalidBindingError(SdfmigError):
 
 
 class DuplicateIdError(SdfmigError):
-    """Two actors, or two channels, of one graph share an id."""
+    """Two actors, or two channels, of one graph share an id, or two tiles,
+    or two connections, of one platform."""
 
 
 class UnknownActorError(SdfmigError):

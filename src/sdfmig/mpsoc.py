@@ -18,6 +18,7 @@ raise the first (:func:`check_mapping`).
 
 rule                                                 diagnostic         error
 ---------------------------------------------------  -----------------  ----------------------
+tile or connection id repeated in the platform       DuplicateId        DuplicateIdError
 mapped actor not in the graph                        UnknownActor       UnknownActorError
 actor placed on a tile the platform lacks            UnknownTile        UnmappedActorError
 software actor with no tile                          UnmappedActor      UnmappedActorError
@@ -29,6 +30,7 @@ LOCAL endpoints not both on one tile (one unplaced)  BindingMismatch    SameTile
 REMOTE endpoints both on one tile                    BindingMismatch    SameTileError
 REMOTE/PREFETCH connection not in the platform       UnknownConnection  UnknownConnectionError
 connection does not join producer -> consumer tile   BindingMismatch    InvalidBindingError
+second PREFETCH binding into one consumer            BindingMismatch    InvalidBindingError
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping as TMapping
 
 from .errors import (
+    DuplicateIdError,
     InvalidBindingError,
     SameTileError,
     SdfmigError,
@@ -280,8 +283,16 @@ def _overflow(tile: Tile, mapping: PlatformMapping) -> str | None:
 def _mapping_violations(graph: SDFG, platform: Platform, mapping: PlatformMapping
                         ) -> Iterator[tuple[str, str, Callable[[str], SdfmigError], str]]:
     """``(code, subject, error, message)`` for every rule of the module
-    docstring that ``mapping`` breaks: actors, slices, tiles, then bindings. A
-    binding breaks at most one rule, its kind's tile rule first."""
+    docstring that ``mapping`` breaks: platform ids, actors, slices, tiles,
+    then bindings. A binding breaks at most one rule, its kind's tile rule
+    first."""
+    for what, elements in (("tile", platform.tiles), ("connection", platform.connections)):
+        seen = set()
+        for element in elements:
+            if element.id in seen:
+                yield ("DuplicateId", element.id, DuplicateIdError,
+                       f"{what} id {element.id!r} occurs more than once")
+            seen.add(element.id)
     unplaced_software = [a.id for a in graph.actors if a.kind == ActorKind.SOFTWARE
                          and a.id not in mapping.actor_tile]
     for actor_id in [*mapping.actor_tile, *unplaced_software]:
@@ -297,6 +308,7 @@ def _mapping_violations(graph: SDFG, platform: Platform, mapping: PlatformMappin
         overflow = _overflow(tile, mapping)
         if overflow is not None:
             yield "SliceOverflow", tile.id, SliceOverflowError, overflow
+    prefetched: dict[str, str] = {}  # consumer -> its first prefetch channel
     for channel_id, binding in mapping.channel_binding.items():
         channel = graph.channel_map.get(channel_id)
         if channel is None:
@@ -324,6 +336,12 @@ def _mapping_violations(graph: SDFG, platform: Platform, mapping: PlatformMappin
                    f"{connection.id!r} joins {connection.src_tile!r}->"
                    f"{connection.dst_tile!r} but channel {channel_id!r} runs "
                    f"{src_tile!r}->{dst_tile!r}")
+        elif binding.kind == BindingKind.PREFETCH and channel.dst in prefetched:
+            yield ("BindingMismatch", channel_id, partial(InvalidBindingError, "kind"),
+                   f"prefetch on channel {channel_id!r} is a second one into "
+                   f"{channel.dst!r}, after channel {prefetched[channel.dst]!r}")
+        if binding.kind == BindingKind.PREFETCH:
+            prefetched.setdefault(channel.dst, channel_id)
 
 
 def validate_mapping(graph: SDFG, platform: Platform,

@@ -326,12 +326,16 @@ def _read_mapping(node: _Node) -> PlatformMapping:
     for child in node.children:
         if child.tag == "place":
             place = _fields(child, _PLACE)
+            if place["actor"] in actor_tile:
+                _fail(child, f"actor {place['actor']!r} is placed twice")
             actor_tile[place["actor"]] = place["tile"]
             if place["tdma_slice"] is not None:
                 tdma_slice[place["actor"]] = place["tdma_slice"]
         else:
             values = _fields(child, _BIND)
             channel = values.pop("channel")
+            if channel in bindings:
+                _fail(child, f"channel {channel!r} is bound twice")
             kind = (BindingKind.PREFETCH if values.pop("prefetch") else
                     BindingKind.LOCAL if values["connection"] is None else BindingKind.REMOTE)
             try:

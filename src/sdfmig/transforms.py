@@ -1,6 +1,8 @@
 """Graph rewrites that embed platform mapping decisions into an SDF graph.
 
-One rewrite per :class:`BindingKind`:
+:func:`build_bound_graph` is the one way to bind: it reads each channel's
+:class:`~sdfmig.mpsoc.ChannelBinding` straight into the rewrite for its
+:class:`~sdfmig.mpsoc.BindingKind`:
 
 * LOCAL: a reversed buffer channel models the finite memory a same-tile
   channel lives in;
@@ -12,42 +14,34 @@ One rewrite per :class:`BindingKind`:
   memory is split into an issue/execute pair overlapped with a memory actor,
   framed by batch gates.
 
-Each rewrite is written once, as a method of ``_WorkingGraph``: one mutable
-copy of a graph, its actors and channels held in insertion-ordered dicts.
-:func:`build_bound_graph` binds a whole scenario in one pass over one such
-copy and builds a single :class:`SDFG` at the end, so its work grows with the
-size of the graph rather than with channels times graph size. The public
-:func:`bind_local_channel`, :func:`bind_remote_channel` and
-:func:`memory_aware_transform` apply one rewrite each: they copy the graph,
-apply the method and freeze the result. Either way each rewrite draws its
-ids with the rule of :meth:`SDFG.unique_id` on the graph as it stood before
-that rewrite, so the bound graph is the one the step-by-step composition
-gives, in the same order.
+Each rewrite is a method of ``_WorkingGraph``: one mutable copy of a graph,
+its actors and channels held in insertion-ordered dicts. The binder applies
+every rewrite to one such copy and builds a single :class:`SDFG` at the end,
+so its work grows with the size of the graph rather than with channels times
+graph size. Each rewrite draws its ids with the rule of
+:meth:`SDFG.unique_id` on the graph as it stood before that rewrite, so the
+bound graph is the one a step-by-step composition of single rewrites gives,
+in the same order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .errors import (
-    BufferTooSmallError,
-    InvalidBandwidthError,
-    UnknownActorError,
-    UnknownChannelError,
-)
+from .errors import BufferTooSmallError, InvalidBandwidthError
 from .graph import (
     Actor,
     ActorKind,
     Channel,
     SDFG,
-    check_graph,
     compute_repetition_vector,
     disable_auto_concurrency,
     fresh_id,
 )
 from .mpsoc import (
     BindingKind,
+    ChannelBinding,
     NocConnection,
     Platform,
     PlatformMapping,
@@ -55,31 +49,6 @@ from .mpsoc import (
     compute_etam,
     resolve_latency_bound,
 )
-
-
-@dataclass(frozen=True)
-class RemoteBindingParams:
-    """Inputs for binding one channel onto a NoC connection. ``alpha_src`` and
-    ``alpha_dst`` are the buffer sizes (in tokens) reserved in the producing
-    and consuming tiles; ``latency_bound`` is the guaranteed token latency of
-    the connection."""
-
-    connection: NocConnection
-    alpha_src: int = 1
-    alpha_dst: int = 1
-    latency_bound: int = 0
-
-
-@dataclass(frozen=True)
-class MemoryAwareParams:
-    """Inputs for the prefetch rewrite. ``n`` is the number of consumer
-    firings released per gate batch; the fetch path is only needed when one
-    firing's tokens cannot be prefetched entirely during the previous one."""
-
-    n: int
-    prefetch_time: int = 0
-    transfer_time: int = 0
-    enable_fetch_path: bool = False
 
 
 def connection_actor_time(token_size: int, connection: NocConnection) -> int:
@@ -101,12 +70,14 @@ class _WorkingGraph:
     order that rebuilding the graph after every step would give. Each rewrite
     draws all of its ids before it changes anything, so the ids follow
     :meth:`SDFG.unique_id` on the graph as it stood before that rewrite.
-    The graph must pass :func:`check_graph`: a repeated id would make one
-    element silently replace another.
+    The graph must have passed :func:`~sdfmig.graph.check_graph`, which
+    :func:`~sdfmig.graph.compute_repetition_vector` runs: a repeated id
+    would make one element silently replace another. Every channel a
+    rewrite names must be in the graph, which
+    :func:`~sdfmig.mpsoc.check_mapping` checks.
     """
 
     def __init__(self, graph: SDFG):
-        check_graph(graph)
         self.actors = {a.id: a for a in graph.actors}
         self.channels = {c.id: c for c in graph.channels}
         self.reference = graph.reference_actor
@@ -114,18 +85,19 @@ class _WorkingGraph:
     def fresh(self, stem: str) -> str:
         return fresh_id(stem, self.actors, self.channels)
 
-    def channel(self, channel_id: str) -> Channel:
-        channel = self.channels.get(channel_id)
-        if channel is None:
-            raise UnknownChannelError(f"no channel {channel_id!r} in graph")
-        return channel
-
     def freeze(self) -> SDFG:
         return SDFG(actors=self.actors.values(), channels=self.channels.values(),
                     reference_actor=self.reference)
 
     def bind_local(self, channel_id: str, buffer_tokens: int) -> None:
-        channel = self.channel(channel_id)
+        """Add the reversed buffer channel for a same-tile channel.
+
+        The back-edge starts with ``buffer_tokens - initial_tokens`` tokens:
+        the free space left in a buffer of ``buffer_tokens`` tokens. The
+        forward channel is untouched, so tokens(forward) + tokens(back) stays
+        equal to ``buffer_tokens`` in every reachable state.
+        """
+        channel = self.channels[channel_id]
         if buffer_tokens < channel.initial_tokens:
             raise BufferTooSmallError(
                 f"buffer of {buffer_tokens} tokens cannot hold the "
@@ -138,15 +110,28 @@ class _WorkingGraph:
         )
         self.channels[back.id] = back
 
-    def bind_remote(self, channel_id: str, params: RemoteBindingParams,
+    def bind_remote(self, channel_id: str, binding: ChannelBinding,
+                    connection: NocConnection, latency_bound: int,
                     dst_wait: int) -> None:
-        channel = self.channel(channel_id)
+        """Replace a channel with the connection chain
+        src -> send -> latency -> wait -> dst.
+
+        The inserted actors carry the send time of one token over
+        ``connection``, the guaranteed token latency ``latency_bound``, and
+        the consumer's worst-case TDMA re-entry wait ``dst_wait`` (zero for
+        hardware consumers). Buffer back-edges hold the binding's
+        ``alpha_src`` and ``alpha_dst`` tokens, 1 each when unset; the
+        consumer-side one returns to the send actor. The channel's initial
+        tokens carry over to the last chain edge. All inserted actors get
+        unit self-loops.
+        """
+        channel = self.channels[channel_id]
         fresh = self.fresh
         token_size = channel.token_size
         send = Actor(fresh(f"ac_{channel_id}"),
-                     connection_actor_time(token_size, params.connection),
+                     connection_actor_time(token_size, connection),
                      kind=ActorKind.INFRASTRUCTURE)
-        latency = Actor(fresh(f"a_{channel_id}"), params.latency_bound,
+        latency = Actor(fresh(f"a_{channel_id}"), latency_bound,
                         kind=ActorKind.INFRASTRUCTURE)
         wait = Actor(fresh(f"as_{channel_id}"), dst_wait, kind=ActorKind.INFRASTRUCTURE)
         chain = [
@@ -159,10 +144,10 @@ class _WorkingGraph:
                     initial_tokens=channel.initial_tokens, token_size=token_size),
             Channel(fresh(f"{channel_id}__srcbuf"), send.id, channel.src,
                     prod_rate=1, cons_rate=channel.prod_rate,
-                    initial_tokens=params.alpha_src),
+                    initial_tokens=binding.alpha_src or 1),
             Channel(fresh(f"{channel_id}__dstbuf"), channel.dst, send.id,
                     prod_rate=channel.cons_rate, cons_rate=1,
-                    initial_tokens=params.alpha_dst),
+                    initial_tokens=binding.alpha_dst or 1),
         ]
         chain += [Channel(fresh(f"{inserted.id}__self"), inserted.id, inserted.id, 1, 1, 1)
                   for inserted in (send, latency, wait)]
@@ -171,111 +156,80 @@ class _WorkingGraph:
         self.channels.update((c.id, c) for c in chain)
         self.actors.update((a.id, a) for a in (send, latency, wait))
 
-    def prefetch(self, actor_id: str, params: MemoryAwareParams) -> None:
-        original = self.actors.get(actor_id)
-        if original is None:
-            raise UnknownActorError(f"no actor {actor_id!r} in graph")
-        fresh, n = self.fresh, params.n
-        gate_in = Actor(fresh(f"{actor_id}_ri"), 1, kind=ActorKind.INFRASTRUCTURE)
-        gate_out = Actor(fresh(f"{actor_id}_ro"), 1, kind=ActorKind.INFRASTRUCTURE)
-        issue = Actor(fresh(f"{actor_id}1"), params.prefetch_time,
-                      kind=ActorKind.INFRASTRUCTURE)
-        execute = Actor(fresh(f"{actor_id}2"), original.exec_time, kind=original.kind)
-        memory = Actor(fresh(f"{actor_id}_m1"), params.prefetch_time + params.transfer_time,
+    def prefetch(self, channel: Channel, binding: ChannelBinding,
+                 connection: NocConnection, batch: int) -> None:
+        """Split the consumer ``X`` of ``channel``, which reads it from a
+        remote memory, into the prefetch template. A consumer takes at most
+        one prefetch binding (:func:`~sdfmig.mpsoc.check_mapping`), so ``X``
+        is still whole.
+
+        ``X`` becomes ``X1`` (prefetch issue, the binding's prefetch time)
+        and ``X2`` (execution, keeping X's execution time); ``X_m1`` models
+        the remote memory and the transfer of one prefetched token over
+        ``connection``; the pipeline edge X1 -> X2 holds one token so the
+        prefetch for firing i+1 overlaps execution i. Gates ``X_ri``/``X_ro``
+        release firings in batches of ``batch``; the gate-to-gate return edge
+        carries two batch tokens, so the prefetch of one batch may overlap
+        the execution of the previous one but cannot run further ahead
+        (keeping every internal buffer bounded). When one firing consumes
+        more than one token, which cannot all be prefetched during the
+        previous firing, an extra memory actor ``X_m2`` serializes a fetch
+        of one transfer time into every execution.
+
+        X's input channels move to the input gate (consuming ``batch`` times
+        their rate), output channels and self-loops move to ``X2``.
+        """
+        consumer = channel.dst
+        original = self.actors[consumer]
+        prefetch_time = binding.prefetch_time or 0
+        transfer_time = connection_actor_time(channel.token_size, connection)
+        fresh = self.fresh
+        gate_in = Actor(fresh(f"{consumer}_ri"), 1, kind=ActorKind.INFRASTRUCTURE)
+        gate_out = Actor(fresh(f"{consumer}_ro"), 1, kind=ActorKind.INFRASTRUCTURE)
+        issue = Actor(fresh(f"{consumer}1"), prefetch_time, kind=ActorKind.INFRASTRUCTURE)
+        execute = Actor(fresh(f"{consumer}2"), original.exec_time, kind=original.kind)
+        memory = Actor(fresh(f"{consumer}_m1"), prefetch_time + transfer_time,
                        kind=ActorKind.INFRASTRUCTURE)
         added = [
-            Channel(fresh(f"{actor_id}__batch"), gate_in.id, memory.id,
-                    prod_rate=n, cons_rate=1),
-            Channel(fresh(f"{actor_id}__batch_ret"), memory.id, gate_in.id,
-                    prod_rate=1, cons_rate=n, initial_tokens=n),
-            Channel(fresh(f"{actor_id}__issue"), issue.id, memory.id),
-            Channel(fresh(f"{actor_id}__issue_ret"), memory.id, issue.id,
+            Channel(fresh(f"{consumer}__batch"), gate_in.id, memory.id,
+                    prod_rate=batch, cons_rate=1),
+            Channel(fresh(f"{consumer}__batch_ret"), memory.id, gate_in.id,
+                    prod_rate=1, cons_rate=batch, initial_tokens=batch),
+            Channel(fresh(f"{consumer}__issue"), issue.id, memory.id),
+            Channel(fresh(f"{consumer}__issue_ret"), memory.id, issue.id,
                     initial_tokens=1),
-            Channel(fresh(f"{actor_id}__pipe"), issue.id, execute.id, initial_tokens=1),
-            Channel(fresh(f"{actor_id}__collect"), execute.id, gate_out.id,
-                    prod_rate=1, cons_rate=n),
-            Channel(fresh(f"{actor_id}__release"), gate_out.id, execute.id,
-                    prod_rate=n, cons_rate=1, initial_tokens=n),
-            Channel(fresh(f"{actor_id}__rearm"), gate_out.id, gate_in.id,
+            Channel(fresh(f"{consumer}__pipe"), issue.id, execute.id, initial_tokens=1),
+            Channel(fresh(f"{consumer}__collect"), execute.id, gate_out.id,
+                    prod_rate=1, cons_rate=batch),
+            Channel(fresh(f"{consumer}__release"), gate_out.id, execute.id,
+                    prod_rate=batch, cons_rate=1, initial_tokens=batch),
+            Channel(fresh(f"{consumer}__rearm"), gate_out.id, gate_in.id,
                     initial_tokens=2),
         ]
         new_actors = [gate_in, issue, memory, execute, gate_out]
-        if params.enable_fetch_path:
-            fetch_memory = Actor(fresh(f"{actor_id}_m2"), params.transfer_time,
+        if channel.cons_rate > 1:
+            fetch_memory = Actor(fresh(f"{consumer}_m2"), transfer_time,
                                  kind=ActorKind.INFRASTRUCTURE)
             new_actors.append(fetch_memory)
             added += [
-                Channel(fresh(f"{actor_id}__fetch"), execute.id, fetch_memory.id),
-                Channel(fresh(f"{actor_id}__fetch_ret"), fetch_memory.id, execute.id,
+                Channel(fresh(f"{consumer}__fetch"), execute.id, fetch_memory.id),
+                Channel(fresh(f"{consumer}__fetch_ret"), fetch_memory.id, execute.id,
                         initial_tokens=1),
             ]
 
-        for c in [c for c in self.channels.values() if actor_id in (c.src, c.dst)]:
+        for c in [c for c in self.channels.values() if consumer in (c.src, c.dst)]:
             if c.src == c.dst:
                 c = replace(c, src=execute.id, dst=execute.id)
-            elif c.dst == actor_id:
-                c = replace(c, dst=gate_in.id, cons_rate=c.cons_rate * n)
+            elif c.dst == consumer:
+                c = replace(c, dst=gate_in.id, cons_rate=c.cons_rate * batch)
             else:
                 c = replace(c, src=execute.id)
             self.channels[c.id] = c
         self.channels.update((c.id, c) for c in added)
-        del self.actors[actor_id]
+        del self.actors[consumer]
         self.actors.update((a.id, a) for a in new_actors)
-        if self.reference == actor_id:
+        if self.reference == consumer:
             self.reference = execute.id
-
-
-def bind_local_channel(graph: SDFG, channel_id: str, buffer_tokens: int) -> SDFG:
-    """Add the reversed buffer channel for a same-tile channel.
-
-    The back-edge starts with ``buffer_tokens - initial_tokens`` tokens: the
-    free space left in a buffer of ``buffer_tokens`` tokens. The forward
-    channel is untouched, so tokens(forward) + tokens(back) stays equal to
-    ``buffer_tokens`` in every reachable state.
-    """
-    work = _WorkingGraph(graph)
-    work.bind_local(channel_id, buffer_tokens)
-    return work.freeze()
-
-
-def bind_remote_channel(graph: SDFG, channel_id: str,
-                        params: RemoteBindingParams, dst_wait: int) -> SDFG:
-    """Replace a channel with the connection chain
-    src -> send -> latency -> wait -> dst.
-
-    The inserted actors carry the send time of one token, the guaranteed
-    token latency, and the consumer's worst-case TDMA re-entry wait (zero for
-    hardware consumers). Buffer back-edges hold ``alpha_src`` and
-    ``alpha_dst`` tokens; the consumer-side one returns to the send actor.
-    The channel's initial tokens carry over to the last chain edge. All
-    inserted actors get unit self-loops.
-    """
-    work = _WorkingGraph(graph)
-    work.bind_remote(channel_id, params, dst_wait)
-    return work.freeze()
-
-
-def memory_aware_transform(graph: SDFG, actor_id: str,
-                           params: MemoryAwareParams) -> SDFG:
-    """Split an actor that reads from a remote memory into the prefetch
-    template.
-
-    ``X`` becomes ``X1`` (prefetch issue) and ``X2`` (execution, keeping X's
-    execution time); ``X_m1`` models the remote memory and the transfer of
-    one prefetched token; the pipeline edge X1 -> X2 holds one token so the
-    prefetch for firing i+1 overlaps execution i. Gates ``X_ri``/``X_ro``
-    release firings in batches of ``n``; the gate-to-gate return edge carries
-    two batch tokens, so the prefetch of one batch may overlap the execution
-    of the previous one but cannot run further ahead (keeping every internal
-    buffer bounded). With ``enable_fetch_path`` an extra memory actor
-    ``X_m2`` serializes a fetch into every execution.
-
-    X's input channels move to the input gate (consuming n times their rate),
-    output channels and self-loops move to ``X2``.
-    """
-    work = _WorkingGraph(graph)
-    work.prefetch(actor_id, params)
-    return work.freeze()
 
 
 def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping) -> SDFG:
@@ -300,14 +254,8 @@ def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping)
         binding = mapping.channel_binding.get(channel.id)
         if binding is None or binding.kind != BindingKind.PREFETCH:
             continue
-        connection = platform.connection_map[binding.connection]
-        batch = prefetch_batch(repetition, channel.src, channel.dst)
-        work.prefetch(channel.dst, MemoryAwareParams(
-            n=batch,
-            prefetch_time=binding.prefetch_time or 0,
-            transfer_time=connection_actor_time(channel.token_size, connection),
-            enable_fetch_path=channel.cons_rate > 1,
-        ))
+        work.prefetch(channel, binding, platform.connection_map[binding.connection],
+                      prefetch_batch(repetition, channel.src, channel.dst))
         if binding.buffer_tokens is not None:
             work.bind_local(channel.id, binding.buffer_tokens)
 
@@ -319,14 +267,10 @@ def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping)
             if binding.buffer_tokens is not None:
                 work.bind_local(channel.id, binding.buffer_tokens)
         else:
-            params = RemoteBindingParams(
-                connection=platform.connection_map[binding.connection],
-                alpha_src=binding.alpha_src if binding.alpha_src is not None else 1,
-                alpha_dst=binding.alpha_dst if binding.alpha_dst is not None else 1,
-                latency_bound=resolve_latency_bound(channel.id, graph, platform, mapping),
-            )
-            dst_wait = etam[channel.dst] - graph.actor(channel.dst).exec_time
-            work.bind_remote(channel.id, params, dst_wait=dst_wait)
+            work.bind_remote(channel.id, binding,
+                             platform.connection_map[binding.connection],
+                             resolve_latency_bound(channel.id, graph, platform, mapping),
+                             dst_wait=etam[channel.dst] - graph.actor(channel.dst).exec_time)
     return disable_auto_concurrency(work.freeze())
 
 

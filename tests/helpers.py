@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import replace
 from fractions import Fraction
 
@@ -519,6 +519,13 @@ def reference_throughput(graph: SDFG):
 # ---------------------------------------------------------------------------
 # step-by-step binding composition, the reference for build_bound_graph
 
+# The inputs of one reference rewrite, as the reference binder derives them
+# from a channel binding.
+_RemoteParams = namedtuple("_RemoteParams", "connection alpha_src alpha_dst latency_bound")
+_PrefetchParams = namedtuple("_PrefetchParams",
+                             "n prefetch_time transfer_time enable_fetch_path")
+
+
 def _set_union_id(graph: SDFG, stem: str) -> str:
     """The id rule the package's binder must follow: ``stem``, else the first
     free ``stem_2``, ``stem_3``, ... against every actor and channel id."""
@@ -639,8 +646,7 @@ def reference_bound_graph(graph: SDFG, platform, mapping,
     from sdfmig.graph import compute_repetition_vector
     from sdfmig.mpsoc import (BindingKind, check_mapping, compute_etam,
                               resolve_latency_bound, tdma_wait)
-    from sdfmig.transforms import (MemoryAwareParams, RemoteBindingParams,
-                                   connection_actor_time, prefetch_batch)
+    from sdfmig.transforms import connection_actor_time, prefetch_batch
 
     repetition = compute_repetition_vector(graph)
     check_mapping(graph, platform, mapping)
@@ -653,7 +659,7 @@ def reference_bound_graph(graph: SDFG, platform, mapping,
         if binding is None or binding.kind != BindingKind.PREFETCH:
             continue
         connection = platform.connection(binding.connection)
-        bound = _reference_prefetch(bound, channel.dst, MemoryAwareParams(
+        bound = _reference_prefetch(bound, channel.dst, _PrefetchParams(
             n=prefetch_batch(repetition, channel.src, channel.dst),
             prefetch_time=binding.prefetch_time or 0,
             transfer_time=connection_actor_time(channel.token_size, connection),
@@ -668,7 +674,7 @@ def reference_bound_graph(graph: SDFG, platform, mapping,
             if binding.buffer_tokens is not None:
                 bound = _reference_local(bound, channel.id, binding.buffer_tokens)
         else:
-            params = RemoteBindingParams(
+            params = _RemoteParams(
                 connection=platform.connection(binding.connection),
                 alpha_src=binding.alpha_src if binding.alpha_src is not None else 1,
                 alpha_dst=binding.alpha_dst if binding.alpha_dst is not None else 1,

@@ -309,6 +309,76 @@ def test_check_binding_against_tiles_is_invalid_scenario(tmp_path, capsys, edits
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("old, new", [
+    pytest.param("</platform>", '  <connection id="n1" src-tile="T1" dst-tile="T2" '
+                 'latency="900000" bandwidth="0.00001"/>\n  </platform>', id="connection"),
+    pytest.param("</platform>", '  <tile id="T1" tdma-wheel="200000"/>\n  </platform>',
+                 id="tile"),
+    pytest.param('<bind channel="vld_izz" buffer-tokens="13"/>',
+                 '<bind channel="vld_izz" buffer-tokens="13"/>\n'
+                 '    <bind channel="vld_izz" buffer-tokens="12"/>', id="bind"),
+    pytest.param('<place actor="VLD" tile="T1" tdma-slice="50000"/>',
+                 '<place actor="VLD" tile="T1" tdma-slice="50000"/>\n'
+                 '    <place actor="VLD" tile="T1" tdma-slice="40000"/>', id="place"),
+])
+def test_repeated_platform_or_mapping_entry_is_invalid_scenario(tmp_path, capsys, old, new):
+    # Each used to keep the last entry and exit 0: 0.08, 13.91, 12.87 f/s.
+    code, out, err = run_cli(capsys, "throughput", mjpeg_variant(tmp_path, old, new))
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid scenario: ") and err.count("\n") == 1
+
+
+# src and sink joined by two parallel channels: migrating src makes both a
+# prefetch into sink.
+PARALLEL = """<scenario name="parallel">
+  <application reference-actor="src">
+    <actor id="src" exec-time="400"/>
+    <actor id="sink" exec-time="900"/>
+    <channel id="data" src="src" dst="sink" token-size="64"/>
+    <channel id="more" src="src" dst="sink" token-size="64"/>
+  </application>
+  <platform>
+    <tile id="T1" tdma-wheel="1000"/>
+    <tile id="T2" tdma-wheel="1000"/>
+    <connection id="link" src-tile="T1" dst-tile="T2" latency="4" bandwidth="0.5"/>
+  </platform>
+  <mapping>
+    <place actor="src" tile="T1" tdma-slice="600"/>
+    <place actor="sink" tile="T2" tdma-slice="700"/>
+    <bind channel="data" connection="link" alpha-src="2" alpha-dst="2"/>
+    <bind channel="more" connection="link" alpha-src="2" alpha-dst="2"/>
+  </mapping>
+</scenario>"""
+SECOND_PREFETCH = ("prefetch on channel 'more' is a second one into 'sink', "
+                   "after channel 'data'")
+
+
+def test_second_prefetch_into_one_consumer_is_invalid_scenario(tmp_path, capsys):
+    # This used to load clean; check then printed "error: no actor 'sink' in
+    # graph" and exited 3.
+    text = (PARALLEL.replace('<actor id="src" exec-time="400"/>',
+                             '<actor id="src" exec-time="400" kind="hardware"/>')
+            .replace('tdma-wheel="1000"/>', 'kind="hardware_block"/>', 1)
+            .replace(' tdma-slice="600"', "")
+            .replace('alpha-src="2" alpha-dst="2"', 'prefetch="true"'))
+    scenario = tmp_path / "two_prefetch.xml"
+    scenario.write_text(text)
+    assert run_cli(capsys, "check", str(scenario)) == (
+        1, "", f"invalid scenario: [BindingMismatch] more: {SECOND_PREFETCH}\n")
+
+
+def test_migration_into_two_prefetches_is_an_analysis_error(tmp_path, capsys):
+    # Migrating src used to fail with "no actor 'sink' in graph": a failed
+    # explore row, and exit 3 from migrate.
+    scenario = tmp_path / "parallel.xml"
+    scenario.write_text(PARALLEL)
+    code, out, _ = run_cli(capsys, "explore", str(scenario))
+    assert code == 0
+    assert f"\nsrc    failed: kind {SECOND_PREFETCH}\n" in out
+    assert run_cli(capsys, "migrate", str(scenario), "--task", "src") == (
+        2, "", f"analysis failed: kind {SECOND_PREFETCH}\n")
+
+
 @pytest.mark.parametrize("command", ["check", "explore"])
 def test_defaults_naming_unknown_connection_is_invalid_scenario(tmp_path, capsys, command):
     variant = mjpeg_variant(tmp_path, "</mapping>",

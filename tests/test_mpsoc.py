@@ -1,10 +1,12 @@
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from helpers import mjpeg_application, mjpeg_mapping, mjpeg_platform, random_scenario
 from sdfmig.errors import (
+    DuplicateIdError,
     InvalidBindingError,
     SameTileError,
     SdfmigError,
@@ -300,10 +302,40 @@ def negative_tdma_slice():
     return mjpeg_application(), mjpeg_platform(), mapping, SliceOverflowError, "IZZ"
 
 
+def repeated_tile():
+    # The second T1 used to replace the first in tile_map without a word;
+    # mjpeg_base still gave 13.91 f/s.
+    platform = mjpeg_platform()
+    platform = Platform([*platform.tiles, Tile("T1", tdma_wheel=200000)],
+                        platform.connections)
+    return mjpeg_application(), platform, mjpeg_mapping(), DuplicateIdError, "T1"
+
+
+def repeated_connection():
+    # The second n1 used to replace the first: mjpeg_base fell to 0.08 f/s.
+    platform = mjpeg_platform()
+    slow = NocConnection("n1", "T1", "T2", latency=900000, bandwidth=Fraction(1, 100000))
+    platform = Platform(platform.tiles, [*platform.connections, slow])
+    return mjpeg_application(), platform, mjpeg_mapping(), DuplicateIdError, "n1"
+
+
+def second_prefetch_into_one_consumer():
+    # The first prefetch splits IQ, so the second used to end in "no actor
+    # 'IQ' in graph", an UnknownActorError.
+    graph = mjpeg_application()
+    graph = graph.with_channels([*graph.channels,
+                                 replace(graph.channel("izz_iq"), id="izz_iq2")])
+    prefetch = ChannelBinding(BindingKind.PREFETCH, "n1", prefetch_time=10000)
+    mapping = _rebind(_rebind(mjpeg_mapping(), "izz_iq", prefetch), "izz_iq2", prefetch)
+    return graph, mjpeg_platform(), mapping, InvalidBindingError, "izz_iq2"
+
+
 FAULTY_MAPPINGS = [connection_joining_wrong_tiles, binding_on_unknown_channel,
                    local_binding_with_unplaced_endpoint, remote_binding_inside_one_tile,
-                   negative_tdma_slice]
-CODE_OF_ERROR = {UnknownChannelError: "UnknownChannel", SliceOverflowError: "NegativeSlice"}
+                   negative_tdma_slice, repeated_tile, repeated_connection,
+                   second_prefetch_into_one_consumer]
+CODE_OF_ERROR = {UnknownChannelError: "UnknownChannel", SliceOverflowError: "NegativeSlice",
+                 DuplicateIdError: "DuplicateId"}
 
 
 @pytest.mark.parametrize("case", FAULTY_MAPPINGS, ids=lambda case: case.__name__)
@@ -370,8 +402,10 @@ def test_binding_types_are_checked_before_ranges():
 
 
 # The error each diagnostic code stands for; BindingMismatch is a tile rule
-# (SameTileError) or a connection joining other tiles (InvalidBindingError).
+# (SameTileError), or a connection joining other tiles or a second prefetch
+# into one consumer (InvalidBindingError).
 ERROR_OF_CODE = {
+    "DuplicateId": DuplicateIdError,
     "UnknownActor": UnknownActorError,
     "UnknownTile": UnmappedActorError,
     "UnmappedActor": UnmappedActorError,

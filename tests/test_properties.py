@@ -23,6 +23,7 @@ from helpers import (
     fraction_max_cycle_ratio,
     oracle_throughput,
     random_consistent_graph,
+    random_scenario,
     reference_states,
     reference_throughput,
 )
@@ -42,6 +43,7 @@ from sdfmig.graph import (
     disable_auto_concurrency,
     validate,
 )
+from sdfmig.migration import MigrationSpec, migrate_task
 from sdfmig.mpsoc import Platform, PlatformMapping, Tile, TileKind
 from sdfmig.scenario import (
     Scenario,
@@ -321,6 +323,56 @@ def test_broken_graph_ends_in_sdfmig_error_at_every_entry_point(graph):
                   bind_on_one_tile, compute_repetition_vector):
         with pytest.raises(SdfmigError):
             entry(graph)
+
+
+# Ids the rewrites draw for a channel c or an actor X.
+REWRITE_STEMS = ("ac_{c}", "a_{c}", "as_{c}", "{c}__buf", "{c}__send", "{c}__recv",
+                 "{X}_ri", "{X}1", "{X}2", "{X}_m1", "{X}__self")
+
+
+def with_rewrite_stems(rng, graph, mapping):
+    """``graph`` and ``mapping`` with about half the actors and channels
+    renamed to an id that a rewrite draws, so the binder has to skip ids the
+    application holds. Two elements may end up with one id."""
+    if not graph.channels:
+        return graph, mapping
+    names = {e.id: rng.choice(REWRITE_STEMS).format(c=rng.choice(graph.channels).id,
+                                                    X=rng.choice(graph.actors).id)
+             for e in graph.actors + graph.channels if rng.random() < 0.5}
+
+    def name(element_id):
+        return names.get(element_id, element_id)
+
+    graph = SDFG([replace(a, id=name(a.id), name="") for a in graph.actors],
+                 [replace(c, id=name(c.id), src=name(c.src), dst=name(c.dst))
+                  for c in graph.channels],
+                 name(graph.reference_actor))
+    mapping = PlatformMapping(
+        actor_tile={name(a): t for a, t in mapping.actor_tile.items()},
+        tdma_slice={name(a): s for a, s in mapping.tdma_slice.items()},
+        channel_binding={name(c): b for c, b in mapping.channel_binding.items()})
+    return graph, mapping
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_bound_and_migrated_graphs_are_well_formed(seed, rename):
+    # A rewrite that drew a taken id, or re-pointed a channel at an actor an
+    # earlier rewrite removed, would show here as a diagnostic.
+    rng = random.Random(seed)
+    graph, platform, mapping = random_scenario(rng)
+    if rename:
+        graph, mapping = with_rewrite_stems(rng, graph, mapping)
+    routes = [lambda: build_bound_graph(graph, platform, mapping)]
+    routes += [lambda actor=a.id: migrate_task(graph, platform, mapping,
+                                               MigrationSpec(actor=actor)).graph
+               for a in graph.actors if a.kind == ActorKind.SOFTWARE]
+    for route in routes:
+        try:
+            bound = route()
+        except SdfmigError:
+            continue
+        assert validate(bound) == []
 
 
 # Scenario files with one attribute value replaced: each either raises a

@@ -313,6 +313,42 @@ def test_load_rejects_binding_mismatch(tmp_path):
     assert any(d.code == "BindingMismatch" for d in err.value.diagnostics)
 
 
+@pytest.mark.parametrize("original, repeated, message, line", [
+    pytest.param('<place actor="IZZ" tile="T1" tdma-slice="50000"/>',
+                 '<place actor="IZZ" tile="T2" tdma-slice="10"/>',
+                 "<place>: actor 'IZZ' is placed twice", 42, id="place"),
+    pytest.param('<bind channel="vld_izz" buffer-tokens="13"/>',
+                 '<bind channel="vld_izz" buffer-tokens="12"/>',
+                 "<bind>: channel 'vld_izz' is bound twice", 47, id="bind"),
+])
+def test_load_rejects_repeated_mapping_entry(tmp_path, original, repeated, message, line):
+    # The last entry used to win: a second vld_izz bind of 12 tokens gave
+    # 12.87 f/s.
+    text = bundled_scenario_path("mjpeg_base").read_text()
+    assert original in text
+    bad = tmp_path / "bad.xml"
+    bad.write_text(text.replace(original, f"{original}\n    {repeated}"))
+    with pytest.raises(ScenarioParseError, match=re.escape(message)) as err:
+        load_scenario(bad)
+    assert (err.value.line, err.value.column) == (line, 5)
+
+
+@pytest.mark.parametrize("element, subject", [
+    pytest.param('<tile id="T1" tdma-wheel="200000"/>', "T1", id="tile"),
+    pytest.param('<connection id="n1" src-tile="T1" dst-tile="T2" latency="900000" '
+                 'bandwidth="0.00001"/>', "n1", id="connection"),
+])
+def test_load_rejects_repeated_platform_id(tmp_path, element, subject):
+    # The last one used to replace the first without a word: a second n1 gave
+    # 0.08 f/s, a second T1 13.91 f/s.
+    text = bundled_scenario_path("mjpeg_base").read_text()
+    bad = tmp_path / "bad.xml"
+    bad.write_text(text.replace("</platform>", f"  {element}\n  </platform>"))
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(bad)
+    assert [(d.code, d.subject) for d in err.value.diagnostics] == [("DuplicateId", subject)]
+
+
 
 
 def test_sdf3_import_shim(tmp_path):

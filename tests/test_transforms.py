@@ -20,8 +20,6 @@ from sdfmig.errors import (
     InvalidBandwidthError,
     SameTileError,
     SdfmigError,
-    UnknownActorError,
-    UnknownChannelError,
     UnknownConnectionError,
 )
 from sdfmig.graph import (
@@ -41,17 +39,10 @@ from sdfmig.mpsoc import (
     Platform,
     PlatformMapping,
     Tile,
+    TileKind,
 )
 from sdfmig.scenario import bundled_scenario_path, list_bundled_scenarios, load_scenario
-from sdfmig.transforms import (
-    MemoryAwareParams,
-    RemoteBindingParams,
-    bind_local_channel,
-    bind_remote_channel,
-    build_bound_graph,
-    connection_actor_time,
-    memory_aware_transform,
-)
+from sdfmig.transforms import build_bound_graph, connection_actor_time
 
 
 def test_connection_actor_time_case_study_values():
@@ -96,9 +87,65 @@ def test_connection_actor_time_matches_fraction_quotient(bandwidth):
         assert connection_actor_time(size, c) == 5 + int(Fraction(size) / bandwidth)
 
 
+# --- each binding kind's rewrite, through build_bound_graph ----------------
+
+N1 = NocConnection("n1", "T1", "T2", latency=3, bandwidth=Fraction("0.00406278"))
+
+
+def bind(graph, tiles, bindings, connections=(), slices=None):
+    """``build_bound_graph`` of ``graph`` with each actor on the tile
+    ``tiles`` names: a tile whose id starts with H is a hardware block, any
+    other a processor with a wheel of 10**6. Slices default to none, so
+    mapping adds no wait and every actor keeps its execution time."""
+    platform = Platform([Tile(t, TileKind.HARDWARE_BLOCK) if t.startswith("H")
+                         else Tile(t, tdma_wheel=10**6) for t in sorted(set(tiles.values()))],
+                        connections)
+    mapping = PlatformMapping(actor_tile=tiles, tdma_slice=slices or {},
+                              channel_binding=bindings)
+    return build_bound_graph(graph, platform, mapping)
+
+
+def bind_local(graph, buffer_tokens):
+    """``graph`` on one tile, its channel c0 bound locally."""
+    return bind(graph, dict.fromkeys(graph.actor_map, "T1"),
+                {"c0": ChannelBinding(buffer_tokens=buffer_tokens)})
+
+
+def bind_remote(graph, connection=N1, hardware=(), slices=None, **binding):
+    """``graph`` with the producer of c0 on T1 and every other actor on T2,
+    or on the hardware block H2 when named in ``hardware``, c0 bound over
+    ``connection``: by default alpha 2 on both sides and a latency bound of
+    100000."""
+    source = graph.channel("c0").src
+    tiles = {a.id: "T1" if a.id == source else "H2" if a.id in hardware else "T2"
+             for a in graph.actors}
+    fields = {"alpha_src": 2, "alpha_dst": 2, "latency_bound": 100000, **binding}
+    return bind(graph, tiles, {"c0": ChannelBinding(BindingKind.REMOTE, connection.id,
+                                                    **fields)},
+                [connection], slices)
+
+
+def prefetched(graph, latency=3, prefetch_time=None):
+    """``graph`` with the producer of c0 on the hardware block H1 and every
+    other actor on T2, c0 prefetched over a connection H1 -> T2 of n1's
+    bandwidth."""
+    source = graph.channel("c0").src
+    tiles = {a.id: "H1" if a.id == source else "T2" for a in graph.actors}
+    link = NocConnection("h", "H1", "T2", latency=latency, bandwidth=N1.bandwidth)
+    return bind(graph, tiles, {"c0": ChannelBinding(BindingKind.PREFETCH, "h",
+                                                    prefetch_time=prefetch_time)},
+                [link])
+
+
+def with_token_size(graph, size):
+    """``graph`` with ``size`` bytes per token on c0."""
+    return graph.with_channels([replace(c, token_size=size) if c.id == "c0" else c
+                                for c in graph.channels])
+
+
 def test_bind_local_adds_reversed_buffer_edge():
     g = build_graph({"A": 1, "B": 1}, [("A", "B", 3, 2)])
-    bound = bind_local_channel(g, "c0", buffer_tokens=6)
+    bound = bind_local(g, buffer_tokens=6)
     back = bound.channel("c0__buf")
     assert (back.src, back.dst) == ("B", "A")
     assert (back.prod_rate, back.cons_rate) == (2, 3)
@@ -107,14 +154,14 @@ def test_bind_local_adds_reversed_buffer_edge():
 
 def test_bind_local_buffer_minus_initial_tokens():
     g = build_graph({"A": 1, "B": 1}, [("A", "B", 1, 1, 2)])
-    bound = bind_local_channel(g, "c0", buffer_tokens=2)
+    bound = bind_local(g, buffer_tokens=2)
     assert bound.channel("c0__buf").initial_tokens == 0
 
 
 def test_bind_local_buffer_too_small():
     g = build_graph({"A": 1, "B": 1}, [("A", "B", 1, 1, 3)])
     with pytest.raises(BufferTooSmallError):
-        bind_local_channel(g, "c0", buffer_tokens=2)
+        bind_local(g, buffer_tokens=2)
 
 
 def test_bind_local_token_sum_invariant():
@@ -122,7 +169,7 @@ def test_bind_local_token_sum_invariant():
     # slots it has not filled yet and a running consumer holds slots it has
     # not released yet; with those in flight the buffer total is conserved.
     g = build_graph({"A": 3, "B": 5}, [("A", "B", 1, 1, 1)])
-    bound = disable_auto_concurrency(bind_local_channel(g, "c0", buffer_tokens=4))
+    bound = bind_local(g, buffer_tokens=4)
     for state in iterate_states(bound, max_states=100):
         in_flight = sum(1 for actor, _ in state.active_firings if actor in ("A", "B"))
         assert state.channel_tokens["c0"] + state.channel_tokens["c0__buf"] \
@@ -133,35 +180,24 @@ def test_bind_local_throughput_monotone_in_buffer():
     g = build_graph({"A": 4, "B": 6}, [("A", "B")])
     last = Fraction(0)
     for buffer_tokens in range(1, 6):
-        bound = disable_auto_concurrency(bind_local_channel(g, "c0", buffer_tokens))
-        rate = self_timed_throughput(bound).iterations_per_cycle
+        rate = self_timed_throughput(bind_local(g, buffer_tokens)).iterations_per_cycle
         assert rate >= last
         last = rate
     assert last == Fraction(1, 6)
 
 
-def remote_params(**overrides):
-    defaults = dict(
-        connection=NocConnection("n1", "T1", "T2", latency=3,
-                                 bandwidth=Fraction("0.00406278")),
-        alpha_src=2, alpha_dst=2, latency_bound=100000,
-    )
-    defaults.update(overrides)
-    return RemoteBindingParams(**defaults)
-
-
 def test_bind_remote_chain_execution_times():
-    g = build_graph({"IZZ": 74791, "IQ": 139582}, [("IZZ", "IQ")])
-    g = g.with_channels([Channel("izz_iq", "IZZ", "IQ", 1, 1, token_size=1024)])
-    bound = bind_remote_channel(g, "izz_iq", remote_params(), dst_wait=90000)
-    assert bound.actor("ac_izz_iq").exec_time == 252047
-    assert bound.actor("a_izz_iq").exec_time == 100000
-    assert bound.actor("as_izz_iq").exec_time == 90000
+    # IQ shares T2 with X, whose slice is IQ's worst-case TDMA wait.
+    g = build_graph({"IZZ": 74791, "IQ": 139582, "X": 1}, [("IZZ", "IQ"), ("IQ", "X")])
+    bound = bind_remote(with_token_size(g, 1024), slices={"IQ": 10000, "X": 90000})
+    assert bound.actor("ac_c0").exec_time == 252047
+    assert bound.actor("a_c0").exec_time == 100000
+    assert bound.actor("as_c0").exec_time == 90000
 
 
 def test_bind_remote_chain_topology():
     g = build_graph({"A": 1, "B": 1}, [("A", "B", 3, 2, 5)])
-    bound = bind_remote_channel(g, "c0", remote_params(), dst_wait=0)
+    bound = bind_remote(g)
     assert "c0" not in bound.channel_map
     send = bound.channel("c0__send")
     recv = bound.channel("c0__recv")
@@ -178,23 +214,30 @@ def test_bind_remote_chain_topology():
         assert bound.has_self_loop(inserted)
 
 
-def test_bind_remote_hardware_destination_wait_zero():
+def test_bind_remote_missing_alpha_is_one():
     g = build_graph({"A": 1, "B": 1}, [("A", "B")])
-    bound = bind_remote_channel(g, "c0", remote_params(), dst_wait=0)
+    bound = bind_remote(g, alpha_src=None, alpha_dst=None)
+    assert bound.channel("c0__srcbuf").initial_tokens == 1
+    assert bound.channel("c0__dstbuf").initial_tokens == 1
+
+
+def test_bind_remote_hardware_destination_wait_zero():
+    g = build_graph({"A": 1, "B": 1}, [("A", "B")], kinds={"B": ActorKind.HARDWARE})
+    link = NocConnection("n", "T1", "H2", latency=3, bandwidth=Fraction(1))
+    bound = bind_remote(g, link, hardware={"B"})
     assert bound.actor("as_c0").exec_time == 0
 
 
 def test_bind_remote_preserves_other_elements():
     g = build_graph({"A": 1, "B": 1, "C": 9}, [("A", "B"), ("B", "C", 2, 3, 4)])
-    bound = bind_remote_channel(g, "c0", remote_params(), dst_wait=10)
+    bound = bind_remote(g)
     assert bound.channel("c1") == g.channel("c1")
     assert bound.actor("C") == g.actor("C")
 
 
 def test_bind_remote_keeps_consistency():
     g = build_graph({"A": 1, "B": 1}, [("A", "B", 3, 2)])
-    bound = bind_remote_channel(g, "c0", remote_params(), dst_wait=0)
-    q = compute_repetition_vector(bound)
+    q = compute_repetition_vector(bind_remote(g))
     assert q["A"] == 2 and q["B"] == 3 and q["ac_c0"] == 6
 
 
@@ -202,26 +245,22 @@ def test_bind_remote_transparent_when_costs_vanish():
     # Zero latency, huge bandwidth, zero wait and wide buffers: the chain
     # actors cost nothing, so throughput matches the unbound graph.
     g = build_graph({"A": 5, "B": 3}, [("A", "B"), ("B", "A", 1, 1, 2)])
-    free = remote_params(
-        connection=NocConnection("n", "T1", "T2", latency=0, bandwidth=Fraction(10**9)),
-        alpha_src=50, alpha_dst=50, latency_bound=0)
-    bound = bind_remote_channel(g, "c0", free, dst_wait=0)
-    assert mcm_throughput(disable_auto_concurrency(bound)) == \
-        mcm_throughput(disable_auto_concurrency(g))
+    free = NocConnection("n", "T1", "T2", latency=0, bandwidth=Fraction(10**9))
+    bound = bind_remote(g, free, alpha_src=50, alpha_dst=50, latency_bound=0)
+    assert mcm_throughput(bound) == mcm_throughput(disable_auto_concurrency(g))
 
 
 def test_memory_aware_case_study_izz():
     g = build_graph({"VLD": 1041231, "IZZ": 24791, "IQ": 139582},
                     [("VLD", "IZZ", 12, 1), ("IZZ", "IQ")])
-    out = memory_aware_transform(g, "IZZ", MemoryAwareParams(
-        n=12, prefetch_time=10000, transfer_time=252047))
+    out = prefetched(with_token_size(g, 1024), prefetch_time=10000)
     assert out.actor("IZZ1").exec_time == 10000
     assert out.actor("IZZ2").exec_time == 24791
     assert out.actor("IZZ_m1").exec_time == 262047
     assert out.actor("IZZ_ri").exec_time == 1
     assert out.actor("IZZ_ro").exec_time == 1
     assert "IZZ" not in out.actor_map
-    assert "IZZ_m2" not in out.actor_map  # fetch path disabled
+    assert "IZZ_m2" not in out.actor_map  # one token per firing: no fetch path
     # input rerouted to the gate at batch rate, output leaves the executor
     assert out.channel("c0").dst == "IZZ_ri" and out.channel("c0").cons_rate == 12
     assert out.channel("c1").src == "IZZ2"
@@ -230,55 +269,55 @@ def test_memory_aware_case_study_izz():
 def test_memory_aware_case_study_cc():
     g = build_graph({"IDCT": 49582, "CC": 154374, "RE": 912484},
                     [("IDCT", "CC"), ("CC", "RE", 1, 12)])
-    out = memory_aware_transform(g, "CC", MemoryAwareParams(
-        n=1, prefetch_time=10000, transfer_time=252047))
+    out = prefetched(with_token_size(g, 1024), prefetch_time=10000)
     assert out.actor("CC1").exec_time == 10000
     assert out.actor("CC2").exec_time == 154374
     assert out.actor("CC_m1").exec_time == 262047
+    assert out.channel("c0").cons_rate == 1  # a batch of one firing
 
 
 def test_memory_aware_fetch_path():
     g = build_graph({"A": 1, "B": 7}, [("A", "B", 2, 2)])
-    out = memory_aware_transform(g, "B", MemoryAwareParams(
-        n=1, prefetch_time=5, transfer_time=11, enable_fetch_path=True))
-    assert out.actor("B_m2").exec_time == 11
+    out = prefetched(g, latency=11, prefetch_time=5)
+    assert out.actor("B_m2").exec_time == 11  # the transfer time
     fetch = out.channel("B__fetch")
     ret = out.channel("B__fetch_ret")
     assert (fetch.src, fetch.dst) == ("B2", "B_m2")
     assert (ret.src, ret.dst, ret.initial_tokens) == ("B_m2", "B2", 1)
 
 
-def test_memory_aware_unknown_actor():
-    g = build_graph({"A": 1}, [])
-    with pytest.raises(UnknownActorError):
-        memory_aware_transform(g, "nope", MemoryAwareParams(n=1))
-
-
 def test_memory_aware_keeps_consistency():
     g = build_graph({"A": 2, "B": 3, "C": 4},
                     [("A", "B", 6, 1), ("B", "C", 1, 6), ("C", "A", 1, 1, 2)])
-    out = memory_aware_transform(g, "B", MemoryAwareParams(n=6, prefetch_time=1,
-                                                           transfer_time=2))
+    out = prefetched(g, latency=2, prefetch_time=1)
     q = compute_repetition_vector(out)
     assert q["B2"] == 6 and q["B_ri"] == 1 and q["B_ro"] == 1 and q["B1"] == 6
 
 
 def test_memory_aware_free_costs_keep_throughput():
-    # n=1 with zero prefetch/transfer adds only zero- and unit-time actors off
-    # the limiting cycle of a pipeline, so throughput is unchanged.
+    # A batch of one with zero prefetch and transfer times adds only zero- and
+    # unit-time actors off the limiting cycle of a pipeline, so throughput is
+    # unchanged.
     g = build_graph({"A": 40, "B": 30, "C": 50},
                     [("A", "B"), ("B", "C"), ("B", "A", 1, 1, 2), ("C", "B", 1, 1, 2)])
     base = self_timed_throughput(disable_auto_concurrency(g))
-    out = memory_aware_transform(g, "B", MemoryAwareParams(n=1))
-    transformed = self_timed_throughput(disable_auto_concurrency(out))
+    transformed = self_timed_throughput(prefetched(g, latency=0))
     assert transformed.iterations_per_cycle == base.iterations_per_cycle
 
 
 def test_memory_aware_moves_reference_actor():
     g = build_graph({"A": 1, "B": 2}, [("A", "B"), ("B", "A", 1, 1, 1)],
                     reference="B")
-    out = memory_aware_transform(g, "B", MemoryAwareParams(n=1))
-    assert out.reference_actor == "B2"
+    assert prefetched(g).reference_actor == "B2"
+
+
+def test_memory_aware_preserves_unrelated_elements():
+    g = build_graph({"A": 1, "B": 2, "C": 9, "D": 4},
+                    [("A", "B"), ("B", "C"), ("C", "D", 2, 2, 2)])
+    out = prefetched(g)
+    assert out.actor("A") == g.actor("A")
+    assert out.actor("D") == g.actor("D")
+    assert out.channel("c2") == g.channel("c2")
 
 
 def test_build_bound_graph_mjpeg_structure():
@@ -302,8 +341,6 @@ def test_build_bound_graph_mjpeg_structure():
 def test_rewrites_reject_repeated_ids(actors, channels, message):
     # One dict entry per id would silently drop the repeated element.
     g = SDFG([Actor(a, 1) for a in actors], [Channel(*row) for row in channels])
-    with pytest.raises(DuplicateIdError, match=message):
-        bind_local_channel(g, "c", buffer_tokens=1)
     mapping = PlatformMapping(actor_tile={"A": "T1", "B": "T1"},
                               tdma_slice={"A": 1, "B": 1}, channel_binding={})
     with pytest.raises(DuplicateIdError, match=message):
@@ -330,15 +367,6 @@ def test_build_bound_graph_rejects_remote_binding_on_shared_tile():
     )
     with pytest.raises(SameTileError):
         build_bound_graph(graph, platform, bad)
-
-
-def test_memory_aware_preserves_unrelated_elements():
-    g = build_graph({"A": 1, "B": 2, "C": 9, "D": 4},
-                    [("A", "B"), ("B", "C"), ("C", "D", 2, 2, 2)])
-    out = memory_aware_transform(g, "B", MemoryAwareParams(n=1))
-    assert out.actor("A") == g.actor("A")
-    assert out.actor("D") == g.actor("D")
-    assert out.channel("c2") == g.channel("c2")
 
 
 # --- one-pass binder against the step-by-step composition -----------------
@@ -487,14 +515,3 @@ def test_build_bound_graph_rejects_unknown_connection(kind):
                                             "izz_iq": ChannelBinding(kind, "nope")})
     with pytest.raises(UnknownConnectionError, match="'nope'"):
         build_bound_graph(mjpeg_application(), mjpeg_platform(), bad)
-
-
-@pytest.mark.parametrize("bind", [
-    lambda g: bind_local_channel(g, "nope", 3),
-    lambda g: bind_remote_channel(
-        g, "nope", RemoteBindingParams(NocConnection("n", "T1", "T2")), dst_wait=0),
-], ids=["local", "remote"])
-def test_single_binding_rejects_unknown_channel(bind):
-    # Both used to end in a bare KeyError: 'nope'.
-    with pytest.raises(UnknownChannelError, match="'nope'"):
-        bind(mjpeg_application())
