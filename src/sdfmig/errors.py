@@ -47,8 +47,8 @@ class UnmappedActorError(SdfmigError):
 
 
 class SliceOverflowError(SdfmigError):
-    """TDMA slices on a tile exceed the tile's wheel size, or a slice is not
-    an ``int`` (a ``bool`` is not) or is negative."""
+    """TDMA slices on a tile exceed the tile's wheel size, or a mapping is
+    built with a slice that is not an ``int`` of at least 0 of a placed actor."""
 
 
 class BufferTooSmallError(SdfmigError):
@@ -60,15 +60,21 @@ class SameTileError(SdfmigError):
     that are not."""
 
 
-class InvalidBindingError(SdfmigError):
-    """A channel binding's kind is not a ``BindingKind``, it sets a count or
-    time that is not an ``int`` or is below its minimum, it lacks the
-    connection its kind needs, or it sets a field its kind never reads."""
+class InvalidFieldError(SdfmigError):
+    """A tile is built with a kind that is not a ``TileKind``, or a tile's
+    wheel or a connection's latency is not an ``int`` of at least 0.
+    ``rule`` is what ``field`` breaks (``"must be at least 0, got -1"``)."""
 
     def __init__(self, field: str, rule: str):
         super().__init__(f"{field} {rule}")
         self.field = field
         self.rule = rule
+
+
+class InvalidBindingError(InvalidFieldError):
+    """A channel binding's kind is not a ``BindingKind``, it sets a count or
+    time that is not an ``int`` or is below its minimum, it lacks the
+    connection its kind needs, or it sets a field its kind never reads."""
 
 
 class DuplicateIdError(SdfmigError):
@@ -82,7 +88,8 @@ class UnknownActorError(SdfmigError):
 
 class MalformedGraphError(SdfmigError):
     """A graph holds initial tokens or a token size that is not an integer
-    of at least 0, an execution time or rate that is not an integer, or a
+    of at least 0, an execution time or rate that is not an integer (a
+    ``bool`` is not), an actor kind that is not an ``ActorKind``, or a
     reference actor that is not in the graph."""
 
 
@@ -95,7 +102,8 @@ class UnknownChannelError(SdfmigError):
 
 
 class InvalidBandwidthError(SdfmigError):
-    """A connection's bandwidth is not positive."""
+    """A connection is built with a bandwidth that is not a positive ``int``
+    or ``Fraction``."""
 
 
 class InvalidClockError(SdfmigError):
@@ -110,11 +118,11 @@ class AlreadyHardwareError(SdfmigError):
     """Migration requested for an actor that is not a software actor."""
 
 
-class InvalidMigrationSpecError(SdfmigError):
-    """A migration parameter has the wrong type (a speedup that is not an
-    ``int`` or a ``Fraction``, a count that is not an ``int``, or a
-    ``bool``) or is out of range: speedup not positive, a negative prefetch
-    time or hardware buffer, or a chain alpha below 1."""
+class InvalidMigrationSpecError(InvalidFieldError):
+    """A migration spec is built with a parameter of the wrong type (a
+    speedup that is not an ``int`` or a ``Fraction``, a count that is not
+    an ``int``, or a ``bool``) or out of range: speedup not positive, a
+    negative prefetch time or hardware buffer, or a chain alpha below 1."""
 
 
 class ScenarioParseError(SdfmigError):

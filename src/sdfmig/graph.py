@@ -208,6 +208,7 @@ ZERO_RATE = "ZeroRate"
 NEGATIVE_TOKENS = "NegativeTokens"
 NEGATIVE_TOKEN_SIZE = "NegativeTokenSize"
 NEGATIVE_EXEC_TIME = "NegativeExecTime"
+BAD_KIND = "BadKind"
 DUPLICATE_ID = "DuplicateId"
 BAD_REFERENCE = "BadReference"
 INCONSISTENT = "Inconsistent"
@@ -222,12 +223,15 @@ def _violations(graph: SDFG) -> Iterator[tuple[str, str, type[SdfmigError], str]
             yield (DUPLICATE_ID, a.id, DuplicateIdError,
                    f"actor id {a.id!r} occurs more than once")
         actor_ids.add(a.id)
-        if not isinstance(a.exec_time, int) or a.exec_time < 0:
+        if type(a.exec_time) is not int or a.exec_time < 0:
             yield (NEGATIVE_EXEC_TIME, a.id,
-                   NegativeExecutionTimeError if isinstance(a.exec_time, int)
+                   NegativeExecutionTimeError if type(a.exec_time) is int
                    else MalformedGraphError,
                    f"actor {a.id!r} has execution time {a.exec_time!r}; it must be "
                    "an integer of at least 0")
+        if not isinstance(a.kind, ActorKind):
+            yield (BAD_KIND, a.id, MalformedGraphError,
+                   f"actor {a.id!r} has kind {a.kind!r}; it must be an ActorKind")
     channel_ids: set[str] = set()
     for c in graph.channels:
         if c.id in channel_ids:
@@ -238,16 +242,16 @@ def _violations(graph: SDFG) -> Iterator[tuple[str, str, type[SdfmigError], str]
             if endpoint not in actor_ids:
                 yield (DANGLING_ENDPOINT, c.id, UnknownActorError,
                        f"channel {c.id!r} names actor {endpoint!r}, which is not in the graph")
-        integral = isinstance(c.prod_rate, int) and isinstance(c.cons_rate, int)
+        integral = type(c.prod_rate) is int and type(c.cons_rate) is int
         if not (integral and c.prod_rate >= 1 and c.cons_rate >= 1):
             yield (ZERO_RATE, c.id, InvalidRateError if integral else MalformedGraphError,
                    f"channel {c.id!r} has production rate {c.prod_rate!r} and "
                    f"consumption rate {c.cons_rate!r}; both must be integers of at least 1")
-        if not isinstance(c.initial_tokens, int) or c.initial_tokens < 0:
+        if type(c.initial_tokens) is not int or c.initial_tokens < 0:
             yield (NEGATIVE_TOKENS, c.id, MalformedGraphError,
                    f"channel {c.id!r} has initial tokens {c.initial_tokens!r}; they must "
                    "be an integer of at least 0")
-        if not isinstance(c.token_size, int) or c.token_size < 0:
+        if type(c.token_size) is not int or c.token_size < 0:
             yield (NEGATIVE_TOKEN_SIZE, c.id, MalformedGraphError,
                    f"channel {c.id!r} has token size {c.token_size!r}; it must be "
                    "an integer of at least 0")
@@ -263,6 +267,7 @@ def check_graph(graph: SDFG) -> None:
     1 (:class:`InvalidRateError`), a negative execution time
     (:class:`NegativeExecutionTimeError`), or (:class:`MalformedGraphError`)
     negative initial tokens or token size, a value that is not an integer
+    (a ``bool`` is not), an actor kind that is not an :class:`ActorKind`,
     or an unknown reference actor. Only a pass is remembered, per graph
     object, so later calls on a well-formed graph are free."""
     graph._well_formed

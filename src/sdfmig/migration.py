@@ -55,7 +55,9 @@ class MigrationSpec:
     failing that from the first connection touching the vacated tile.
     ``hw_buffer_tokens`` bounds the producer of a prefetch channel (defaults
     to two gate batches). ``alpha_src``/``alpha_dst`` size the buffers of
-    chains that did not exist before the migration."""
+    chains that did not exist before the migration. A field of the wrong
+    type, then one out of range, is refused where the spec is built, before
+    it turns into a graph that fails later under another name."""
 
     actor: str = ""
     speedup: Fraction = Fraction(2)
@@ -64,6 +66,26 @@ class MigrationSpec:
     hw_buffer_tokens: int | None = None
     alpha_src: int = 2
     alpha_dst: int = 2
+
+    def __post_init__(self):
+        buffer = self.hw_buffer_tokens
+        for field, typed, kind in [
+                ("speedup", type(self.speedup) in (int, Fraction), "an int or a Fraction"),
+                ("prefetch_time", type(self.prefetch_time) is int, "an int"),
+                ("hw_buffer_tokens", type(buffer) in (int, type(None)), "an int or None"),
+                ("alpha_src", type(self.alpha_src) is int, "an int"),
+                ("alpha_dst", type(self.alpha_dst) is int, "an int")]:
+            if not typed:
+                raise InvalidMigrationSpecError(
+                    field, f"must be {kind}, got {getattr(self, field)!r}")
+        for field, broken, rule in [
+                ("speedup", self.speedup <= 0, "must be positive"),
+                ("prefetch_time", self.prefetch_time < 0, "must not be negative"),
+                ("hw_buffer_tokens", (buffer or 0) < 0, "must not be negative"),
+                ("alpha_src", self.alpha_src < 1, "must be at least 1"),
+                ("alpha_dst", self.alpha_dst < 1, "must be at least 1")]:
+            if broken:
+                raise InvalidMigrationSpecError(field, f"{rule}, got {getattr(self, field)}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +136,6 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
     (after-mapping times, TDMA waits, chains, prefetch templates) follows
     from the rebuilt scenario.
     """
-    _check_spec(spec)
     actor = graph.actor_map.get(spec.actor)
     if actor is None:
         raise UnknownActorError(f"no actor {spec.actor!r} in graph")
@@ -235,43 +256,6 @@ def explore_single_migrations(graph: SDFG, platform: Platform,
                                    -c.gain_fps if c.gain_fps is not None else 0,
                                    c.actor))
     return baseline, candidates
-
-
-def spec_range_error(spec: MigrationSpec) -> tuple[str, str] | None:
-    """The first field of ``spec`` of the wrong type or out of its range and
-    the rule it breaks (``"must be positive, got 0"``), or None when every
-    field is in range. Types come first: ``speedup`` is an ``int`` or a
-    ``Fraction``, the counts are ``int``, and a ``bool`` is neither.
-    Shared by :func:`migrate_task` and the scenario reader's ``<defaults>``."""
-    typed = [("speedup", spec.speedup, (int, Fraction), "an int or a Fraction"),
-             ("prefetch_time", spec.prefetch_time, int, "an int"),
-             ("hw_buffer_tokens", spec.hw_buffer_tokens, (int, type(None)),
-              "an int or None"),
-             ("alpha_src", spec.alpha_src, int, "an int"),
-             ("alpha_dst", spec.alpha_dst, int, "an int")]
-    for field, value, types, kind in typed:
-        if isinstance(value, bool) or not isinstance(value, types):
-            return field, f"must be {kind}, got {value!r}"
-    if spec.speedup <= 0:
-        return "speedup", f"must be positive, got {spec.speedup}"
-    if spec.prefetch_time < 0:
-        return "prefetch_time", f"must not be negative, got {spec.prefetch_time}"
-    if spec.hw_buffer_tokens is not None and spec.hw_buffer_tokens < 0:
-        return "hw_buffer_tokens", f"must not be negative, got {spec.hw_buffer_tokens}"
-    for field, alpha in (("alpha_src", spec.alpha_src), ("alpha_dst", spec.alpha_dst)):
-        if alpha < 1:
-            return field, f"must be at least 1, got {alpha}"
-    return None
-
-
-def _check_spec(spec: MigrationSpec) -> None:
-    """Reject out-of-range parameters before they turn into a graph that
-    fails later under another name (a negative prefetch actor time, a
-    deadlocking zero-size chain buffer)."""
-    problem = spec_range_error(spec)
-    if problem is not None:
-        field, rule = problem
-        raise InvalidMigrationSpecError(f"{field} {rule}")
 
 
 def _template_connection(channel: Channel, platform: Platform,

@@ -7,10 +7,11 @@ slot-level simulation. A mapping sums its slices per tile once
 (:attr:`PlatformMapping.tile_slices`, cached like :attr:`Platform.tile_map`),
 so an actor's wait is its tile's total minus its own slice.
 
-A channel binding is a :class:`BindingKind` plus the connection it uses,
-if any, and only the other fields that kind reads, each an ``int`` of at
-least its minimum (buffer tokens, latency bound and prefetch time 0, chain
-buffers 1).
+Each value checks its own fields where it is built, types before ranges;
+a count is of type ``int``, which a ``bool`` is not. A channel binding is
+a :class:`BindingKind` plus the connection it uses, if any, and only the
+other fields that kind reads, each an ``int`` of at least its minimum
+(buffer tokens, latency bound and prefetch time 0, chain buffers 1).
 
 The mapping rules are stated once, in ``_mapping_violations``: scenario
 load lists the broken ones (:func:`validate_mapping`), binding and migration
@@ -22,8 +23,6 @@ tile or connection id repeated in the platform       DuplicateId        Duplicat
 mapped actor not in the graph                        UnknownActor       UnknownActorError
 actor placed on a tile the platform lacks            UnknownTile        UnmappedActorError
 software actor with no tile                          UnmappedActor      UnmappedActorError
-TDMA slice not an int (a bool is not)                InvalidSlice       SliceOverflowError
-negative TDMA slice                                  NegativeSlice      SliceOverflowError
 slices over a processor's wheel                      SliceOverflow      SliceOverflowError
 binding names no channel of the graph                UnknownChannel     UnknownChannelError
 LOCAL endpoints not both on one tile (one unplaced)  BindingMismatch    SameTileError
@@ -43,7 +42,9 @@ from typing import Callable, Iterable, Iterator, Mapping as TMapping
 
 from .errors import (
     DuplicateIdError,
+    InvalidBandwidthError,
     InvalidBindingError,
+    InvalidFieldError,
     SameTileError,
     SdfmigError,
     SliceOverflowError,
@@ -70,6 +71,15 @@ class Tile:
     kind: TileKind = TileKind.PROCESSOR
     tdma_wheel: int = 0
 
+    def __post_init__(self):
+        if not isinstance(self.kind, TileKind):
+            raise InvalidFieldError("kind", f"must be a TileKind, got {self.kind!r}")
+        wheel = self.tdma_wheel
+        if type(wheel) is not int:
+            raise InvalidFieldError("tdma_wheel", f"must be an int, got {wheel!r}")
+        if wheel < 0:
+            raise InvalidFieldError("tdma_wheel", f"must be at least 0, got {wheel}")
+
 
 @dataclass(frozen=True)
 class NocConnection:
@@ -81,6 +91,19 @@ class NocConnection:
     dst_tile: str
     latency: int = 0
     bandwidth: Fraction = Fraction(1)
+
+    def __post_init__(self):
+        latency, bandwidth = self.latency, self.bandwidth
+        if type(latency) is not int:
+            raise InvalidFieldError("latency", f"must be an int, got {latency!r}")
+        if type(bandwidth) not in (int, Fraction):
+            raise InvalidBandwidthError(f"connection {self.id!r}: bandwidth must be an int "
+                                        f"or a Fraction, got {bandwidth!r}")
+        if latency < 0:
+            raise InvalidFieldError("latency", f"must be at least 0, got {latency}")
+        if bandwidth <= 0:
+            raise InvalidBandwidthError(
+                f"connection {self.id!r}: bandwidth must be positive, got {bandwidth}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +190,7 @@ class ChannelBinding:
             raise InvalidBindingError("kind", f"must be a BindingKind, got {kind!r}")
         for name in _FIELD_MINIMUM:
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            if value is not None and type(value) is not int:
                 raise InvalidBindingError(name, f"must be an int, got {value!r}")
         for name, minimum in _FIELD_MINIMUM.items():
             value = getattr(self, name)
@@ -188,32 +211,32 @@ _UNREAD_FIELDS = {kind: [f.name for f in fields(ChannelBinding)[1:] if f.name no
 @dataclass(frozen=True)
 class PlatformMapping:
     """Placement of actors on tiles, per-actor TDMA slices, and per-channel
-    bindings."""
+    bindings. Each slice is an ``int`` of at least 0, for a placed actor."""
 
     actor_tile: TMapping[str, str]
     tdma_slice: TMapping[str, int]
     channel_binding: TMapping[str, ChannelBinding]
 
-    @cached_property
-    def tile_slices(self) -> dict[str, int]:
-        """Tile id -> total TDMA slice of the actors placed on it.
-        Slices that are not an ``int`` count 0; :attr:`slice_faults` names
-        them."""
-        totals: dict[str, int] = {}
-        for actor_id, tile_id in self.actor_tile.items():
-            slice_cycles = self.tdma_slice.get(actor_id, 0)
-            if isinstance(slice_cycles, int) and not isinstance(slice_cycles, bool):
-                totals[tile_id] = totals.get(tile_id, 0) + slice_cycles
-        return totals
+    def __post_init__(self):
+        for actor_id, slice_cycles in self.tdma_slice.items():
+            if type(slice_cycles) is not int:
+                raise SliceOverflowError(f"actor {actor_id!r}: tdma slice must be an int, "
+                                         f"got {slice_cycles!r}")
+        for actor_id, slice_cycles in self.tdma_slice.items():
+            if slice_cycles < 0:
+                raise SliceOverflowError(f"actor {actor_id!r}: tdma slice must be at "
+                                         f"least 0, got {slice_cycles}")
+            if actor_id not in self.actor_tile:
+                raise SliceOverflowError(f"a tdma slice needs a tile, but actor "
+                                         f"{actor_id!r} has none")
 
     @cached_property
-    def slice_faults(self) -> dict[str, str]:
-        """Tile id -> the message for the first actor placed on it whose TDMA
-        slice is not an int, else is negative."""
-        found: dict[str, str] = {}
-        for _, actor_id, message in _slice_faults(self):
-            found.setdefault(self.actor_tile.get(actor_id), message)
-        return found
+    def tile_slices(self) -> dict[str, int]:
+        """Tile id -> total TDMA slice of the actors placed on it."""
+        totals: dict[str, int] = {}
+        for actor_id, tile_id in self.actor_tile.items():
+            totals[tile_id] = totals.get(tile_id, 0) + self.tdma_slice.get(actor_id, 0)
+        return totals
 
     def tile_of(self, actor_id: str) -> str | None:
         return self.actor_tile.get(actor_id)
@@ -222,18 +245,17 @@ class PlatformMapping:
 def tdma_wait(actor_id: str, platform: Platform, mapping: PlatformMapping) -> int:
     """Worst-case wait for an actor to re-enter its TDMA slot: the sum of the
     other co-mapped actors' slices. Zero on hardware and memory tiles. Raises
-    the error of the placement or slice rule the actor's tile breaks: a
-    slice on the tile that is not an int or is negative, then slices over
-    its wheel."""
+    the error of the placement rule the actor breaks, or of slices over its
+    tile's wheel."""
     unplaced = _unplaced(actor_id, platform, mapping)
     if unplaced is not None:
         raise UnmappedActorError(unplaced[1])
     tile = platform.tile_map[mapping.actor_tile[actor_id]]
     if tile.kind != TileKind.PROCESSOR:
         return 0
-    fault = mapping.slice_faults.get(tile.id) or _overflow(tile, mapping)
-    if fault is not None:
-        raise SliceOverflowError(fault)
+    overflow = _overflow(tile, mapping)
+    if overflow is not None:
+        raise SliceOverflowError(overflow)
     return mapping.tile_slices[tile.id] - mapping.tdma_slice.get(actor_id, 0)
 
 
@@ -258,20 +280,6 @@ def _unplaced(actor_id: str, platform: Platform,
     return None
 
 
-def _slice_faults(mapping: PlatformMapping) -> Iterator[tuple[str, str, str]]:
-    """``(code, actor, message)`` for every TDMA slice that is not an int
-    (a bool is not), then for every negative one."""
-    negative = []
-    for actor_id, slice_cycles in mapping.tdma_slice.items():
-        if isinstance(slice_cycles, bool) or not isinstance(slice_cycles, int):
-            yield ("InvalidSlice", actor_id,
-                   f"actor {actor_id!r}: tdma slice must be an int, got {slice_cycles!r}")
-        elif slice_cycles < 0:
-            negative.append(("NegativeSlice", actor_id, f"actor {actor_id!r}: tdma slice "
-                             f"must be at least 0, got {slice_cycles}"))
-    yield from negative
-
-
 def _overflow(tile: Tile, mapping: PlatformMapping) -> str | None:
     """The message when a processor tile's slices overflow its wheel."""
     used = mapping.tile_slices.get(tile.id, 0)
@@ -283,8 +291,8 @@ def _overflow(tile: Tile, mapping: PlatformMapping) -> str | None:
 def _mapping_violations(graph: SDFG, platform: Platform, mapping: PlatformMapping
                         ) -> Iterator[tuple[str, str, Callable[[str], SdfmigError], str]]:
     """``(code, subject, error, message)`` for every rule of the module
-    docstring that ``mapping`` breaks: platform ids, actors, slices, tiles,
-    then bindings. A binding breaks at most one rule, its kind's tile rule
+    docstring that ``mapping`` breaks: platform ids, actors, tiles, then
+    bindings. A binding breaks at most one rule, its kind's tile rule
     first."""
     for what, elements in (("tile", platform.tiles), ("connection", platform.connections)):
         seen = set()
@@ -302,8 +310,6 @@ def _mapping_violations(graph: SDFG, platform: Platform, mapping: PlatformMappin
         unplaced = _unplaced(actor_id, platform, mapping)
         if unplaced is not None:
             yield unplaced[0], actor_id, UnmappedActorError, unplaced[1]
-    for code, actor_id, message in _slice_faults(mapping):
-        yield code, actor_id, SliceOverflowError, message
     for tile in platform.tiles:
         overflow = _overflow(tile, mapping)
         if overflow is not None:

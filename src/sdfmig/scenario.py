@@ -19,13 +19,13 @@ from pathlib import Path
 
 from .analysis import DEFAULT_CLOCK_HZ, ThroughputResult, to_frames_per_second
 from .errors import (
-    InvalidBindingError,
+    InvalidFieldError,
     ScenarioParseError,
     ScenarioValidationError,
     UnknownReportFormatError,
 )
 from .graph import Actor, ActorKind, Channel, SDFG, validate
-from .migration import MigrationCandidate, MigrationSpec, spec_range_error
+from .migration import MigrationCandidate, MigrationSpec
 from .mpsoc import (
     BindingKind,
     ChannelBinding,
@@ -39,10 +39,20 @@ from .mpsoc import (
 from .rational import format_rational, parse_plain_integer, parse_rational
 
 
+def _bad_attribute(tag: str, attribute: str, rule: str, value) -> ScenarioValidationError:
+    return ScenarioValidationError(
+        f"<{tag}>: attribute {attribute!r} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything one analysis run needs. ``platform`` and ``mapping`` are
-    optional for graph-only scenarios (the graph is then analyzed as-is)."""
+    optional for graph-only scenarios (the graph is then analyzed as-is).
+
+    Built, it refuses (:class:`ScenarioValidationError`) a clock that is not
+    a positive ``int`` or ``Fraction``, a mapping without a platform, defaults
+    naming an actor or a connection the platform lacks, a description that is
+    not a ``str``, and every diagnostic of ``validate`` and ``validate_mapping``."""
 
     name: str
     graph: SDFG
@@ -51,6 +61,32 @@ class Scenario:
     defaults: MigrationSpec = field(default_factory=MigrationSpec)
     description: str = ""
     clock_hz: Fraction = DEFAULT_CLOCK_HZ
+
+    def __post_init__(self):
+        clock, platform, spec = self.clock_hz, self.platform, self.defaults
+        if type(clock) not in (int, Fraction):
+            raise _bad_attribute("scenario", "clock-hz", "an int or a Fraction", clock)
+        if clock <= 0:
+            raise _bad_attribute("scenario", "clock-hz", "positive", clock)
+        if self.mapping is not None and platform is None:
+            raise ScenarioValidationError("a scenario with a mapping needs a platform")
+        if spec.actor != "":
+            raise ScenarioValidationError(
+                f"<defaults> cannot name an actor, got {spec.actor!r}")
+        connection = spec.hw_connection
+        if connection is not None and (platform is None
+                                       or connection not in platform.connection_map):
+            raise _bad_attribute("defaults", "hw-connection",
+                                 "a connection of the platform", connection)
+        if not isinstance(self.description, str):
+            raise ScenarioValidationError(
+                f"<description> must be a string, got {self.description!r}")
+        diagnostics = validate(self.graph)
+        if self.mapping is not None:
+            diagnostics += validate_mapping(self.graph, platform, self.mapping)
+        if diagnostics:
+            raise ScenarioValidationError(
+                "; ".join(str(d) for d in diagnostics), diagnostics=tuple(diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +194,12 @@ def _fail(node: _Node, message: str):
     raise ScenarioParseError(f"<{node.tag}>: {message}", line=line, column=column)
 
 
+def _fail_field(node: _Node, error: InvalidFieldError):
+    """Position at ``node`` the error of a field that breaks its own rule,
+    naming the attribute it was read from."""
+    _fail(node, f"attribute {error.field.replace('_', '-')!r} {error.rule}")
+
+
 def _fields(node: _Node, table: dict) -> dict:
     """The node's attributes read by ``table``, in table order, by field:
     each parsed as its type, or its default when absent. An attribute the
@@ -224,9 +266,7 @@ def load_scenario(path) -> Scenario:
     text = Path(path).read_text(encoding="utf-8")
     root = _parse_tree(text)
     if root.tag == "sdf3":
-        scenario = Scenario(name=Path(path).stem, graph=_read_sdf3(root))
-        _validate_scenario(scenario)
-        return scenario
+        return Scenario(name=Path(path).stem, graph=_read_sdf3(root))
     if root.tag != "scenario":
         line, column = root.where()
         raise ScenarioParseError(f"expected <scenario> root, got <{root.tag}>",
@@ -271,21 +311,8 @@ def load_scenario(path) -> Scenario:
             f"attribute 'hw-connection' names no connection of the platform, "
             f"got {connection!r}")
 
-    scenario = Scenario(name=name, graph=graph, platform=platform,
-                        mapping=mapping, defaults=defaults,
-                        description=description, clock_hz=clock)
-    _validate_scenario(scenario)
-    return scenario
-
-
-def _validate_scenario(scenario: Scenario) -> None:
-    diagnostics = list(validate(scenario.graph))
-    if scenario.mapping is not None and scenario.platform is not None:
-        diagnostics += validate_mapping(scenario.graph, scenario.platform,
-                                        scenario.mapping)
-    if diagnostics:
-        raise ScenarioValidationError(
-            "; ".join(str(d) for d in diagnostics), diagnostics=tuple(diagnostics))
+    return Scenario(name=name, graph=graph, platform=platform, mapping=mapping,
+                    defaults=defaults, description=description, clock_hz=clock)
 
 
 def _read_application(node: _Node) -> SDFG:
@@ -310,10 +337,10 @@ def _read_platform(node: _Node) -> Platform:
         if child.tag == "tile":
             tiles.append(Tile(**_fields(child, _TILE)))
         else:
-            connection = NocConnection(**_fields(child, _CONNECTION))
-            if connection.bandwidth <= 0:
+            values = _fields(child, _CONNECTION)
+            if values["bandwidth"] <= 0:
                 _fail(child, "bandwidth must be positive")
-            connections.append(connection)
+            connections.append(NocConnection(**values))
     return Platform(tiles=tiles, connections=connections)
 
 
@@ -340,20 +367,19 @@ def _read_mapping(node: _Node) -> PlatformMapping:
                     BindingKind.LOCAL if values["connection"] is None else BindingKind.REMOTE)
             try:
                 bindings[channel] = ChannelBinding(kind=kind, **values)
-            except InvalidBindingError as exc:
-                _fail(child, f"attribute {exc.field.replace('_', '-')!r} {exc.rule}")
+            except InvalidFieldError as exc:
+                _fail_field(child, exc)
     return PlatformMapping(actor_tile=actor_tile, tdma_slice=tdma_slice,
                            channel_binding=bindings)
 
 
 def _read_defaults(node: _Node) -> MigrationSpec:
-    spec = MigrationSpec(**_fields(node, _DEFAULTS))
+    values = _fields(node, _DEFAULTS)
     _expect_children(node, set())
-    problem = spec_range_error(spec)
-    if problem is not None:
-        field_name, rule = problem
-        _fail(node, f"attribute {field_name.replace('_', '-')!r} {rule}")
-    return spec
+    try:
+        return MigrationSpec(**values)
+    except InvalidFieldError as exc:
+        _fail_field(node, exc)
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +496,12 @@ def _quote(value: str) -> str:
     return '"' + value.replace('"', "&quot;") + '"'
 
 
-def _unwritable(tag: str, attribute: str, rule: str, value) -> ScenarioValidationError:
-    return ScenarioValidationError(
-        f"<{tag}>: attribute {attribute!r} must be {rule}, got {value!r}")
-
-
 def _element(tag: str, table: dict, values: dict, keep: tuple[str, ...] = (),
              end: str = "/>") -> str:
     """``<tag ...`` and ``end`` with the attributes of ``table`` in table
-    order, each field's value taken from ``values`` and checked against its
-    row's type, as load reads it. A value equal to its default is left out
-    unless its field is in ``keep``."""
+    order, each field's value taken from ``values``. A value equal to its
+    default is left out unless its field is in ``keep``. Every value but
+    text was checked where it was built; a text field must be a ``str``."""
     line = "<" + tag
     for attribute, (field, kind, default) in table.items():
         value = values[field]
@@ -488,24 +509,16 @@ def _element(tag: str, table: dict, values: dict, keep: tuple[str, ...] = (),
             continue
         if kind is str:
             if type(value) is not str:  # a str enum would write its member name
-                raise _unwritable(tag, attribute, "a string", value)
+                raise _bad_attribute(tag, attribute, "a string", value)
             line += f" {attribute}={_quote(value)}"
         elif kind is int or kind is _NATURAL:
-            if type(value) is not int:  # nor a bool
-                raise _unwritable(tag, attribute, "an integer", value)
-            if kind is _NATURAL and value < 0:
-                raise _unwritable(tag, attribute, "at least 0", value)
             line += f' {attribute}="{value}"'
         elif kind is Fraction:
-            if type(value) is not Fraction and type(value) is not int:
-                raise _unwritable(tag, attribute, "an int or a Fraction", value)
-            line += f" {attribute}={_quote(format_rational(value))}"
+            line += f' {attribute}="{format_rational(value)}"'
         elif kind is bool:
             line += f' {attribute}="{"true" if value else "false"}"'
         else:
-            if not isinstance(value, kind):
-                raise _unwritable(tag, attribute, f"a {kind.__name__}", value)
-            line += f" {attribute}={_quote(value.value)}"
+            line += f' {attribute}="{value.value}"'
     return line + end
 
 
@@ -513,25 +526,16 @@ def scenario_to_text(scenario: Scenario) -> str:
     """The canonical text form: elements sorted by id, attributes in a fixed
     order, defaults omitted. Saving the same value twice is byte-identical.
 
-    Save refuses what load refuses, with a :class:`ScenarioValidationError`:
-    a value not of its attribute's type or range, a ``<defaults>`` field out
-    of range (:func:`~sdfmig.migration.spec_range_error`) or naming an
-    actor, a ``hw-connection`` naming no connection, a clock or bandwidth
-    that is not positive, a mapping without a platform, a slice for an
-    actor with no tile, a character XML cannot hold, and every diagnostic of
-    load's validation. So the text written loads back equal, but for the
+    Every value was checked where it was built, as load checks it, so save
+    only writes. It refuses, with a :class:`ScenarioValidationError`, only
+    an id, name or other text field that is not a ``str`` and a character
+    XML cannot hold. So the text written loads back equal, but for the
     description, which load strips."""
     out: list[str] = []
-    clock = scenario.clock_hz
-    out.append(_element("scenario", _SCENARIO, {"name": scenario.name, "clock_hz": clock},
-                        end=">"))
-    if clock <= 0:
-        raise _unwritable("scenario", "clock-hz", "positive", clock)
-    description = scenario.description
-    if not isinstance(description, str):
-        raise ScenarioValidationError(f"<description> must be a string, got {description!r}")
+    out.append(_element("scenario", _SCENARIO,
+                        {"name": scenario.name, "clock_hz": scenario.clock_hz}, end=">"))
     # Loading strips the description, so saving writes it stripped.
-    description = description.strip()
+    description = scenario.description.strip()
     if description:
         out.append(f"  <description>{_escape(description)}</description>")
 
@@ -557,23 +561,14 @@ def scenario_to_text(scenario: Scenario) -> str:
             out.append("    " + _element("tile", _TILE, vars(tile)))
         for conn in sorted(platform.connections, key=lambda c: str(c.id)):
             out.append("    " + _element("connection", _CONNECTION, vars(conn)))
-            if conn.bandwidth <= 0:
-                raise _unwritable("connection", "bandwidth", "positive", conn.bandwidth)
         out.append("  </platform>")
 
     if mapping is not None:
-        if platform is None:
-            raise ScenarioValidationError("a scenario with a mapping needs a platform")
         out.append("  <mapping>")
         for actor_id in sorted(mapping.actor_tile, key=str):
             place = {"actor": actor_id, "tile": mapping.actor_tile[actor_id],
                      "tdma_slice": mapping.tdma_slice.get(actor_id)}
             out.append("    " + _element("place", _PLACE, place))
-        unplaced = mapping.tdma_slice.keys() - mapping.actor_tile.keys()
-        if unplaced:
-            raise ScenarioValidationError(
-                f"<place>: a tdma slice needs a tile, but actor "
-                f"{sorted(unplaced, key=str)[0]!r} has none")
         for channel_id in sorted(mapping.channel_binding, key=str):
             binding = mapping.channel_binding[channel_id]
             bind = {**vars(binding), "channel": channel_id,
@@ -581,24 +576,10 @@ def scenario_to_text(scenario: Scenario) -> str:
             out.append("    " + _element("bind", _BIND, bind))
         out.append("  </mapping>")
 
-    spec = scenario.defaults
-    problem = spec_range_error(spec)
-    if problem is not None:
-        field_name, rule = problem
-        raise ScenarioValidationError(
-            f"<defaults>: attribute {field_name.replace('_', '-')!r} {rule}")
-    defaults = _element("defaults", _DEFAULTS, vars(spec))
-    if spec.actor != "":
-        raise ScenarioValidationError(f"<defaults> cannot name an actor, got {spec.actor!r}")
-    connection = spec.hw_connection
-    if connection is not None and (platform is None
-                                   or connection not in platform.connection_map):
-        raise _unwritable("defaults", "hw-connection", "a connection of the platform",
-                          connection)
+    defaults = _element("defaults", _DEFAULTS, vars(scenario.defaults))
     if defaults != "<defaults/>":
         out.append("  " + defaults)
     out.append("</scenario>")
-    _validate_scenario(scenario)
     return "\n".join(out) + "\n"
 
 

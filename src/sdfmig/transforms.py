@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .errors import BufferTooSmallError, InvalidBandwidthError
+from .errors import BufferTooSmallError
 from .graph import (
     Actor,
     ActorKind,
@@ -53,11 +53,9 @@ from .mpsoc import (
 
 def connection_actor_time(token_size: int, connection: NocConnection) -> int:
     """Cycles to push one token through a connection: latency plus the
-    size/bandwidth quotient truncated toward zero, computed in integers."""
+    size/bandwidth quotient truncated toward zero, computed in integers. The
+    bandwidth is positive, as every :class:`NocConnection` is built."""
     bandwidth = connection.bandwidth
-    if bandwidth <= 0:
-        raise InvalidBandwidthError(
-            f"connection {connection.id!r} has non-positive bandwidth")
     cycles = abs(token_size) * bandwidth.denominator // bandwidth.numerator
     return connection.latency + (cycles if token_size >= 0 else -cycles)
 

@@ -13,10 +13,12 @@ from sdfmig.errors import (
     InvalidRateError,
     MalformedGraphError,
     NegativeExecutionTimeError,
+    ScenarioValidationError,
     UnknownActorError,
 )
 from sdfmig.graph import (
     Actor,
+    ActorKind,
     Channel,
     SDFG,
     check_graph,
@@ -229,9 +231,9 @@ def test_graphs_are_immutable():
 
 
 def ring(times=(2, 3), tokens=(0, 1), rates=(1, 1), ids=("c0", "c1"),
-         extra_actors=(), reference=None, dst="B", size=0):
+         extra_actors=(), reference=None, dst="B", size=0, kind=ActorKind.SOFTWARE):
     """A (times[0]) -> B (times[1]) -> A, with one field broken per case."""
-    actors = [Actor("A", times[0]), Actor("B", times[1]), *extra_actors]
+    actors = [Actor("A", times[0], kind), Actor("B", times[1]), *extra_actors]
     channels = [Channel(ids[0], "A", dst, *rates, tokens[0], size),
                 Channel(ids[1], "B", "A", 1, 1, tokens[1])]
     return SDFG(actors, channels, reference_actor=reference)
@@ -275,6 +277,16 @@ BAD_GRAPHS = [
                  id="string-token-size"),
     pytest.param(ring(size=64.0), MalformedGraphError, "NegativeTokenSize",
                  id="float-token-size"),
+    # A bool is not an integer, and an actor kind is an ActorKind.
+    pytest.param(ring(times=(True, 3)), MalformedGraphError, "NegativeExecTime",
+                 id="bool-exec-time"),
+    pytest.param(ring(tokens=(0, True)), MalformedGraphError, "NegativeTokens",
+                 id="bool-tokens"),
+    pytest.param(ring(rates=(True, 1)), MalformedGraphError, "ZeroRate", id="bool-rate"),
+    pytest.param(ring(size=True), MalformedGraphError, "NegativeTokenSize",
+                 id="bool-token-size"),
+    pytest.param(ring(kind=True), MalformedGraphError, "BadKind", id="bool-kind"),
+    pytest.param(ring(kind="hardware"), MalformedGraphError, "BadKind", id="str-kind"),
 ]
 
 ENTRY_POINTS = [self_timed_throughput, iterate_states, mcm_throughput,
@@ -305,6 +317,38 @@ def test_token_size_is_checked_through_the_api(size):
     with pytest.raises(MalformedGraphError) as raised:
         build_bound_graph(graph, scenario.platform, scenario.mapping)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("element, subject, field, code, message", [
+    pytest.param("actor", "IQ", "exec_time", "NegativeExecTime",
+                 "actor 'IQ' has execution time True; it must be an integer of at least 0",
+                 id="exec-time"),
+    pytest.param("actor", "IQ", "kind", "BadKind",
+                 "actor 'IQ' has kind True; it must be an ActorKind", id="kind"),
+    pytest.param("channel", "izz_iq", "initial_tokens", "NegativeTokens",
+                 "channel 'izz_iq' has initial tokens True; they must be an integer of "
+                 "at least 0", id="initial-tokens"),
+])
+def test_bool_value_is_refused_by_the_graph_rules(element, subject, field, code, message):
+    # On mjpeg_base, IQ with exec_time=True used to analyse at 14.73 f/s,
+    # kind=True made IQ count as hardware, and initial_tokens=True on izz_iq
+    # was taken as 1.
+    scenario = load_scenario(bundled_scenario_path("mjpeg_base"))
+    graph = scenario.graph
+    if element == "actor":
+        graph = graph.with_actors([replace(a, **{field: True}) if a.id == subject else a
+                                   for a in graph.actors])
+    else:
+        graph = graph.with_channels([replace(c, **{field: True}) if c.id == subject else c
+                                     for c in graph.channels])
+    assert [(d.code, d.subject, d.message) for d in validate(graph)] == [
+        (code, subject, message)]
+    with pytest.raises(MalformedGraphError) as raised:
+        build_bound_graph(graph, scenario.platform, scenario.mapping)
+    assert str(raised.value) == message
+    with pytest.raises(ScenarioValidationError) as raised:
+        replace(scenario, graph=graph)
+    assert str(raised.value) == f"[{code}] {subject}: {message}"
 
 
 def test_validate_lists_structural_and_balance_diagnostics_in_one_call():

@@ -29,7 +29,6 @@ from sdfmig.migration import (
     migrate_task,
     migration_candidate,
     migration_gain,
-    spec_range_error,
 )
 from sdfmig.mpsoc import (
     BindingKind,
@@ -108,7 +107,8 @@ def test_migrate_unmapped_actor():
     g, p, m = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
     unmapped = PlatformMapping(
         actor_tile={a: t for a, t in m.actor_tile.items() if a != "VLD"},
-        tdma_slice=m.tdma_slice, channel_binding=m.channel_binding)
+        tdma_slice={a: s for a, s in m.tdma_slice.items() if a != "VLD"},
+        channel_binding=m.channel_binding)
     with pytest.raises(UnmappedActorError):
         migrate_task(g, p, unmapped, MigrationSpec(actor="VLD"))
 
@@ -145,11 +145,16 @@ def test_migrate_rejects_badly_typed_spec(field, value):
 
 
 def test_spec_types_are_checked_before_ranges():
-    assert spec_range_error(MigrationSpec(speedup="-3")) == (
-        "speedup", "must be an int or a Fraction, got '-3'")
-    assert spec_range_error(MigrationSpec(alpha_dst=-1.5)) == (
-        "alpha_dst", "must be an int, got -1.5")
-    assert spec_range_error(MigrationSpec(speedup=3, hw_buffer_tokens=0)) is None
+    # A spec is refused where it is built, naming the field and its rule.
+    for fields, field, rule in [
+            ({"speedup": "-3"}, "speedup", "must be an int or a Fraction, got '-3'"),
+            ({"alpha_dst": -1.5}, "alpha_dst", "must be an int, got -1.5"),
+            ({"speedup": 0, "alpha_src": True}, "alpha_src", "must be an int, got True")]:
+        with pytest.raises(InvalidMigrationSpecError) as raised:
+            MigrationSpec(**fields)
+        assert (raised.value.field, raised.value.rule) == (field, rule)
+        assert str(raised.value) == f"{field} {rule}"
+    assert MigrationSpec(speedup=3, hw_buffer_tokens=0).speedup == 3
 
 
 def test_hw_connection_wins_over_previous_connection():

@@ -7,7 +7,9 @@ import pytest
 from helpers import mjpeg_application, mjpeg_mapping, mjpeg_platform, random_scenario
 from sdfmig.errors import (
     DuplicateIdError,
+    InvalidBandwidthError,
     InvalidBindingError,
+    InvalidFieldError,
     SameTileError,
     SdfmigError,
     SliceOverflowError,
@@ -129,23 +131,15 @@ def test_tdma_wait_matches_brute_force_sum():
                         == brute_force_wait(actor_id, case_platform, case_mapping))
 
 
-def test_negative_slice_is_refused_by_tdma_wait_and_compute_etam():
+def test_negative_slice_fails_where_it_is_built():
     # IZZ's slice at -50000 used to give VLD a wait of -50000 and an
-    # after-mapping time of 2032463.
-    graph, platform, mapping = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
-    mapping = replace(mapping, tdma_slice={**mapping.tdma_slice, "IZZ": -50000})
-    message = "actor 'IZZ': tdma slice must be at least 0, got -50000"
-    for actor_id in ("VLD", "IZZ"):
-        with pytest.raises(SliceOverflowError) as raised:
-            tdma_wait(actor_id, platform, mapping)
-        assert str(raised.value) == message
+    # after-mapping time of 2032463; built through the API, this mapping
+    # used to validate clean and analyse at 14.11 f/s. The reader refuses
+    # tdma-slice="-1" at load.
+    mapping = mjpeg_mapping()
     with pytest.raises(SliceOverflowError) as raised:
-        compute_etam(graph, platform, mapping)
-    assert str(raised.value) == message
-    # Actors on T2 and T3 keep their waits.
-    for actor_id in ("IQ", "IDCT", "CC", "RE"):
-        assert tdma_wait(actor_id, platform, mapping) == (
-            CASE_STUDY_ETAM[actor_id] - graph.actor(actor_id).exec_time)
+        replace(mapping, tdma_slice={**mapping.tdma_slice, "IZZ": -50000})
+    assert str(raised.value) == "actor 'IZZ': tdma slice must be at least 0, got -50000"
 
 
 @pytest.mark.parametrize("value", ["50000", 50000.0, True], ids=["str", "float", "bool"])
@@ -153,30 +147,26 @@ def test_slice_of_the_wrong_type_is_refused_on_every_route(value):
     # IZZ's slice as "50000" used to end in a bare TypeError from validation
     # and binding, 50000.0 to validate clean and fail binding with a
     # MalformedGraphError naming VLD, and True to analyse at 1/7137125
-    # iterations per cycle.
-    graph, platform, mapping = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
-    mapping = replace(mapping, tdma_slice={**mapping.tdma_slice, "IZZ": value})
+    # iterations per cycle. Every route takes a built mapping, and the
+    # mapping is refused where it is built.
+    mapping = mjpeg_mapping()
     message = f"actor 'IZZ': tdma slice must be an int, got {value!r}"
-    assert [(d.code, d.subject, d.message)
-            for d in validate_mapping(graph, platform, mapping)] == [
-        ("InvalidSlice", "IZZ", message)]
-    routes = [lambda: check_mapping(graph, platform, mapping),
-              lambda: build_bound_graph(graph, platform, mapping),
-              lambda: compute_etam(graph, platform, mapping),
-              lambda: tdma_wait("VLD", platform, mapping),
-              lambda: tdma_wait("IZZ", platform, mapping)]
-    for route in routes:
-        with pytest.raises(SliceOverflowError) as raised:
-            route()
-        assert str(raised.value) == message
-    # The type is checked before the sign and the wheel: a second actor's
-    # negative slice is listed after it, and T1's other slices still count.
-    mapping = replace(mapping, tdma_slice={**mapping.tdma_slice, "VLD": -1})
-    assert [d.code for d in validate_mapping(graph, platform, mapping)] == [
-        "InvalidSlice", "NegativeSlice"]
-    for actor_id in ("IQ", "IDCT", "CC", "RE"):
-        assert tdma_wait(actor_id, platform, mapping) == (
-            CASE_STUDY_ETAM[actor_id] - graph.actor(actor_id).exec_time)
+    with pytest.raises(SliceOverflowError) as raised:
+        replace(mapping, tdma_slice={**mapping.tdma_slice, "IZZ": value})
+    assert str(raised.value) == message
+    # The types of all slices are checked before any sign: VLD's negative
+    # slice, listed before IZZ's, does not hide the wrong type.
+    with pytest.raises(SliceOverflowError) as raised:
+        replace(mapping, tdma_slice={**mapping.tdma_slice, "VLD": -1, "IZZ": value})
+    assert str(raised.value) == message
+
+
+def test_slice_of_an_unplaced_actor_fails_where_it_is_built():
+    mapping = mjpeg_mapping()
+    actor_tile = {a: t for a, t in mapping.actor_tile.items() if a != "VLD"}
+    with pytest.raises(SliceOverflowError) as raised:
+        replace(mapping, actor_tile=actor_tile)
+    assert str(raised.value) == "a tdma slice needs a tile, but actor 'VLD' has none"
 
 
 def test_tdma_wait_unmapped_actor():
@@ -294,14 +284,6 @@ def remote_binding_inside_one_tile():
             SameTileError, "vld_izz")
 
 
-def negative_tdma_slice():
-    # The reader refuses tdma-slice="-1" at load; built through the API, this
-    # mapping used to validate clean and analyse at 14.11 f/s.
-    mapping = mjpeg_mapping()
-    mapping = replace(mapping, tdma_slice={**mapping.tdma_slice, "IZZ": -50000})
-    return mjpeg_application(), mjpeg_platform(), mapping, SliceOverflowError, "IZZ"
-
-
 def repeated_tile():
     # The second T1 used to replace the first in tile_map without a word;
     # mjpeg_base still gave 13.91 f/s.
@@ -332,10 +314,8 @@ def second_prefetch_into_one_consumer():
 
 FAULTY_MAPPINGS = [connection_joining_wrong_tiles, binding_on_unknown_channel,
                    local_binding_with_unplaced_endpoint, remote_binding_inside_one_tile,
-                   negative_tdma_slice, repeated_tile, repeated_connection,
-                   second_prefetch_into_one_consumer]
-CODE_OF_ERROR = {UnknownChannelError: "UnknownChannel", SliceOverflowError: "NegativeSlice",
-                 DuplicateIdError: "DuplicateId"}
+                   repeated_tile, repeated_connection, second_prefetch_into_one_consumer]
+CODE_OF_ERROR = {UnknownChannelError: "UnknownChannel", DuplicateIdError: "DuplicateId"}
 
 
 @pytest.mark.parametrize("case", FAULTY_MAPPINGS, ids=lambda case: case.__name__)
@@ -401,6 +381,58 @@ def test_binding_types_are_checked_before_ranges():
     assert (err.value.field, err.value.rule) == ("latency_bound", "must be an int, got '5'")
 
 
+T1 = mjpeg_platform().tile_map["T1"]
+N1 = mjpeg_platform().connection("n1")
+PLATFORM_VALUE_OF_FIELD = {"tdma_wheel": T1, "latency": N1}
+
+
+@pytest.mark.parametrize("value", ["13", 13.0, True, None],
+                         ids=["str", "float", "bool", "none"])
+@pytest.mark.parametrize("field", list(PLATFORM_VALUE_OF_FIELD))
+def test_platform_count_of_the_wrong_type_fails_where_it_is_built(field, value):
+    # On mjpeg_base, a tdma_wheel of "x" or None and a latency of "5" used
+    # to end in a bare TypeError from validate_mapping and build_bound_graph.
+    with pytest.raises(InvalidFieldError) as err:
+        replace(PLATFORM_VALUE_OF_FIELD[field], **{field: value})
+    assert (err.value.field, err.value.rule) == (field, f"must be an int, got {value!r}")
+
+
+@pytest.mark.parametrize("field", list(PLATFORM_VALUE_OF_FIELD))
+def test_platform_count_below_zero_fails_where_it_is_built(field):
+    with pytest.raises(InvalidFieldError) as err:
+        replace(PLATFORM_VALUE_OF_FIELD[field], **{field: -1})
+    assert (err.value.field, err.value.rule) == (field, "must be at least 0, got -1")
+
+
+@pytest.mark.parametrize("value", [True, "processor", None], ids=repr)
+def test_tile_kind_of_the_wrong_type_fails_where_it_is_built(value):
+    # T1 with kind=True counted as no processor, so its actors waited for
+    # no slice: mjpeg_base analysed at 14.21 f/s instead of 13.91.
+    with pytest.raises(InvalidFieldError) as err:
+        replace(T1, kind=value)
+    assert (err.value.field, err.value.rule) == ("kind", f"must be a TileKind, got {value!r}")
+
+
+@pytest.mark.parametrize("value", ["1", 0.5, True], ids=repr)
+def test_bandwidth_of_the_wrong_type_fails_where_it_is_built(value):
+    # A bandwidth of "1" used to end in a bare TypeError, and 0.5 in an
+    # AttributeError ('float' object has no attribute 'denominator').
+    with pytest.raises(InvalidBandwidthError) as err:
+        replace(N1, bandwidth=value)
+    assert str(err.value) == (
+        f"connection 'n1': bandwidth must be an int or a Fraction, got {value!r}")
+
+
+def test_platform_types_are_checked_before_ranges():
+    with pytest.raises(InvalidBandwidthError, match="must be an int or a Fraction"):
+        replace(N1, latency=-1, bandwidth=0.5)
+    with pytest.raises(InvalidFieldError) as err:
+        replace(T1, kind="memory", tdma_wheel=-1)
+    assert err.value.field == "kind"
+    # An int bandwidth is exact too.
+    assert replace(N1, bandwidth=2).bandwidth == 2
+
+
 # The error each diagnostic code stands for; BindingMismatch is a tile rule
 # (SameTileError), or a connection joining other tiles or a second prefetch
 # into one consumer (InvalidBindingError).
@@ -409,8 +441,6 @@ ERROR_OF_CODE = {
     "UnknownActor": UnknownActorError,
     "UnknownTile": UnmappedActorError,
     "UnmappedActor": UnmappedActorError,
-    "InvalidSlice": SliceOverflowError,
-    "NegativeSlice": SliceOverflowError,
     "SliceOverflow": SliceOverflowError,
     "UnknownChannel": UnknownChannelError,
     "BindingMismatch": (SameTileError, InvalidBindingError),
@@ -419,9 +449,9 @@ ERROR_OF_CODE = {
 
 
 def mutate_mapping(rng, graph, platform, mapping):
-    """One random edit of a mapping: swap a connection, drop a placement,
-    bind an unknown channel, or move an actor to another (or an unknown)
-    tile."""
+    """One random edit of a mapping: swap a connection, drop a placement
+    (with its slice), bind an unknown channel, or move an actor to another
+    (or an unknown) tile."""
     edit = rng.choice(["swap", "drop", "unknown channel", "move"])
     if edit == "swap" and mapping.channel_binding:
         channel_id = rng.choice(sorted(mapping.channel_binding))
@@ -433,9 +463,10 @@ def mutate_mapping(rng, graph, platform, mapping):
     actor_tile = dict(mapping.actor_tile)
     if edit == "move":
         actor_tile[actor_id] = rng.choice([t.id for t in platform.tiles] + ["T9"])
-    else:
-        del actor_tile[actor_id]
-    return replace(mapping, actor_tile=actor_tile)
+        return replace(mapping, actor_tile=actor_tile)
+    del actor_tile[actor_id]
+    tdma_slice = {a: s for a, s in mapping.tdma_slice.items() if a != actor_id}
+    return replace(mapping, actor_tile=actor_tile, tdma_slice=tdma_slice)
 
 
 def test_validate_and_check_mapping_agree_on_mutated_mappings():

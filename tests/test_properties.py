@@ -4,6 +4,8 @@ Hypothesis is a test dependency (the ``test`` extra), imported directly so a
 missing install fails collection instead of skipping.
 """
 
+import contextlib
+import io
 import math
 import random
 import re
@@ -33,6 +35,7 @@ from sdfmig.analysis import (
     mcm_throughput,
     self_timed_throughput,
 )
+from sdfmig.cli import main
 from sdfmig.errors import DeadlockError, NotStronglyConnectedError, SdfmigError
 from sdfmig.graph import (
     Actor,
@@ -376,7 +379,8 @@ def test_bound_and_migrated_graphs_are_well_formed(seed, rename):
 
 
 # Scenario files with one attribute value replaced: each either raises a
-# typed error at load or survives save -> load -> save byte for byte.
+# typed error at load or survives save -> load -> save byte for byte, and
+# ``sdfmig check`` on it returns an exit code with no traceback.
 
 MUTATION_SOURCES = [bundled_scenario_path("mjpeg_base").read_text(encoding="utf-8"),
                     bundled_scenario_path("two_stage_demo").read_text(encoding="utf-8"),
@@ -399,6 +403,9 @@ def test_mutated_scenario_is_refused_or_round_trips(source, spot, value):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutated.xml"
         path.write_text(mutated, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["check", str(path), "--state-budget", "20000"]) in (0, 1, 2, 3)
         try:
             scenario = load_scenario(path)
         except SdfmigError:
@@ -408,8 +415,10 @@ def test_mutated_scenario_is_refused_or_round_trips(source, spot, value):
         assert scenario_to_text(load_scenario(path)) == saved
 
 
-# Scenarios built through the API with one field set to an odd value: save
-# either raises a typed error or writes text that loads back equal.
+# Scenarios built through the API with one field set to an odd value: each
+# is refused where it is built, or binds, analyses and migrates with nothing
+# but typed errors and saves text that loads back equal. Only an id or a
+# name may still be refused by save, which writes text fields as they are.
 
 FIELD_TARGETS = (
     [("scenario", f) for f in ("name", "clock_hz")] + [("graph", "reference_actor")]
@@ -430,6 +439,8 @@ ODD_FIELD_VALUES = [True, False, None, 0, 1, -1, 2, 2**70, 1.0, 0.5, Fraction(1,
                     TileKind.MEMORY, TileKind.HARDWARE_BLOCK]
 API_SCENARIOS = [load_scenario(bundled_scenario_path(name))
                  for name in ("mjpeg_base", "two_stage_demo")]
+ID_AND_NAME_TARGETS = {("scenario", "name"), ("actor", "id"), ("actor", "name"),
+                       ("channel", "id"), ("tile", "id"), ("connection", "id")}
 
 
 def with_odd_value(scenario: Scenario, element: str, field: str, spot: int, value) -> Scenario:
@@ -476,14 +487,27 @@ def with_odd_value(scenario: Scenario, element: str, field: str, spot: int, valu
 @example(0, ("defaults", "alpha_src"), 0, True)
 @example(0, ("place", "tdma_slice"), 0, "50000")
 @example(1, ("scenario", "name"), 0, "\x01")
+@example(0, ("tile", "tdma_wheel"), 0, "")
+@example(0, ("tile", "kind"), 0, True)
+@example(0, ("connection", "bandwidth"), 0, 0.5)
+@example(0, ("actor", "exec_time"), 2, True)
 def test_api_scenario_save_refuses_or_round_trips(source, target, spot, value):
     try:
         scenario = with_odd_value(API_SCENARIOS[source], *target, spot, value)
     except SdfmigError:
         return  # refused where it is built, as a ChannelBinding refuses a bad count
+    graph, platform, mapping = scenario.graph, scenario.platform, scenario.mapping
+    software = sorted((a.id for a in graph.actors if a.kind == ActorKind.SOFTWARE), key=str)
+    spec = replace(scenario.defaults, actor=software[spot % len(software)])
+    with contextlib.suppress(SdfmigError):
+        bound = build_bound_graph(graph, platform, mapping)
+        self_timed_throughput(bound, state_budget=10_000)
+    with contextlib.suppress(SdfmigError):
+        migrate_task(graph, platform, mapping, spec)
     try:
         text = scenario_to_text(scenario)
     except SdfmigError:
+        assert target in ID_AND_NAME_TARGETS
         return
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "saved.xml"

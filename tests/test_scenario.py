@@ -8,8 +8,10 @@ import pytest
 from helpers import SDF3_APP, random_scenario
 from sdfmig.errors import (
     InvalidBindingError,
+    InvalidMigrationSpecError,
     ScenarioParseError,
     ScenarioValidationError,
+    SdfmigError,
     UnknownReportFormatError,
 )
 from sdfmig.graph import SDFG, Actor, ActorKind, Channel
@@ -458,17 +460,26 @@ def test_save_escapes_special_characters(tmp_path):
 
 
 @pytest.mark.parametrize("change, message", [
-    # Written as alpha-src="True", which load refused.
-    ({"defaults": MigrationSpec(alpha_src=True)},
+    # Save used to write alpha-src="True", which load refused.
+    ({"defaults": {"alpha_src": True}},
      "<defaults>: attribute 'alpha-src' must be an int, got True"),
     ({"name": "bell\x07"}, "character '\\x07' cannot be written to a scenario file"),
     ({"clock_hz": Fraction(0)}, "<scenario>: attribute 'clock-hz' must be positive, got"),
 ])
 def test_save_refuses_what_load_refuses(change, message):
-    scenario = Scenario(**{"name": "s", "graph": load_mjpeg().graph, **change})
-    with pytest.raises(ScenarioValidationError) as raised:
-        scenario_to_text(scenario)
-    assert str(raised.value).startswith(message)
+    # The spec (its fields given here) and the clock are refused where they
+    # are built; save refuses only the text it cannot write. A spec field's
+    # rule reads as the reader positions it.
+    with pytest.raises(SdfmigError) as raised:
+        if "defaults" in change:
+            change = {**change, "defaults": MigrationSpec(**change["defaults"])}
+        scenario_to_text(Scenario(**{"name": "s", "graph": load_mjpeg().graph, **change}))
+    error = raised.value
+    if isinstance(error, InvalidMigrationSpecError):
+        error = f"<defaults>: attribute {error.field.replace('_', '-')!r} {error.rule}"
+    else:
+        assert isinstance(error, ScenarioValidationError)
+    assert str(error).startswith(message)
 
 
 @pytest.mark.parametrize("description", ["cr\rlf", " x ", "\r\n", "a\r\nb \t",

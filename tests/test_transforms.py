@@ -65,9 +65,12 @@ def test_connection_actor_time_truncates():
 @pytest.mark.parametrize("bandwidth", [Fraction(0), Fraction(-1, 2)], ids=str)
 def test_connection_actor_time_rejects_non_positive_bandwidth(bandwidth):
     # This used to be a ValueError, outside the package's error hierarchy.
-    c = NocConnection("c", "A", "B", latency=7, bandwidth=bandwidth)
-    with pytest.raises(InvalidBandwidthError, match="'c'"):
-        connection_actor_time(8, c)
+    # The connection is refused where it is built, so no such connection
+    # reaches connection_actor_time.
+    with pytest.raises(InvalidBandwidthError, match="'c'") as raised:
+        connection_actor_time(8, NocConnection("c", "A", "B", latency=7,
+                                               bandwidth=bandwidth))
+    assert str(raised.value) == f"connection 'c': bandwidth must be positive, got {bandwidth}"
 
 
 BUNDLED_BANDWIDTHS = sorted({c.bandwidth
