@@ -131,15 +131,21 @@ def test_tdma_wait_matches_brute_force_sum():
                         == brute_force_wait(actor_id, case_platform, case_mapping))
 
 
-def test_negative_slice_fails_where_it_is_built():
+def test_negative_slice_is_refused_by_tdma_wait_and_compute_etam():
     # IZZ's slice at -50000 used to give VLD a wait of -50000 and an
-    # after-mapping time of 2032463; built through the API, this mapping
-    # used to validate clean and analyse at 14.11 f/s. The reader refuses
-    # tdma-slice="-1" at load.
-    mapping = mjpeg_mapping()
+    # after-mapping time of 2032463. The mapping is now refused where it is
+    # built, so neither tdma_wait nor compute_etam can be handed it.
+    graph, platform, mapping = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
     with pytest.raises(SliceOverflowError) as raised:
         replace(mapping, tdma_slice={**mapping.tdma_slice, "IZZ": -50000})
     assert str(raised.value) == "actor 'IZZ': tdma slice must be at least 0, got -50000"
+    # The least slice that is built, 0, leaves VLD no wait; T2 and T3 keep theirs.
+    mapping = replace(mapping, tdma_slice={**mapping.tdma_slice, "IZZ": 0})
+    assert tdma_wait("VLD", platform, mapping) == 0
+    etam = compute_etam(graph, platform, mapping)
+    assert etam["VLD"] == graph.actor("VLD").exec_time
+    for actor_id in ("IQ", "IDCT", "CC", "RE"):
+        assert etam[actor_id] == CASE_STUDY_ETAM[actor_id]
 
 
 @pytest.mark.parametrize("value", ["50000", 50000.0, True], ids=["str", "float", "bool"])
@@ -284,6 +290,14 @@ def remote_binding_inside_one_tile():
             SameTileError, "vld_izz")
 
 
+def negative_tdma_slice():
+    # The reader refuses tdma-slice="-1" at load; built through the API, this
+    # mapping used to validate clean and analyse at 14.11 f/s. Building it
+    # now fails, so no route is ever handed it.
+    mapping = mjpeg_mapping()
+    replace(mapping, tdma_slice={**mapping.tdma_slice, "IZZ": -50000})
+
+
 def repeated_tile():
     # The second T1 used to replace the first in tile_map without a word;
     # mjpeg_base still gave 13.91 f/s.
@@ -314,12 +328,21 @@ def second_prefetch_into_one_consumer():
 
 FAULTY_MAPPINGS = [connection_joining_wrong_tiles, binding_on_unknown_channel,
                    local_binding_with_unplaced_endpoint, remote_binding_inside_one_tile,
-                   repeated_tile, repeated_connection, second_prefetch_into_one_consumer]
+                   negative_tdma_slice, repeated_tile, repeated_connection,
+                   second_prefetch_into_one_consumer]
 CODE_OF_ERROR = {UnknownChannelError: "UnknownChannel", DuplicateIdError: "DuplicateId"}
+REFUSED_WHERE_BUILT = {negative_tdma_slice: (
+    SliceOverflowError, "actor 'IZZ': tdma slice must be at least 0, got -50000")}
 
 
 @pytest.mark.parametrize("case", FAULTY_MAPPINGS, ids=lambda case: case.__name__)
 def test_faulty_mapping_fails_on_every_route(case):
+    if case in REFUSED_WHERE_BUILT:
+        error, message = REFUSED_WHERE_BUILT[case]
+        with pytest.raises(error) as raised:
+            case()
+        assert str(raised.value) == message
+        return
     graph, platform, mapping, error, subject = case()
     diagnostics = validate_mapping(graph, platform, mapping)
     assert [(d.code, d.subject) for d in diagnostics] == [
