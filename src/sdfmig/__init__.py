@@ -22,14 +22,11 @@ from .graph import (
     validate,
 )
 from .migration import (
-    CommClass,
     MigrationCandidate,
     MigrationResult,
     MigrationSpec,
-    classify_channel,
     explore_single_migrations,
     migrate_task,
-    migration_gain,
 )
 from .mpsoc import (
     BindingKind,
@@ -63,7 +60,6 @@ __all__ = [
     "BindingKind",
     "Channel",
     "ChannelBinding",
-    "CommClass",
     "DEFAULT_STATE_BUDGET",
     "Diagnostic",
     "ExecutionState",
@@ -82,7 +78,6 @@ __all__ = [
     "TileKind",
     "build_bound_graph",
     "bundled_scenario_path",
-    "classify_channel",
     "compute_etam",
     "compute_repetition_vector",
     "connection_actor_time",
@@ -94,7 +89,6 @@ __all__ = [
     "load_scenario",
     "mcm_throughput",
     "migrate_task",
-    "migration_gain",
     "save_scenario",
     "self_timed_throughput",
     "tdma_wait",

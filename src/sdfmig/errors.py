@@ -61,8 +61,10 @@ class SameTileError(SdfmigError):
 
 
 class InvalidFieldError(SdfmigError):
-    """A tile is built with a kind that is not a ``TileKind``, or a tile's
-    wheel or a connection's latency is not an ``int`` of at least 0.
+    """A tile or connection is built with an id that is not a ``str``, a
+    mapping with an actor, tile or channel id that is not one, a tile with a
+    kind that is not a ``TileKind``, or a tile's wheel or a connection's
+    latency is not an ``int`` of at least 0.
     ``rule`` is what ``field`` breaks (``"must be at least 0, got -1"``)."""
 
     def __init__(self, field: str, rule: str):
@@ -87,10 +89,10 @@ class UnknownActorError(SdfmigError):
 
 
 class MalformedGraphError(SdfmigError):
-    """A graph holds initial tokens or a token size that is not an integer
-    of at least 0, an execution time or rate that is not an integer (a
-    ``bool`` is not), an actor kind that is not an ``ActorKind``, or a
-    reference actor that is not in the graph."""
+    """A graph holds an id or endpoint that is not a ``str``, initial tokens
+    or a token size that is not an integer of at least 0, an execution time
+    or rate that is not an integer (a ``bool`` is not), an actor kind that
+    is not an ``ActorKind``, or a reference actor that is not in the graph."""
 
 
 class UnknownConnectionError(SdfmigError):

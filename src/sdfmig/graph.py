@@ -210,6 +210,7 @@ NEGATIVE_TOKEN_SIZE = "NegativeTokenSize"
 NEGATIVE_EXEC_TIME = "NegativeExecTime"
 BAD_KIND = "BadKind"
 DUPLICATE_ID = "DuplicateId"
+BAD_ID = "BadId"
 BAD_REFERENCE = "BadReference"
 INCONSISTENT = "Inconsistent"
 
@@ -219,6 +220,11 @@ def _violations(graph: SDFG) -> Iterator[tuple[str, str, type[SdfmigError], str]
     :func:`check_graph` that ``graph`` breaks, actors first, in order."""
     actor_ids: set[str] = set()
     for a in graph.actors:
+        # An id is checked for its type before it is hashed into a set.
+        if not isinstance(a.id, str):
+            yield (BAD_ID, str(a.id), MalformedGraphError,
+                   f"actor id {a.id!r} must be a str")
+            continue
         if a.id in actor_ids:
             yield (DUPLICATE_ID, a.id, DuplicateIdError,
                    f"actor id {a.id!r} occurs more than once")
@@ -234,6 +240,11 @@ def _violations(graph: SDFG) -> Iterator[tuple[str, str, type[SdfmigError], str]
                    f"actor {a.id!r} has kind {a.kind!r}; it must be an ActorKind")
     channel_ids: set[str] = set()
     for c in graph.channels:
+        if not (isinstance(c.id, str) and isinstance(c.src, str) and isinstance(c.dst, str)):
+            yield (BAD_ID, str(c.id), MalformedGraphError,
+                   f"channel {c.id!r} from {c.src!r} to {c.dst!r}: its id and "
+                   "endpoints must be str")
+            continue
         if c.id in channel_ids:
             yield (DUPLICATE_ID, c.id, DuplicateIdError,
                    f"channel id {c.id!r} occurs more than once")
@@ -255,9 +266,11 @@ def _violations(graph: SDFG) -> Iterator[tuple[str, str, type[SdfmigError], str]
             yield (NEGATIVE_TOKEN_SIZE, c.id, MalformedGraphError,
                    f"channel {c.id!r} has token size {c.token_size!r}; it must be "
                    "an integer of at least 0")
-    if graph.reference_actor is not None and graph.reference_actor not in actor_ids:
-        yield (BAD_REFERENCE, graph.reference_actor, MalformedGraphError,
-               f"reference actor {graph.reference_actor!r} is not in the graph")
+    reference = graph.reference_actor
+    if reference is not None and (not isinstance(reference, str)
+                                  or reference not in actor_ids):
+        yield (BAD_REFERENCE, str(reference), MalformedGraphError,
+               f"reference actor {reference!r} is not in the graph")
 
 
 def check_graph(graph: SDFG) -> None:
@@ -266,9 +279,10 @@ def check_graph(graph: SDFG) -> None:
     endpoint that is not an actor (:class:`UnknownActorError`), a rate below
     1 (:class:`InvalidRateError`), a negative execution time
     (:class:`NegativeExecutionTimeError`), or (:class:`MalformedGraphError`)
-    negative initial tokens or token size, a value that is not an integer
-    (a ``bool`` is not), an actor kind that is not an :class:`ActorKind`,
-    or an unknown reference actor. Only a pass is remembered, per graph
+    an actor id, channel id or endpoint that is not a ``str`` (checked
+    before any id is looked up), negative initial tokens or token size, a
+    value that is not an integer (a ``bool`` is not), an actor kind that is
+    not an :class:`ActorKind`, or an unknown reference actor. Only a pass is remembered, per graph
     object, so later calls on a well-formed graph are free."""
     graph._well_formed
 
@@ -355,7 +369,7 @@ def validate(graph: SDFG) -> list[Diagnostic]:
     except SdfmigError:
         diags = [Diagnostic(code, subject, message)
                  for code, subject, _, message in _violations(graph)]
-    if not any(d.code in (DANGLING_ENDPOINT, ZERO_RATE) for d in diags):
+    if not any(d.code in (BAD_ID, DANGLING_ENDPOINT, ZERO_RATE) for d in diags):
         try:
             graph._repetition
         except InconsistentGraphError as exc:

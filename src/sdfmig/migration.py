@@ -2,18 +2,17 @@
 
 A migration moves one software actor onto a dedicated hardware block and
 models four effects: the actor runs faster (configurable speedup), its TDMA
-slice returns to the co-mapped actors, its channels switch communication
-style depending on the peer (software producer -> chain onto a NoC
-connection; software consumer -> prefetch from the block's memory; hardware
-peer -> retarget the existing chain), and the extra NoC load those styles
-imply.
+slice returns to the co-mapped actors, each of its channels (self-loops
+aside) moves onto a new NoC connection and is restyled by one rule, and the
+extra NoC load that style implies. The rule reads the kind of the channel's
+consumer: a software consumer prefetches from the block's memory, and every
+other touched channel becomes a chain onto its new connection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from decimal import Decimal
-from enum import Enum
 from fractions import Fraction
 
 from .analysis import (DEFAULT_CLOCK_HZ, DEFAULT_STATE_BUDGET, ThroughputResult,
@@ -36,15 +35,6 @@ from .mpsoc import (
     check_mapping,
 )
 from .transforms import build_bound_graph, prefetch_batch
-
-
-class CommClass(str, Enum):
-    """Communication style by endpoint kinds (producer -> consumer)."""
-
-    SS = "SS"
-    SH1 = "SH1"
-    HS1 = "HS1"
-    HH1 = "HH1"
 
 
 @dataclass(frozen=True)
@@ -70,6 +60,9 @@ class MigrationSpec:
     def __post_init__(self):
         buffer = self.hw_buffer_tokens
         for field, typed, kind in [
+                ("actor", isinstance(self.actor, str), "a str"),
+                ("hw_connection", isinstance(self.hw_connection, (str, type(None))),
+                 "a str or None"),
                 ("speedup", type(self.speedup) in (int, Fraction), "an int or a Fraction"),
                 ("prefetch_time", type(self.prefetch_time) is int, "an int"),
                 ("hw_buffer_tokens", type(buffer) in (int, type(None)), "an int or None"),
@@ -112,42 +105,29 @@ class MigrationCandidate:
     error: str | None = None
 
 
-def classify_channel(channel: Channel, graph: SDFG) -> CommClass:
-    """Communication class from the endpoint kinds after migration; every
-    non-software kind counts as hardware."""
-    src_sw = graph.actor(channel.src).kind == ActorKind.SOFTWARE
-    dst_sw = graph.actor(channel.dst).kind == ActorKind.SOFTWARE
-    if src_sw and dst_sw:
-        return CommClass.SS
-    if src_sw:
-        return CommClass.SH1
-    if dst_sw:
-        return CommClass.HS1
-    return CommClass.HH1
-
-
 def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
                  spec: MigrationSpec) -> MigrationResult:
     """Apply one software-to-hardware migration and rebuild the bound graph.
 
     The migrated actor's execution time becomes ``floor(time / speedup)`` and
-    it moves to a fresh hardware tile, freeing its TDMA slice. Channel
-    bindings are rewritten per communication class; everything downstream
-    (after-mapping times, TDMA waits, chains, prefetch templates) follows
-    from the rebuilt scenario.
+    it moves to a fresh hardware tile, freeing its TDMA slice. Each channel
+    touching it, self-loops aside, moves onto a new connection and is
+    restyled by its consumer's kind: a software consumer prefetches from the
+    block's memory, any other consumer is fed by a chain. Everything
+    downstream (after-mapping times, TDMA waits, chains, prefetch templates)
+    follows from the rebuilt scenario.
     """
+    repetition = compute_repetition_vector(graph)
     actor = graph.actor_map.get(spec.actor)
     if actor is None:
         raise UnknownActorError(f"no actor {spec.actor!r} in graph")
     if actor.kind != ActorKind.SOFTWARE:
         raise AlreadyHardwareError(f"actor {spec.actor!r} is not a software actor")
-    repetition = compute_repetition_vector(graph)
     check_mapping(graph, platform, mapping)
     old_tile = mapping.actor_tile[actor.id]
 
-    hw_exec_time = int(Fraction(actor.exec_time) / Fraction(spec.speedup))
     app_graph = graph.with_actors([
-        replace(a, exec_time=hw_exec_time, kind=ActorKind.HARDWARE)
+        replace(a, exec_time=a.exec_time // spec.speedup, kind=ActorKind.HARDWARE)
         if a.id == actor.id else a
         for a in graph.actors
     ])
@@ -161,8 +141,10 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
     actor_tile = {**mapping.actor_tile, actor.id: hw_tile.id}
     tdma_slice = {a: s for a, s in mapping.tdma_slice.items() if a != actor.id}
 
-    def add_connection(channel: Channel) -> NocConnection:
-        # Joins the channel's endpoint tiles after the move.
+    for channel in graph.channels:
+        if channel.is_self_loop or actor.id not in (channel.src, channel.dst):
+            continue
+        # The new connection joins the channel's endpoint tiles after the move.
         template = _template_connection(channel, platform, mapping, spec, old_tile)
         conn = NocConnection(
             id=fresh_id(f"noc_{channel.id}", {c.id for c in connections}),
@@ -170,13 +152,7 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
             latency=template.latency, bandwidth=template.bandwidth,
         )
         connections.append(conn)
-        return conn
-
-    for channel in graph.channels:
-        if channel.is_self_loop or actor.id not in (channel.src, channel.dst):
-            continue
-        conn = add_connection(channel)
-        if classify_channel(channel, app_graph) == CommClass.HS1:
+        if app_graph.actor(channel.dst).kind == ActorKind.SOFTWARE:
             # Software consumer must fetch its input from the block's memory:
             # prefetch template, transfer time taken over the hardware link.
             batch = prefetch_batch(repetition, channel.src, channel.dst)
@@ -190,9 +166,9 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
                 buffer_tokens=buffer_tokens,
             )
         else:
-            # SH1 or HH1: a chain onto the new connection. A remote chain keeps
-            # its buffer sizes and latency bound (no other kind sets them); a
-            # new chain's buffers hold at least one firing's burst.
+            # A chain onto the new connection. A remote chain keeps its buffer
+            # sizes and latency bound (no other kind sets them); a new chain's
+            # buffers hold at least one firing's burst.
             previous = mapping.channel_binding.get(channel.id, ChannelBinding())
             bindings[channel.id] = ChannelBinding(
                 kind=BindingKind.REMOTE,
@@ -210,12 +186,6 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
                            app_graph=app_graph, hw_tile=hw_tile.id)
 
 
-def migration_gain(base: ThroughputResult, migrated: ThroughputResult,
-                   clock_hz) -> Decimal:
-    """Frames-per-second gained by the migration at the given clock."""
-    return to_frames_per_second(migrated, clock_hz) - to_frames_per_second(base, clock_hz)
-
-
 def migration_candidate(graph: SDFG, platform: Platform, mapping: PlatformMapping,
                         spec: MigrationSpec, baseline: ThroughputResult, clock_hz,
                         state_budget: int = DEFAULT_STATE_BUDGET) -> MigrationCandidate:
@@ -224,9 +194,9 @@ def migration_candidate(graph: SDFG, platform: Platform, mapping: PlatformMappin
     :func:`migrate_task` and :func:`self_timed_throughput`."""
     migrated = migrate_task(graph, platform, mapping, spec)
     result = self_timed_throughput(migrated.graph, state_budget=state_budget)
-    return MigrationCandidate(actor=spec.actor, result=result,
-                              fps_after=to_frames_per_second(result, clock_hz),
-                              gain_fps=migration_gain(baseline, result, clock_hz))
+    fps_after = to_frames_per_second(result, clock_hz)
+    return MigrationCandidate(actor=spec.actor, result=result, fps_after=fps_after,
+                              gain_fps=fps_after - to_frames_per_second(baseline, clock_hz))
 
 
 def explore_single_migrations(graph: SDFG, platform: Platform,
@@ -263,18 +233,15 @@ def _template_connection(channel: Channel, platform: Platform,
                          vacated_tile: str) -> NocConnection:
     """Connection whose latency/bandwidth the new hardware link copies: the
     spec's ``hw_connection`` when given, else the channel's previous
-    connection, else the first connection touching the vacated tile."""
+    connection, else the first by id of those touching the vacated tile, or
+    failing that of the platform's."""
     if spec.hw_connection is not None:
         return platform.connection(spec.hw_connection)
     previous = mapping.channel_binding.get(channel.id)
     if previous is not None and previous.connection in platform.connection_map:
         return platform.connection(previous.connection)
-    touching = sorted((c for c in platform.connections
-                       if vacated_tile in (c.src_tile, c.dst_tile)),
-                      key=lambda c: c.id)
-    if touching:
-        return touching[0]
-    if platform.connections:
-        return sorted(platform.connections, key=lambda c: c.id)[0]
-    raise SdfmigError(
-        f"platform has no connection to model the hardware link for {channel.id!r}")
+    if not platform.connections:
+        raise SdfmigError(
+            f"platform has no connection to model the hardware link for {channel.id!r}")
+    touching = [c for c in platform.connections if vacated_tile in (c.src_tile, c.dst_tile)]
+    return min(touching or platform.connections, key=lambda c: c.id)

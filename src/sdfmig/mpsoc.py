@@ -8,10 +8,11 @@ slot-level simulation. A mapping sums its slices per tile once
 so an actor's wait is its tile's total minus its own slice.
 
 Each value checks its own fields where it is built, types before ranges;
-a count is of type ``int``, which a ``bool`` is not. A channel binding is
-a :class:`BindingKind` plus the connection it uses, if any, and only the
-other fields that kind reads, each an ``int`` of at least its minimum
-(buffer tokens, latency bound and prefetch time 0, chain buffers 1).
+an id is a ``str``, and a count of type ``int``, which a ``bool`` is not.
+A channel binding is a :class:`BindingKind` plus the connection it uses, if
+any, and only the other fields that kind reads, each an ``int`` of at least
+its minimum (buffer tokens, latency bound and prefetch time 0, chain
+buffers 1).
 
 The mapping rules are stated once, in ``_mapping_violations``: scenario
 load lists the broken ones (:func:`validate_mapping`), binding and migration
@@ -72,6 +73,8 @@ class Tile:
     tdma_wheel: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise InvalidFieldError("id", f"must be a str, got {self.id!r}")
         if not isinstance(self.kind, TileKind):
             raise InvalidFieldError("kind", f"must be a TileKind, got {self.kind!r}")
         wheel = self.tdma_wheel
@@ -94,6 +97,8 @@ class NocConnection:
 
     def __post_init__(self):
         latency, bandwidth = self.latency, self.bandwidth
+        if not isinstance(self.id, str):
+            raise InvalidFieldError("id", f"must be a str, got {self.id!r}")
         if type(latency) is not int:
             raise InvalidFieldError("latency", f"must be an int, got {latency!r}")
         if type(bandwidth) not in (int, Fraction):
@@ -188,6 +193,9 @@ class ChannelBinding:
         kind = self.kind
         if not isinstance(kind, BindingKind):
             raise InvalidBindingError("kind", f"must be a BindingKind, got {kind!r}")
+        if not isinstance(self.connection, (str, type(None))):
+            raise InvalidBindingError("connection",
+                                      f"must be a str or None, got {self.connection!r}")
         for name in _FIELD_MINIMUM:
             value = getattr(self, name)
             if value is not None and type(value) is not int:
@@ -211,13 +219,20 @@ _UNREAD_FIELDS = {kind: [f.name for f in fields(ChannelBinding)[1:] if f.name no
 @dataclass(frozen=True)
 class PlatformMapping:
     """Placement of actors on tiles, per-actor TDMA slices, and per-channel
-    bindings. Each slice is an ``int`` of at least 0, for a placed actor."""
+    bindings. Every actor, tile and channel id is a ``str``, checked before
+    the slices; each slice is an ``int`` of at least 0, for a placed actor."""
 
     actor_tile: TMapping[str, str]
     tdma_slice: TMapping[str, int]
     channel_binding: TMapping[str, ChannelBinding]
 
     def __post_init__(self):
+        for field, ids in [("actor_tile", [*self.actor_tile, *self.actor_tile.values()]),
+                           ("tdma_slice", self.tdma_slice),
+                           ("channel_binding", self.channel_binding)]:
+            for name in ids:
+                if not isinstance(name, str):
+                    raise InvalidFieldError(field, f"ids must be str, got {name!r}")
         for actor_id, slice_cycles in self.tdma_slice.items():
             if type(slice_cycles) is not int:
                 raise SliceOverflowError(f"actor {actor_id!r}: tdma slice must be an int, "

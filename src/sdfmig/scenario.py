@@ -24,7 +24,7 @@ from .errors import (
     ScenarioValidationError,
     UnknownReportFormatError,
 )
-from .graph import Actor, ActorKind, Channel, SDFG, validate
+from .graph import BAD_ID, Actor, ActorKind, Channel, SDFG, validate
 from .migration import MigrationCandidate, MigrationSpec
 from .mpsoc import (
     BindingKind,
@@ -82,7 +82,8 @@ class Scenario:
             raise ScenarioValidationError(
                 f"<description> must be a string, got {self.description!r}")
         diagnostics = validate(self.graph)
-        if self.mapping is not None:
+        # The mapping rules look graph ids up, so each must be a str first.
+        if self.mapping is not None and all(d.code != BAD_ID for d in diagnostics):
             diagnostics += validate_mapping(self.graph, platform, self.mapping)
         if diagnostics:
             raise ScenarioValidationError(
@@ -135,9 +136,10 @@ def _parse_tree(text: str) -> _Node:
     try:
         parser.Parse(text, True)
     except xml.parsers.expat.ExpatError as exc:
-        raise ScenarioParseError(str(exc), line=exc.lineno, column=exc.offset) from exc
-    if not root:
-        raise ScenarioParseError("empty document")
+        # Expat counts columns from 0, and refuses a document with no root
+        # element ("no element found").
+        raise ScenarioParseError(xml.parsers.expat.ErrorString(exc.code),
+                                 line=exc.lineno, column=exc.offset + 1) from exc
     return root[0]
 
 

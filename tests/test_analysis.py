@@ -35,6 +35,7 @@ from sdfmig.errors import (
     NegativeExecutionTimeError,
     NotHomogeneousError,
     NotStronglyConnectedError,
+    SdfmigError,
     StateSpaceBudgetExceededError,
     UnknownActorError,
 )
@@ -555,6 +556,11 @@ def test_mcm_rejects_multirate():
     g = build_graph({"A": 1, "B": 1}, [("A", "B", 2, 3), ("B", "A", 3, 2, 6)])
     with pytest.raises(NotHomogeneousError):
         mcm_throughput(g)
+
+
+def test_mcm_rejects_empty_graph():
+    with pytest.raises(SdfmigError, match="^empty graph has no cycle mean$"):
+        mcm_throughput(SDFG())
 
 
 def test_mcm_rejects_disconnected():

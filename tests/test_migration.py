@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -22,13 +23,10 @@ from sdfmig.errors import (
 )
 from sdfmig.graph import Actor, ActorKind, Channel, SDFG, validate
 from sdfmig.migration import (
-    CommClass,
     MigrationSpec,
-    classify_channel,
     explore_single_migrations,
     migrate_task,
     migration_candidate,
-    migration_gain,
 )
 from sdfmig.mpsoc import (
     BindingKind,
@@ -40,23 +38,10 @@ from sdfmig.mpsoc import (
     TileKind,
     compute_etam,
 )
+from sdfmig.scenario import bundled_scenario_path, load_scenario
 from sdfmig.transforms import build_bound_graph
 
 CLOCK = Fraction(100_000_000)
-
-
-def test_classify_channel_all_classes():
-    g = SDFG(
-        actors=[Actor("S1", 1), Actor("S2", 1),
-                Actor("H1", 1, kind=ActorKind.HARDWARE),
-                Actor("H2", 1, kind=ActorKind.HARDWARE)],
-        channels=[Channel("a", "S1", "S2"), Channel("b", "S1", "H1"),
-                  Channel("c", "H1", "S2"), Channel("d", "H1", "H2")],
-    )
-    assert classify_channel(g.channel("a"), g) == CommClass.SS
-    assert classify_channel(g.channel("b"), g) == CommClass.SH1
-    assert classify_channel(g.channel("c"), g) == CommClass.HS1
-    assert classify_channel(g.channel("d"), g) == CommClass.HH1
 
 
 def test_migrate_vld_case_study_times():
@@ -202,6 +187,9 @@ def test_hh1_migration_adds_no_actors():
     res = migrate_task(g, platform, mapping, MigrationSpec(actor="SW"))
     assert len(res.graph.actors) == len(baseline.actors)
     assert res.graph.actor("SW").kind == ActorKind.HARDWARE
+    # Exploration moves only software actors, so HW gets no row.
+    _, candidates = explore_single_migrations(g, platform, mapping)
+    assert [c.actor for c in candidates] == ["SW"]
 
 
 def test_hh1_migration_with_unit_speedup_keeps_throughput():
@@ -228,10 +216,14 @@ def test_migration_ids_skip_taken_tile_and_connection_ids():
 
 
 def test_migration_gain_examples():
-    assert Decimal("15.58") - Decimal("13.60") == Decimal("1.98")
-    g, p, m = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
-    base = self_timed_throughput(build_bound_graph(g, p, m))
-    assert migration_gain(base, base, CLOCK) == Decimal("0.00")
+    # A row's gain is its rounded f/s after the move less the baseline's.
+    s = load_scenario(bundled_scenario_path("mjpeg_base"))
+    base = self_timed_throughput(build_bound_graph(s.graph, s.platform, s.mapping))
+    assert to_frames_per_second(base, s.clock_hz) == Decimal("13.91")
+    for actor, fps_after, gain in [("IDCT", "17.40", "3.49"), ("CC", "13.91", "0.00")]:
+        row = migration_candidate(s.graph, s.platform, s.mapping,
+                                  replace(s.defaults, actor=actor), base, s.clock_hz)
+        assert (row.fps_after, row.gain_fps) == (Decimal(fps_after), Decimal(gain))
 
 
 def test_migrated_graph_stays_consistent_on_random_scenarios():
@@ -242,6 +234,22 @@ def test_migrated_graph_stays_consistent_on_random_scenarios():
         victim = rng.choice([a for a in g.actors if a.kind == ActorKind.SOFTWARE])
         res = migrate_task(g, platform, mapping, MigrationSpec(actor=victim.id))
         assert validate(res.graph) == []
+        # Each touched channel, self-loops aside, gets one new connection; it
+        # prefetches exactly when its consumer is software. Nothing else moves.
+        touched = [c for c in g.channels
+                   if victim.id in (c.src, c.dst) and not c.is_self_loop]
+        new_links = {c.id for c in res.platform.connections} - {
+            c.id for c in platform.connections}
+        assert sorted(res.mapping.channel_binding[c.id].connection for c in touched) \
+            == sorted(new_links)
+        assert all(link.startswith("noc_") for link in new_links)
+        for c in touched:
+            prefetch = res.mapping.channel_binding[c.id].kind == BindingKind.PREFETCH
+            assert prefetch == (res.app_graph.actor(c.dst).kind == ActorKind.SOFTWARE)
+        assert {k: b for k, b in res.mapping.channel_binding.items()
+                if k not in {c.id for c in touched}} \
+            == {k: b for k, b in mapping.channel_binding.items()
+                if k not in {c.id for c in touched}}
         done += 1
 
 

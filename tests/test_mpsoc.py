@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 
 from helpers import mjpeg_application, mjpeg_mapping, mjpeg_platform, random_scenario
+from sdfmig.analysis import self_timed_throughput
 from sdfmig.errors import (
     DuplicateIdError,
     InvalidBandwidthError,
     InvalidBindingError,
     InvalidFieldError,
+    InvalidMigrationSpecError,
+    MalformedGraphError,
     SameTileError,
+    ScenarioValidationError,
     SdfmigError,
     SliceOverflowError,
     UnknownActorError,
@@ -246,6 +250,11 @@ def test_resolve_latency_bound_defaults_to_consumer_wheel():
                            tdma_slice=mapping.tdma_slice, channel_binding={})
     assert resolve_latency_bound("izz_iq", graph, platform, bare) == 100000
     assert resolve_latency_bound("izz_iq", graph, platform, mapping) == 100000
+    # With neither endpoint on a processor there is no wheel to wait for.
+    blocks = Platform([Tile("H", kind=TileKind.HARDWARE_BLOCK)])
+    unwheeled = PlatformMapping(actor_tile={"IZZ": "H", "IQ": "H"}, tdma_slice={},
+                                channel_binding={})
+    assert resolve_latency_bound("izz_iq", graph, blocks, unwheeled) == 0
 
 
 def _rebind(mapping, channel_id, binding):
@@ -454,6 +463,67 @@ def test_platform_types_are_checked_before_ranges():
     assert err.value.field == "kind"
     # An int bandwidth is exact too.
     assert replace(N1, bandwidth=2).bandwidth == 2
+
+
+def _mjpeg_with(actor_tile=None, binding=None, tile=None):
+    """Bind mjpeg_base with IQ placed on ``actor_tile``, izz_iq bound to
+    connection ``binding``, or ``tile`` added to the platform."""
+    g, p, m = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
+    if actor_tile is not None:
+        m = replace(m, actor_tile={**m.actor_tile, "IQ": actor_tile})
+    if binding is not None:
+        m = replace(m, channel_binding={**m.channel_binding,
+                                        "izz_iq": replace(IZZ_IQ, connection=binding)})
+    if tile is not None:
+        p = Platform(tiles=[*p.tiles, tile], connections=p.connections)
+    return build_bound_graph(g, p, m)
+
+
+def _scenario_with(defaults=MigrationSpec(), graph=None):
+    from sdfmig.scenario import Scenario
+    return Scenario("s", graph or mjpeg_application(), mjpeg_platform(), mjpeg_mapping(),
+                    defaults=defaults)
+
+
+LIST_ID_GRAPH = mjpeg_application().with_actors([*mjpeg_application().actors,
+                                                 Actor(["X"], 1)])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: self_timed_throughput(SDFG([Actor(["A"], 1)])),
+                 MalformedGraphError, "actor id ['A'] must be a str", id="actor-id"),
+    pytest.param(lambda: self_timed_throughput(SDFG(
+                     [Actor("A", 1)], [Channel("c", ["A"], "A", initial_tokens=1)])),
+                 MalformedGraphError,
+                 "channel 'c' from ['A'] to 'A': its id and endpoints must be str",
+                 id="channel-src"),
+    pytest.param(lambda: _mjpeg_with(actor_tile=["T2"]), InvalidFieldError,
+                 "actor_tile ids must be str, got ['T2']", id="placed-on-list"),
+    pytest.param(lambda: _mjpeg_with(binding=["n1"]), InvalidBindingError,
+                 "connection must be a str or None, got ['n1']", id="bound-to-list"),
+    pytest.param(lambda: _mjpeg_with(tile=Tile(["X"])), InvalidFieldError,
+                 "id must be a str, got ['X']", id="tile-id"),
+    pytest.param(lambda: _scenario_with(replace(MigrationSpec(), hw_connection=["n1"])),
+                 InvalidMigrationSpecError, "hw_connection must be a str or None, got ['n1']",
+                 id="defaults-hw-connection"),
+    pytest.param(lambda: migrate_task(mjpeg_application(), mjpeg_platform(), mjpeg_mapping(),
+                                      MigrationSpec(actor=["IQ"])),
+                 InvalidMigrationSpecError, "actor must be a str, got ['IQ']",
+                 id="migrate-actor"),
+    # A mapped graph holding such an id is refused before the mapping rules
+    # look its ids up.
+    pytest.param(lambda: _scenario_with(graph=LIST_ID_GRAPH), ScenarioValidationError,
+                 "[BadId] ['X']: actor id ['X'] must be a str", id="scenario-graph"),
+    pytest.param(lambda: migrate_task(LIST_ID_GRAPH, mjpeg_platform(), mjpeg_mapping(),
+                                      MigrationSpec(actor="IQ")),
+                 MalformedGraphError, "actor id ['X'] must be a str", id="migrate-graph"),
+])
+def test_an_id_that_is_not_a_str_ends_in_a_typed_error(call, error, message):
+    # Each of these used to end in a bare TypeError: unhashable type: 'list'.
+    # Types are checked before any id is looked up.
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 # The error each diagnostic code stands for; BindingMismatch is a tile rule

@@ -147,11 +147,24 @@ def test_load_rejects_unknown_attribute(tmp_path):
 
 
 def test_load_reports_malformed_xml_position(tmp_path):
+    # Columns count from 1, as for every element error, and the position is
+    # printed once: a mismatched tag used to read "mismatched tag: line 4,
+    # column 5 (line 4, column 5)". A document without a root element is
+    # refused by the parser itself.
     bad = tmp_path / "bad.xml"
-    bad.write_text("<scenario name='x'>\n  <application>\n")
-    with pytest.raises(ScenarioParseError) as err:
-        load_scenario(bad)
-    assert err.value.line is not None
+    for text, line, column, message in [
+            ("<scenario name='x'>\n  <application>\n", 3, 1, "no element found"),
+            ("<scenario name='x'>\n  <application>\n  </application>\n   </platform>\n",
+             4, 6, "mismatched tag"),
+            ("", 1, 1, "no element found"),
+            (" \n  ", 2, 3, "no element found"),
+            ('<?xml version="1.0"?>', 1, 22, "no element found"),
+            ("<!-- x -->", 1, 11, "no element found")]:
+        bad.write_text(text)
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(bad)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == f"{message} (line {line}, column {column})"
 
 
 @pytest.mark.parametrize("attribute, value", [
@@ -240,6 +253,8 @@ def test_load_rejects_bind_alpha_below_one(tmp_path, attribute, original):
     pytest.param('connection="n1"', 'prefetch="true"',
                  "attribute 'connection' is required by a prefetch binding", 47,
                  id="prefetch-without-connection"),
+    pytest.param('connection="n1"', 'prefetch="yes" connection="n1"',
+                 "prefetch must be 'true' or 'false'", 47, id="prefetch-not-a-bool"),
 ])
 def test_load_rejects_bind_attribute_its_kind_never_reads(tmp_path, original, edited,
                                                           message, line):
@@ -268,6 +283,36 @@ def test_channel_binding_rejects_fields_its_kind_does_not_take(kwargs, field):
     with pytest.raises(InvalidBindingError) as err:
         ChannelBinding(**kwargs)
     assert err.value.field == field
+
+
+def _without(element):
+    """mjpeg_base without its ``<element>`` block."""
+    text = bundled_scenario_path("mjpeg_base").read_text()
+    return re.sub(f"  <{element}.*</{element}>\n", "", text, flags=re.S)
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    pytest.param(bundled_scenario_path("mjpeg_base").read_text().replace(
+                     '<tile id="T2"', '<tile id="T2" kind="fpga"'),
+                 "<tile>: unknown tile kind 'fpga'", 34, 5, id="tile-kind"),
+    pytest.param(bundled_scenario_path("mjpeg_base").read_text().replace(
+                     '<actor id="IQ"', '<actor id="IQ" kind="firmware"'),
+                 "<actor>: unknown actor kind 'firmware'", 22, 5, id="actor-kind"),
+    pytest.param("<platform/>", "expected <scenario> root, got <platform>", 1, 1,
+                 id="root"),
+    pytest.param(_without("application"), "scenario has no <application>", 1, 1,
+                 id="no-application"),
+    pytest.param(_without("platform"), "scenario has a <mapping> but no <platform>", 1, 1,
+                 id="mapping-without-platform"),
+    pytest.param(SDF3_APP.replace('<actor name="B" type="b">', '<actor type="b">'),
+                 "actor without name", 8, 7, id="sdf3-actor-without-name"),
+])
+def test_load_refuses_a_malformed_structure(tmp_path, text, message, line, column):
+    bad = tmp_path / "bad.xml"
+    bad.write_text(text)
+    with pytest.raises(ScenarioParseError) as err:
+        load_scenario(bad)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
 
 
 def test_load_rejects_tile_clock_attribute(tmp_path):
@@ -465,6 +510,9 @@ def test_save_escapes_special_characters(tmp_path):
      "<defaults>: attribute 'alpha-src' must be an int, got True"),
     ({"name": "bell\x07"}, "character '\\x07' cannot be written to a scenario file"),
     ({"clock_hz": Fraction(0)}, "<scenario>: attribute 'clock-hz' must be positive, got"),
+    ({"mapping": load_mjpeg().mapping}, "a scenario with a mapping needs a platform"),
+    ({"defaults": {"actor": "IQ"}}, "<defaults> cannot name an actor, got 'IQ'"),
+    ({"description": 5}, "<description> must be a string, got 5"),
 ])
 def test_save_refuses_what_load_refuses(change, message):
     # The spec (its fields given here) and the clock are refused where they

@@ -478,10 +478,12 @@ def test_binder_skips_ids_the_application_holds():
 
 
 def test_binder_skips_ids_the_application_holds_in_prefetch(monkeypatch):
-    # Migrating P makes X a prefetch consumer; X1 and X_ri are taken.
+    # Migrating P makes X a prefetch consumer; X1 and X_ri are taken. X's
+    # own self-loop xx moves to the execute actor X2.
     graph, platform, mapping = two_tile_scenario(
         {"P": 3, "X": 4, "X1": 5},
-        [("px", "P", "X", 0), ("X_ri", "X", "X1", 0), ("back", "X1", "P", 2)],
+        [("px", "P", "X", 0), ("X_ri", "X", "X1", 0), ("back", "X1", "P", 2),
+         ("xx", "X", "X", 1)],
         {"P": "T1", "X": "T1", "X1": "T1"})
     inputs = migration_bind_inputs(monkeypatch, graph, platform, mapping,
                                    MigrationSpec())
@@ -492,6 +494,7 @@ def test_binder_skips_ids_the_application_holds_in_prefetch(monkeypatch):
     assert {"X1_2", "X_ri_2", "X2"} <= bounds[0].actor_map.keys()
     assert bounds[0].channel("px").dst == "X_ri_2"
     assert bounds[0].channel("X_ri").src == "X2"
+    assert bounds[0].channel("xx").src == bounds[0].channel("xx").dst == "X2"
 
 
 def test_binder_reuses_ids_a_remote_rewrite_frees():
