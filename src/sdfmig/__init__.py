@@ -15,7 +15,6 @@ from .graph import (
     ActorKind,
     Channel,
     Diagnostic,
-    RepetitionVector,
     SDFG,
     compute_repetition_vector,
     disable_auto_concurrency,
@@ -70,7 +69,6 @@ __all__ = [
     "NocConnection",
     "Platform",
     "PlatformMapping",
-    "RepetitionVector",
     "SDFG",
     "Scenario",
     "ThroughputResult",

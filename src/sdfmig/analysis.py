@@ -63,7 +63,7 @@ from .errors import (
     SdfmigError,
     StateSpaceBudgetExceededError,
 )
-from .graph import SDFG, RepetitionVector, check_graph, compute_repetition_vector
+from .graph import SDFG, check_graph, compute_repetition_vector
 from .rational import to_decimal, to_fraction
 
 DEFAULT_STATE_BUDGET = 1_000_000
@@ -98,7 +98,7 @@ class ThroughputResult:
     reference_repetitions: int
 
 
-def resolve_reference_actor(graph: SDFG, repetition: RepetitionVector) -> str:
+def resolve_reference_actor(graph: SDFG, repetition: Mapping[str, int]) -> str:
     """The actor whose firings count iterations: the graph's explicit choice,
     else the smallest-id actor with repetition count 1 (falling back to the
     smallest repetition count present)."""
@@ -106,7 +106,7 @@ def resolve_reference_actor(graph: SDFG, repetition: RepetitionVector) -> str:
         return graph.reference_actor
     if not graph.actors:
         raise SdfmigError("empty graph has no reference actor")
-    best = min(repetition.entries.values())
+    best = min(repetition.values())
     return min(a for a, q in repetition.items() if q == best)
 
 
@@ -461,7 +461,7 @@ def self_timed_throughput(graph: SDFG,
     # graph that is not weakly connected, or with no timed actor.
     if n_key == sim.n_actors - 1:
         timed_counts = [q if stepped else 0 for q, stepped in
-                        zip(map(repetition.entries.__getitem__, sim.actor_ids), sim.step)]
+                        zip(map(repetition.__getitem__, sim.actor_ids), sim.step)]
         most = max(timed_counts)
         if most:
             sim.marker = timed_counts.index(most)

@@ -62,6 +62,7 @@ class SameTileError(SdfmigError):
 
 class InvalidFieldError(SdfmigError):
     """A tile or connection is built with an id that is not a ``str``, a
+    connection with a source or destination tile that is not one, a
     mapping with an actor, tile or channel id that is not one, a tile with a
     kind that is not a ``TileKind``, or a tile's wheel or a connection's
     latency is not an ``int`` of at least 0.

@@ -8,7 +8,7 @@ cycle counts are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -66,10 +66,6 @@ class Channel:
     initial_tokens: int = 0
     token_size: int = 0
 
-    @property
-    def is_self_loop(self) -> bool:
-        return self.src == self.dst
-
 
 @dataclass(frozen=True, eq=False)
 class SDFG:
@@ -100,6 +96,11 @@ class SDFG:
                 == sorted(other.channels, key=lambda c: c.id)
                 and self.reference_actor == other.reference_actor)
 
+    def __getstate__(self):
+        # The cached views (a mapping proxy among them) are rebuilt on demand.
+        return {"actors": self.actors, "channels": self.channels,
+                "reference_actor": self.reference_actor}
+
     @cached_property
     def actor_map(self) -> dict[str, Actor]:
         return {a.id: a for a in self.actors}
@@ -109,7 +110,7 @@ class SDFG:
         return {c.id: c for c in self.channels}
 
     @cached_property
-    def _repetition(self) -> "RepetitionVector":
+    def _repetition(self) -> Mapping[str, int]:
         # Backs compute_repetition_vector and validate, which ask only when
         # every endpoint is an actor and every rate an integer of at least 1.
         # A failure caches nothing, so it raises on every call.
@@ -121,33 +122,6 @@ class SDFG:
         for _, _, error, message in _violations(self):
             raise error(message)
         return True
-
-    def actor(self, actor_id: str) -> Actor:
-        return self.actor_map[actor_id]
-
-    def channel(self, channel_id: str) -> Channel:
-        return self.channel_map[channel_id]
-
-    def has_self_loop(self, actor_id: str) -> bool:
-        return any(c.src == actor_id == c.dst for c in self.channels)
-
-    def with_actors(self, actors: Iterable[Actor]) -> "SDFG":
-        return replace(self, actors=tuple(actors))
-
-    def with_channels(self, channels: Iterable[Channel]) -> "SDFG":
-        return replace(self, channels=tuple(channels))
-
-    def with_exec_times(self, exec_times: Mapping[str, int]) -> "SDFG":
-        """Copy of the graph with the listed actors' execution times replaced."""
-        actors = tuple(
-            Actor(a.id, exec_times[a.id], a.kind, a.name) if a.id in exec_times else a
-            for a in self.actors
-        )
-        return replace(self, actors=actors)
-
-    def unique_id(self, stem: str) -> str:
-        """A fresh id based on ``stem`` that collides with no actor or channel."""
-        return fresh_id(stem, self.actor_map, self.channel_map)
 
 
 def fresh_id(stem: str, *taken: Container[str]) -> str:
@@ -162,33 +136,6 @@ def fresh_id(stem: str, *taken: Container[str]) -> str:
             return candidate
         n += 1
         candidate = f"{stem}_{n}"
-
-
-@dataclass(frozen=True)
-class RepetitionVector:
-    """Smallest positive firing counts per actor that return every channel to
-    its initial token count.
-
-    ``entries`` is a read-only view, because one vector is shared by every
-    caller that asks for the same graph's."""
-
-    entries: Mapping[str, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
-
-    def __reduce__(self):
-        # A mapping proxy cannot be pickled or deep-copied; its dict can.
-        return RepetitionVector, (dict(self.entries),)
-
-    def __getitem__(self, actor_id: str) -> int:
-        return self.entries[actor_id]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def items(self):
-        return self.entries.items()
 
 
 @dataclass(frozen=True)
@@ -287,7 +234,7 @@ def check_graph(graph: SDFG) -> None:
     graph._well_formed
 
 
-def compute_repetition_vector(graph: SDFG) -> RepetitionVector:
+def compute_repetition_vector(graph: SDFG) -> Mapping[str, int]:
     """Solve the balance equations q(src)*prod = q(dst)*cons for the smallest
     positive integer vector.
 
@@ -295,13 +242,14 @@ def compute_repetition_vector(graph: SDFG) -> RepetitionVector:
     whole-graph vector is collectively coprime. Raises the errors of
     :func:`check_graph` for a malformed graph and
     :class:`InconsistentGraphError` when only the zero solution exists. The
-    vector is solved once per graph object and shared by later calls.
+    vector maps each actor id to its count, in actor order. It is solved
+    once per graph object and shared by later calls, so it is read-only.
     """
     check_graph(graph)
     return graph._repetition
 
 
-def _solve_repetition_vector(graph: SDFG) -> RepetitionVector:
+def _solve_repetition_vector(graph: SDFG) -> Mapping[str, int]:
     """Propagate firing-rate ratios as reduced integer (num, den) pairs over
     each weakly-connected component, then scale each component to the
     smallest positive integers.
@@ -354,7 +302,7 @@ def _solve_repetition_vector(graph: SDFG) -> RepetitionVector:
         shrink = math.gcd(*counts.values())
         for a in component:
             entries[a] = counts[a] // shrink
-    return RepetitionVector(entries={a.id: entries[a.id] for a in graph.actors})
+    return MappingProxyType({a.id: entries[a.id] for a in graph.actors})
 
 
 def validate(graph: SDFG) -> list[Diagnostic]:
@@ -387,8 +335,8 @@ def disable_auto_concurrency(graph: SDFG) -> SDFG:
     for a in graph.actors:
         if a.id not in looped:
             channels.append(Channel(
-                id=graph.unique_id(f"{a.id}__self"),
+                id=fresh_id(f"{a.id}__self", graph.actor_map, graph.channel_map),
                 src=a.id, dst=a.id,
                 prod_rate=1, cons_rate=1, initial_tokens=1,
             ))
-    return graph.with_channels(channels)
+    return SDFG(graph.actors, channels, graph.reference_actor)

@@ -126,11 +126,11 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
     check_mapping(graph, platform, mapping)
     old_tile = mapping.actor_tile[actor.id]
 
-    app_graph = graph.with_actors([
+    app_graph = SDFG([
         replace(a, exec_time=a.exec_time // spec.speedup, kind=ActorKind.HARDWARE)
         if a.id == actor.id else a
         for a in graph.actors
-    ])
+    ], graph.channels, graph.reference_actor)
 
     tiles = list(platform.tiles)
     hw_tile = Tile(fresh_id(f"hw_{actor.id}", platform.tile_map),
@@ -142,7 +142,7 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
     tdma_slice = {a: s for a, s in mapping.tdma_slice.items() if a != actor.id}
 
     for channel in graph.channels:
-        if channel.is_self_loop or actor.id not in (channel.src, channel.dst):
+        if channel.src == channel.dst or actor.id not in (channel.src, channel.dst):
             continue
         # The new connection joins the channel's endpoint tiles after the move.
         template = _template_connection(channel, platform, mapping, spec, old_tile)
@@ -152,7 +152,7 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
             latency=template.latency, bandwidth=template.bandwidth,
         )
         connections.append(conn)
-        if app_graph.actor(channel.dst).kind == ActorKind.SOFTWARE:
+        if app_graph.actor_map[channel.dst].kind == ActorKind.SOFTWARE:
             # Software consumer must fetch its input from the block's memory:
             # prefetch template, transfer time taken over the hardware link.
             batch = prefetch_batch(repetition, channel.src, channel.dst)

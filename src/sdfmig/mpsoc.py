@@ -86,8 +86,8 @@ class Tile:
 
 @dataclass(frozen=True)
 class NocConnection:
-    """Directed NoC connection with a fixed latency (cycles) and bandwidth
-    (bytes per cycle, exact rational)."""
+    """Directed NoC connection from ``src_tile`` to ``dst_tile``, with a
+    fixed latency (cycles) and bandwidth (bytes per cycle, exact rational)."""
 
     id: str
     src_tile: str
@@ -97,8 +97,10 @@ class NocConnection:
 
     def __post_init__(self):
         latency, bandwidth = self.latency, self.bandwidth
-        if not isinstance(self.id, str):
-            raise InvalidFieldError("id", f"must be a str, got {self.id!r}")
+        for field in ("id", "src_tile", "dst_tile"):
+            value = getattr(self, field)
+            if not isinstance(value, str):
+                raise InvalidFieldError(field, f"must be a str, got {value!r}")
         if type(latency) is not int:
             raise InvalidFieldError("latency", f"must be an int, got {latency!r}")
         if type(bandwidth) not in (int, Fraction):
@@ -253,9 +255,6 @@ class PlatformMapping:
             totals[tile_id] = totals.get(tile_id, 0) + self.tdma_slice.get(actor_id, 0)
         return totals
 
-    def tile_of(self, actor_id: str) -> str | None:
-        return self.actor_tile.get(actor_id)
-
 
 def tdma_wait(actor_id: str, platform: Platform, mapping: PlatformMapping) -> int:
     """Worst-case wait for an actor to re-enter its TDMA slot: the sum of the
@@ -287,7 +286,7 @@ def compute_etam(graph: SDFG, platform: Platform,
 def _unplaced(actor_id: str, platform: Platform,
               mapping: PlatformMapping) -> tuple[str, str] | None:
     """``(code, message)`` when the actor sits on no tile of the platform."""
-    tile_id = mapping.tile_of(actor_id)
+    tile_id = mapping.actor_tile.get(actor_id)
     if tile_id is None:
         return "UnmappedActor", f"actor {actor_id!r} has no tile"
     if tile_id not in platform.tile_map:
@@ -336,7 +335,8 @@ def _mapping_violations(graph: SDFG, platform: Platform, mapping: PlatformMappin
             yield ("UnknownChannel", channel_id, UnknownChannelError,
                    f"binding names channel {channel_id!r}, which is not in the graph")
             continue
-        src_tile, dst_tile = mapping.tile_of(channel.src), mapping.tile_of(channel.dst)
+        src_tile = mapping.actor_tile.get(channel.src)
+        dst_tile = mapping.actor_tile.get(channel.dst)
         connection = platform.connection_map.get(binding.connection)
         if binding.kind == BindingKind.LOCAL:
             if src_tile != dst_tile:
@@ -386,9 +386,9 @@ def resolve_latency_bound(channel_id: str, graph: SDFG, platform: Platform,
     binding = mapping.channel_binding.get(channel_id)
     if binding is not None and binding.latency_bound is not None:
         return binding.latency_bound
-    channel = graph.channel(channel_id)
+    channel = graph.channel_map[channel_id]
     for endpoint in (channel.dst, channel.src):
-        tile = platform.tile_map.get(mapping.tile_of(endpoint))
+        tile = platform.tile_map.get(mapping.actor_tile.get(endpoint))
         if tile is not None and tile.kind == TileKind.PROCESSOR:
             return tile.tdma_wheel
     return 0

@@ -18,10 +18,10 @@ Each rewrite is a method of ``_WorkingGraph``: one mutable copy of a graph,
 its actors and channels held in insertion-ordered dicts. The binder applies
 every rewrite to one such copy and builds a single :class:`SDFG` at the end,
 so its work grows with the size of the graph rather than with channels times
-graph size. Each rewrite draws its ids with the rule of
-:meth:`SDFG.unique_id` on the graph as it stood before that rewrite, so the
-bound graph is the one a step-by-step composition of single rewrites gives,
-in the same order.
+graph size. Each rewrite draws its ids with :func:`~sdfmig.graph.fresh_id`
+from the actors and channels of the graph as it stood before that rewrite,
+so the bound graph is the one a step-by-step composition of single rewrites
+gives, in the same order.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class _WorkingGraph:
     ``actors`` and ``channels`` are insertion-ordered dicts keyed by id, so a
     rewrite costs only what it touches and :meth:`freeze` yields the tuple
     order that rebuilding the graph after every step would give. Each rewrite
-    draws all of its ids before it changes anything, so the ids follow
-    :meth:`SDFG.unique_id` on the graph as it stood before that rewrite.
+    draws all of its ids before it changes anything, so :func:`fresh_id`
+    reads the graph as it stood before that rewrite.
     The graph must have passed :func:`~sdfmig.graph.check_graph`, which
     :func:`~sdfmig.graph.compute_repetition_vector` runs: a repeated id
     would make one element silently replace another. Every channel a
@@ -268,7 +268,7 @@ def build_bound_graph(graph: SDFG, platform: Platform, mapping: PlatformMapping)
             work.bind_remote(channel.id, binding,
                              platform.connection_map[binding.connection],
                              resolve_latency_bound(channel.id, graph, platform, mapping),
-                             dst_wait=etam[channel.dst] - graph.actor(channel.dst).exec_time)
+                             dst_wait=etam[channel.dst] - graph.actor_map[channel.dst].exec_time)
     return disable_auto_concurrency(work.freeze())
 
 

@@ -43,6 +43,12 @@ def build_graph(actor_times: dict[str, int],
     return SDFG(actors=actors, channels=chans, reference_actor=reference)
 
 
+def with_exec_times(graph: SDFG, exec_times: dict[str, int]) -> SDFG:
+    """Copy of ``graph`` with the listed actors' execution times replaced."""
+    return replace(graph, actors=[replace(a, exec_time=exec_times[a.id])
+                                  if a.id in exec_times else a for a in graph.actors])
+
+
 def ratio_edges(graph: SDFG) -> tuple[int, list[tuple[int, int, int, int]]]:
     """The cycle-ratio graph ``mcm_throughput`` analyses: actors numbered in
     id order, and per channel an edge ``(src, dst, exec_time(src), tokens)``."""
@@ -375,7 +381,7 @@ def random_scenario(rng: random.Random, max_actors: int = 5):
 
     bindings = {}
     for c in graph.channels:
-        if c.is_self_loop:
+        if c.src == c.dst:
             continue
         flow = q[c.src] * c.prod_rate
         if actor_tile[c.src] == actor_tile[c.dst]:
@@ -541,7 +547,7 @@ def _set_union_id(graph: SDFG, stem: str) -> str:
 def _reference_local(graph: SDFG, channel_id: str, buffer_tokens: int) -> SDFG:
     from sdfmig.errors import BufferTooSmallError
 
-    channel = graph.channel(channel_id)
+    channel = graph.channel_map[channel_id]
     if buffer_tokens < channel.initial_tokens:
         raise BufferTooSmallError(
             f"buffer of {buffer_tokens} tokens cannot hold the "
@@ -559,7 +565,7 @@ def _reference_remote(graph: SDFG, channel_id: str, params, dst_wait: int) -> SD
         return _set_union_id(graph, stem)
 
     infra = ActorKind.INFRASTRUCTURE
-    channel = graph.channel(channel_id)
+    channel = graph.channel_map[channel_id]
     token_size = channel.token_size
     send = Actor(fresh(f"ac_{channel_id}"),
                  connection_actor_time(token_size, params.connection), kind=infra)
@@ -650,9 +656,9 @@ def reference_bound_graph(graph: SDFG, platform, mapping,
 
     repetition = compute_repetition_vector(graph)
     check_mapping(graph, platform, mapping)
-    bound = graph.with_exec_times(compute_etam(graph, platform, mapping))
+    bound = with_exec_times(graph, compute_etam(graph, platform, mapping))
     waits = {a.id: (tdma_wait(a.id, platform, mapping)
-                    if a.kind == ActorKind.SOFTWARE and mapping.tile_of(a.id) else 0)
+                    if a.kind == ActorKind.SOFTWARE and mapping.actor_tile.get(a.id) else 0)
              for a in graph.actors}
     for channel in graph.channels:
         binding = mapping.channel_binding.get(channel.id)
@@ -681,7 +687,7 @@ def reference_bound_graph(graph: SDFG, platform, mapping,
                 latency_bound=resolve_latency_bound(channel.id, graph, platform, mapping))
             bound = _reference_remote(bound, channel.id, params, waits[channel.dst])
     if disable_concurrency:
-        loops = {c.src for c in bound.channels if c.is_self_loop}
+        loops = {c.src for c in bound.channels if c.src == c.dst}
         channels = list(bound.channels)
         for a in bound.actors:
             if a.id not in loops:

@@ -13,6 +13,7 @@ from helpers import (
     random_consistent_graph,
     random_homogeneous_graph,
     random_scenario,
+    with_exec_times,
 )
 from sdfmig.analysis import (
     mcm_throughput,
@@ -143,12 +144,12 @@ def test_criterion_6_monotonicity_and_scaling():
         base = self_timed_throughput(graph).iterations_per_cycle
         victim = rng.choice(graph.actors)
         if victim.exec_time > 0:
-            reduced = graph.with_exec_times(
-                {victim.id: rng.randrange(victim.exec_time)})
+            reduced = with_exec_times(
+                graph, {victim.id: rng.randrange(victim.exec_time)})
             assert self_timed_throughput(reduced).iterations_per_cycle >= base
         for k in (2, 3, 5):
-            scaled = graph.with_exec_times(
-                {a.id: a.exec_time * k for a in graph.actors})
+            scaled = with_exec_times(
+                graph, {a.id: a.exec_time * k for a in graph.actors})
             assert self_timed_throughput(scaled).iterations_per_cycle == base / k
         checked += 1
     elapsed = time.perf_counter() - start
@@ -171,14 +172,14 @@ def test_criterion_7_structural_invariants():
         assert validate(result.graph) == []
         consistency_checked += 1
         slice_ = mapping.tdma_slice[victim.id]
-        tile = mapping.tile_of(victim.id)
+        tile = mapping.actor_tile.get(victim.id)
         before = compute_etam(graph, platform, mapping)
         after = compute_etam(result.app_graph, result.platform, result.mapping)
         for actor in graph.actors:
             if actor.id == victim.id:
                 continue
-            expected = before[actor.id] - (slice_ if mapping.tile_of(actor.id) == tile
-                                           else 0)
+            expected = before[actor.id] - (
+                slice_ if mapping.actor_tile.get(actor.id) == tile else 0)
             assert after[actor.id] == expected
         locality_checked += 1
 

@@ -219,6 +219,10 @@ def test_graph_only_scenario_cannot_migrate(tmp_path, capsys, argv, question):
                "and a mapping\n")
 
 
+def test_every_exported_name_resolves():
+    assert [name for name in sdfmig.__all__ if not hasattr(sdfmig, name)] == []
+
+
 def test_cli_import_stays_light():
     # xml.sax.saxutils imports urllib.request, and with it http.client, email
     # and ssl: megabytes of memory and tens of milliseconds per process.

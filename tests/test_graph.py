@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 from dataclasses import replace
@@ -43,13 +44,12 @@ def mjpeg_application() -> SDFG:
 def test_repetition_vector_two_actor():
     g = build_graph({"A": 1, "B": 1}, [("A", "B", 2, 3)])
     q = compute_repetition_vector(g)
-    assert q.entries == {"A": 3, "B": 2}
+    assert q == {"A": 3, "B": 2}
 
 
 def test_repetition_vector_mjpeg():
     q = compute_repetition_vector(mjpeg_application())
-    assert q.entries == {"VLD": 1, "IZZ": 12, "IQ": 12, "IDCT": 12,
-                         "CC": 12, "RE": 1}
+    assert q == {"VLD": 1, "IZZ": 12, "IQ": 12, "IDCT": 12, "CC": 12, "RE": 1}
 
 
 def test_repetition_vector_inconsistent_cycle():
@@ -63,11 +63,11 @@ def test_repetition_vector_per_component_minimal():
     g = build_graph({"A": 1, "B": 1, "X": 1, "Y": 1},
                     [("A", "B", 2, 4), ("X", "Y", 3, 3)])
     q = compute_repetition_vector(g)
-    assert q.entries == {"A": 2, "B": 1, "X": 1, "Y": 1}
+    assert q == {"A": 2, "B": 1, "X": 1, "Y": 1}
 
 
 def test_repetition_vector_empty_graph():
-    assert compute_repetition_vector(SDFG()).entries == {}
+    assert compute_repetition_vector(SDFG()) == {}
 
 
 def test_repetition_vector_balances_every_channel():
@@ -85,19 +85,18 @@ def test_repetition_vector_collectively_coprime():
     for _ in range(50):
         g = random_consistent_graph(rng)
         q = compute_repetition_vector(g)
-        assert math.gcd(*q.entries.values()) == 1
+        assert math.gcd(*q.values()) == 1
 
 
 def test_repetition_vector_invariant_under_channel_reversal():
     rng = random.Random(9)
     for _ in range(30):
         g = random_consistent_graph(rng)
-        flipped = g.with_channels([
+        flipped = replace(g, channels=[
             Channel(c.id, c.dst, c.src, c.cons_rate, c.prod_rate, c.initial_tokens)
             for c in g.channels
         ])
-        assert compute_repetition_vector(g).entries == \
-            compute_repetition_vector(flipped).entries
+        assert compute_repetition_vector(g) == compute_repetition_vector(flipped)
 
 
 def solved(solver, graph):
@@ -115,7 +114,7 @@ def redraw_rates(rng, graph, share):
         prod = rng.randint(1, 6) if rng.random() < share else c.prod_rate
         cons = rng.randint(1, 6) if rng.random() < share else c.cons_rate
         channels.append(replace(c, prod_rate=prod, cons_rate=cons))
-    return graph.with_channels(channels)
+    return replace(graph, channels=channels)
 
 
 def test_repetition_vector_matches_fraction_oracle():
@@ -132,13 +131,13 @@ def test_repetition_vector_matches_fraction_oracle():
             k = rng.randrange(len(channels))
             channels[k] = replace(channels[k],
                                   prod_rate=channels[k].prod_rate * rng.choice([2, 3]))
-        variants.append(g.with_channels(channels))
+        variants.append(replace(g, channels=channels))
         # Redrawn rates break the balance on several channels at once, in
         # places the traversal reaches in any order.
         variants += [redraw_rates(redraw, g, 0.25) for _ in range(4)]
         for v in variants:
             expected = solved(fraction_repetition_vector, v)
-            assert solved(lambda x: compute_repetition_vector(x).entries, v) == expected
+            assert solved(compute_repetition_vector, v) == expected
             inconsistent += isinstance(expected, tuple)
     assert inconsistent >= 200
 
@@ -153,6 +152,12 @@ def test_repetition_vector_is_solved_once_per_graph():
     assert pickle.loads(pickle.dumps(g)) == g
 
 
+def test_solved_graph_deep_copies_equal():
+    g = mjpeg_application()
+    compute_repetition_vector(g)
+    assert copy.deepcopy(g) == g
+
+
 def test_inconsistent_graph_raises_on_every_call():
     g = build_graph({"A": 1, "B": 1}, [("A", "B", 2, 1), ("B", "A", 3, 1)])
     for _ in range(3):
@@ -164,7 +169,7 @@ def test_inconsistent_graph_raises_on_every_call():
 def test_repetition_vector_entries_are_read_only():
     q = compute_repetition_vector(mjpeg_application())
     with pytest.raises(TypeError):
-        q.entries["VLD"] = 2
+        q["VLD"] = 2
     assert q["VLD"] == 1
 
 
@@ -201,7 +206,7 @@ def test_validate_negative_tokens_and_exec_time():
 def test_disable_auto_concurrency_adds_unit_self_loops():
     g = build_graph({"A": 1, "B": 2}, [("A", "B")])
     g2 = disable_auto_concurrency(g)
-    loops = [c for c in g2.channels if c.is_self_loop]
+    loops = [c for c in g2.channels if c.src == c.dst]
     assert {(c.src, c.prod_rate, c.cons_rate, c.initial_tokens) for c in loops} == \
         {("A", 1, 1, 1), ("B", 1, 1, 1)}
 
@@ -308,8 +313,8 @@ def test_token_size_is_checked_through_the_api(size):
     # escaped binding as a bare TypeError and 64.0 ended in a
     # MalformedGraphError naming ac_data.
     scenario = load_scenario(bundled_scenario_path("two_stage_demo"))
-    graph = scenario.graph.with_channels(
-        [replace(c, token_size=size) for c in scenario.graph.channels])
+    graph = replace(scenario.graph, channels=[
+        replace(c, token_size=size) for c in scenario.graph.channels])
     message = (f"channel 'data' has token size {size!r}; it must be an integer "
                "of at least 0")
     assert [(d.code, d.subject, d.message) for d in validate(graph)] == [
@@ -336,11 +341,11 @@ def test_bool_value_is_refused_by_the_graph_rules(element, subject, field, code,
     scenario = load_scenario(bundled_scenario_path("mjpeg_base"))
     graph = scenario.graph
     if element == "actor":
-        graph = graph.with_actors([replace(a, **{field: True}) if a.id == subject else a
-                                   for a in graph.actors])
+        graph = replace(graph, actors=[
+            replace(a, **{field: True}) if a.id == subject else a for a in graph.actors])
     else:
-        graph = graph.with_channels([replace(c, **{field: True}) if c.id == subject else c
-                                     for c in graph.channels])
+        graph = replace(graph, channels=[
+            replace(c, **{field: True}) if c.id == subject else c for c in graph.channels])
     assert [(d.code, d.subject, d.message) for d in validate(graph)] == [
         (code, subject, message)]
     with pytest.raises(MalformedGraphError) as raised:

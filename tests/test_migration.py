@@ -15,6 +15,7 @@ from helpers import (
 from sdfmig.analysis import self_timed_throughput, to_frames_per_second
 from sdfmig.errors import (
     AlreadyHardwareError,
+    InvalidFieldError,
     InvalidMigrationSpecError,
     SdfmigError,
     UnknownActorError,
@@ -55,8 +56,8 @@ def test_migrate_vld_case_study_times():
     assert times["IZZ_ri"] == 1 and times["IZZ_ro"] == 1
     assert times["as_izz_iq"] == 90000      # IQ still shares T2 with IDCT
     assert times["as_idct_cc"] == 80000
-    assert res.graph.actor("VLD").kind == ActorKind.HARDWARE
-    assert res.mapping.tile_of("VLD") == res.hw_tile
+    assert res.graph.actor_map["VLD"].kind == ActorKind.HARDWARE
+    assert res.mapping.actor_tile.get("VLD") == res.hw_tile
     assert "VLD" not in res.mapping.tdma_slice
     assert validate(res.graph) == []
 
@@ -81,7 +82,7 @@ def test_migrate_unknown_and_hardware_actor():
     g, p, m = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
     with pytest.raises(UnknownActorError):
         migrate_task(g, p, m, MigrationSpec(actor="nope"))
-    hw = g.with_actors([
+    hw = replace(g, actors=[
         a if a.id != "VLD" else Actor("VLD", a.exec_time, kind=ActorKind.HARDWARE)
         for a in g.actors])
     with pytest.raises(AlreadyHardwareError):
@@ -101,7 +102,7 @@ def test_migrate_unmapped_actor():
 def test_migrate_speedup_is_configurable():
     g, p, m = mjpeg_application(), mjpeg_platform(), mjpeg_mapping()
     res = migrate_task(g, p, m, MigrationSpec(actor="IDCT", speedup=Fraction(3)))
-    assert res.graph.actor("IDCT").exec_time == 33055  # floor(99165 / 3)
+    assert res.graph.actor_map["IDCT"].exec_time == 33055  # floor(99165 / 3)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -186,7 +187,7 @@ def test_hh1_migration_adds_no_actors():
     baseline = build_bound_graph(g, platform, mapping)
     res = migrate_task(g, platform, mapping, MigrationSpec(actor="SW"))
     assert len(res.graph.actors) == len(baseline.actors)
-    assert res.graph.actor("SW").kind == ActorKind.HARDWARE
+    assert res.graph.actor_map["SW"].kind == ActorKind.HARDWARE
     # Exploration moves only software actors, so HW gets no row.
     _, candidates = explore_single_migrations(g, platform, mapping)
     assert [c.actor for c in candidates] == ["SW"]
@@ -202,6 +203,23 @@ def test_hh1_migration_with_unit_speedup_keeps_throughput():
     res = migrate_task(g, platform, mapping, MigrationSpec(actor="SW", speedup=1))
     after = self_timed_throughput(res.graph)
     assert after.iterations_per_cycle == before.iterations_per_cycle
+
+
+def test_migration_beside_an_unplaced_hardware_actor_is_a_typed_error():
+    # A(10) -> H -> A with H hardware and on no tile, as hardware may stay.
+    # Migrating A used to build noc_ah from hw_A to None: the result analysed
+    # (1/15 -> 1/12 iterations per cycle), but saving it failed.
+    g = SDFG([Actor("A", 10), Actor("H", 5, ActorKind.HARDWARE)],
+             [Channel("ah", "A", "H"), Channel("ha", "H", "A", initial_tokens=1)])
+    platform = Platform([Tile("T1", tdma_wheel=10)],
+                        [NocConnection("n", "T1", "T1", latency=1)])
+    mapping = PlatformMapping({"A": "T1"}, {"A": 3}, {})
+    message = "dst_tile must be a str, got None"
+    with pytest.raises(InvalidFieldError) as raised:
+        migrate_task(g, platform, mapping, MigrationSpec(actor="A"))
+    assert isinstance(raised.value, SdfmigError) and str(raised.value) == message
+    _, candidates = explore_single_migrations(g, platform, mapping)
+    assert [(c.actor, c.result, c.error) for c in candidates] == [("A", None, message)]
 
 
 def test_migration_ids_skip_taken_tile_and_connection_ids():
@@ -237,7 +255,7 @@ def test_migrated_graph_stays_consistent_on_random_scenarios():
         # Each touched channel, self-loops aside, gets one new connection; it
         # prefetches exactly when its consumer is software. Nothing else moves.
         touched = [c for c in g.channels
-                   if victim.id in (c.src, c.dst) and not c.is_self_loop]
+                   if victim.id in (c.src, c.dst) and c.src != c.dst]
         new_links = {c.id for c in res.platform.connections} - {
             c.id for c in platform.connections}
         assert sorted(res.mapping.channel_binding[c.id].connection for c in touched) \
@@ -245,7 +263,7 @@ def test_migrated_graph_stays_consistent_on_random_scenarios():
         assert all(link.startswith("noc_") for link in new_links)
         for c in touched:
             prefetch = res.mapping.channel_binding[c.id].kind == BindingKind.PREFETCH
-            assert prefetch == (res.app_graph.actor(c.dst).kind == ActorKind.SOFTWARE)
+            assert prefetch == (res.app_graph.actor_map[c.dst].kind == ActorKind.SOFTWARE)
         assert {k: b for k, b in res.mapping.channel_binding.items()
                 if k not in {c.id for c in touched}} \
             == {k: b for k, b in mapping.channel_binding.items()
@@ -263,14 +281,14 @@ def test_impact2_locality_on_random_scenarios():
             continue
         victim = rng.choice(victims)
         slice_ = mapping.tdma_slice[victim.id]
-        tile = mapping.tile_of(victim.id)
+        tile = mapping.actor_tile.get(victim.id)
         before = compute_etam(g, platform, mapping)
         res = migrate_task(g, platform, mapping, MigrationSpec(actor=victim.id))
         after = compute_etam(res.app_graph, res.platform, res.mapping)
         for actor in g.actors:
             if actor.id == victim.id:
                 continue
-            if mapping.tile_of(actor.id) == tile:
+            if mapping.actor_tile.get(actor.id) == tile:
                 assert after[actor.id] == before[actor.id] - slice_
             else:
                 assert after[actor.id] == before[actor.id]

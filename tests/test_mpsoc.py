@@ -147,7 +147,7 @@ def test_negative_slice_is_refused_by_tdma_wait_and_compute_etam():
     mapping = replace(mapping, tdma_slice={**mapping.tdma_slice, "IZZ": 0})
     assert tdma_wait("VLD", platform, mapping) == 0
     etam = compute_etam(graph, platform, mapping)
-    assert etam["VLD"] == graph.actor("VLD").exec_time
+    assert etam["VLD"] == graph.actor_map["VLD"].exec_time
     for actor_id in ("IQ", "IDCT", "CC", "RE"):
         assert etam[actor_id] == CASE_STUDY_ETAM[actor_id]
 
@@ -281,8 +281,8 @@ def local_binding_with_unplaced_endpoint():
     # VLD made hardware and left unplaced, with vld_izz still local: this used
     # to load clean and fail only at binding.
     graph = mjpeg_application()
-    graph = graph.with_actors([replace(a, kind=ActorKind.HARDWARE) if a.id == "VLD" else a
-                               for a in graph.actors])
+    graph = replace(graph, actors=[
+        replace(a, kind=ActorKind.HARDWARE) if a.id == "VLD" else a for a in graph.actors])
     mapping = mjpeg_mapping()
     mapping = replace(mapping,
                       actor_tile={a: t for a, t in mapping.actor_tile.items() if a != "VLD"},
@@ -328,8 +328,8 @@ def second_prefetch_into_one_consumer():
     # The first prefetch splits IQ, so the second used to end in "no actor
     # 'IQ' in graph", an UnknownActorError.
     graph = mjpeg_application()
-    graph = graph.with_channels([*graph.channels,
-                                 replace(graph.channel("izz_iq"), id="izz_iq2")])
+    graph = replace(graph, channels=[*graph.channels,
+                                     replace(graph.channel_map["izz_iq"], id="izz_iq2")])
     prefetch = ChannelBinding(BindingKind.PREFETCH, "n1", prefetch_time=10000)
     mapping = _rebind(_rebind(mjpeg_mapping(), "izz_iq", prefetch), "izz_iq2", prefetch)
     return graph, mjpeg_platform(), mapping, InvalidBindingError, "izz_iq2"
@@ -413,6 +413,16 @@ def test_binding_types_are_checked_before_ranges():
     assert (err.value.field, err.value.rule) == ("latency_bound", "must be an int, got '5'")
 
 
+@pytest.mark.parametrize("model, fields", [
+    pytest.param(mjpeg_application(), ("actors", "channels"), id="graph"),
+    pytest.param(mjpeg_platform(), ("tiles", "connections"), id="platform"),
+])
+def test_model_compares_by_content_in_any_order(model, fields):
+    assert replace(model, **{f: getattr(model, f)[::-1] for f in fields}) == model
+    # Nothing of another type equals a graph or a platform.
+    assert model != getattr(model, fields[0]) and model != object()
+
+
 T1 = mjpeg_platform().tile_map["T1"]
 N1 = mjpeg_platform().connection("n1")
 PLATFORM_VALUE_OF_FIELD = {"tdma_wheel": T1, "latency": N1}
@@ -461,6 +471,9 @@ def test_platform_types_are_checked_before_ranges():
     with pytest.raises(InvalidFieldError) as err:
         replace(T1, kind="memory", tdma_wheel=-1)
     assert err.value.field == "kind"
+    with pytest.raises(InvalidFieldError) as err:
+        replace(N1, dst_tile=None, latency=-1)
+    assert err.value.field == "dst_tile"
     # An int bandwidth is exact too.
     assert replace(N1, bandwidth=2).bandwidth == 2
 
@@ -485,8 +498,8 @@ def _scenario_with(defaults=MigrationSpec(), graph=None):
                     defaults=defaults)
 
 
-LIST_ID_GRAPH = mjpeg_application().with_actors([*mjpeg_application().actors,
-                                                 Actor(["X"], 1)])
+LIST_ID_GRAPH = replace(mjpeg_application(), actors=[*mjpeg_application().actors,
+                                                     Actor(["X"], 1)])
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -503,6 +516,10 @@ LIST_ID_GRAPH = mjpeg_application().with_actors([*mjpeg_application().actors,
                  "connection must be a str or None, got ['n1']", id="bound-to-list"),
     pytest.param(lambda: _mjpeg_with(tile=Tile(["X"])), InvalidFieldError,
                  "id must be a str, got ['X']", id="tile-id"),
+    pytest.param(lambda: replace(N1, src_tile=["T1"]), InvalidFieldError,
+                 "src_tile must be a str, got ['T1']", id="connection-src-tile"),
+    pytest.param(lambda: replace(N1, dst_tile=None), InvalidFieldError,
+                 "dst_tile must be a str, got None", id="connection-dst-tile"),
     pytest.param(lambda: _scenario_with(replace(MigrationSpec(), hw_connection=["n1"])),
                  InvalidMigrationSpecError, "hw_connection must be a str or None, got ['n1']",
                  id="defaults-hw-connection"),
@@ -519,8 +536,9 @@ LIST_ID_GRAPH = mjpeg_application().with_actors([*mjpeg_application().actors,
                  MalformedGraphError, "actor id ['X'] must be a str", id="migrate-graph"),
 ])
 def test_an_id_that_is_not_a_str_ends_in_a_typed_error(call, error, message):
-    # Each of these used to end in a bare TypeError: unhashable type: 'list'.
-    # Types are checked before any id is looked up.
+    # Each of these used to end in a bare TypeError: unhashable type: 'list',
+    # except a connection's tile, which was accepted. Types are checked
+    # before any id is looked up.
     with pytest.raises(error) as raised:
         call()
     assert str(raised.value) == message

@@ -28,6 +28,7 @@ from helpers import (
     random_scenario,
     reference_states,
     reference_throughput,
+    with_exec_times,
 )
 from sdfmig.analysis import (
     _max_cycle_ratio,
@@ -226,7 +227,7 @@ def test_sparse_keys_match_reference_simulator(seed, self_loops, zero_time):
     rng = random.Random(seed)
     graph = random_consistent_graph(rng, self_loops=self_loops)
     if zero_time:
-        graph = graph.with_exec_times({rng.choice(graph.actors).id: 0})
+        graph = with_exec_times(graph, {rng.choice(graph.actors).id: 0})
     assert self_timed_throughput(graph) == reference_throughput(graph)
 
 
@@ -238,7 +239,7 @@ def test_states_match_reference_simulator(seed, self_loops, zero_time):
     rng = random.Random(seed)
     graph = random_consistent_graph(rng, self_loops=self_loops)
     if zero_time:
-        graph = graph.with_exec_times({rng.choice(graph.actors).id: 0})
+        graph = with_exec_times(graph, {rng.choice(graph.actors).id: 0})
     assert list(iterate_states(graph, max_states=300)) == reference_states(graph, 300)
 
 
@@ -261,7 +262,7 @@ def self_loop_graphs(draw) -> SDFG:
                                     tokens))
     graph = SDFG(graph.actors, draw(st.permutations(channels)))
     if draw(st.booleans()):
-        graph = graph.with_exec_times({draw(st.sampled_from(graph.actors)).id: 0})
+        graph = with_exec_times(graph, {draw(st.sampled_from(graph.actors)).id: 0})
     return graph
 
 

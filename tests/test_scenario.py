@@ -66,7 +66,7 @@ def test_load_mjpeg_base_structure():
     assert len(s.platform.connections) == 2
     assert s.clock_hz == Fraction(100_000_000)
     assert s.platform.connection("n1").bandwidth == Fraction("0.00406278")
-    assert s.graph.channel("vld_izz").prod_rate == 12
+    assert s.graph.channel_map["vld_izz"].prod_rate == 12
     assert s.mapping.channel_binding["izz_iq"].alpha_dst == 1
 
 
@@ -298,6 +298,9 @@ def _without(element):
     pytest.param(bundled_scenario_path("mjpeg_base").read_text().replace(
                      '<actor id="IQ"', '<actor id="IQ" kind="firmware"'),
                  "<actor>: unknown actor kind 'firmware'", 22, 5, id="actor-kind"),
+    pytest.param(bundled_scenario_path("mjpeg_base").read_text().replace(
+                     'bandwidth="0.00406278"', 'bandwidth="0"'),
+                 "<connection>: bandwidth must be positive", 36, 5, id="bandwidth-zero"),
     pytest.param("<platform/>", "expected <scenario> root, got <platform>", 1, 1,
                  id="root"),
     pytest.param(_without("application"), "scenario has no <application>", 1, 1,
@@ -403,12 +406,12 @@ def test_sdf3_import_shim(tmp_path):
     sdf3.write_text(SDF3_APP)
     scenario = load_scenario(sdf3)
     g = scenario.graph
-    assert g.actor("A").exec_time == 100
-    assert g.actor("B").exec_time == 70
-    assert g.channel("ch1").prod_rate == 2
-    assert g.channel("ch1").cons_rate == 3
-    assert g.channel("ch1").token_size == 512
-    assert g.channel("ch2").initial_tokens == 3
+    assert g.actor_map["A"].exec_time == 100
+    assert g.actor_map["B"].exec_time == 70
+    assert g.channel_map["ch1"].prod_rate == 2
+    assert g.channel_map["ch1"].cons_rate == 3
+    assert g.channel_map["ch1"].token_size == 512
+    assert g.channel_map["ch2"].initial_tokens == 3
     assert scenario.platform is None and scenario.mapping is None
 
 

@@ -119,7 +119,7 @@ def bind_remote(graph, connection=N1, hardware=(), slices=None, **binding):
     or on the hardware block H2 when named in ``hardware``, c0 bound over
     ``connection``: by default alpha 2 on both sides and a latency bound of
     100000."""
-    source = graph.channel("c0").src
+    source = graph.channel_map["c0"].src
     tiles = {a.id: "T1" if a.id == source else "H2" if a.id in hardware else "T2"
              for a in graph.actors}
     fields = {"alpha_src": 2, "alpha_dst": 2, "latency_bound": 100000, **binding}
@@ -132,7 +132,7 @@ def prefetched(graph, latency=3, prefetch_time=None):
     """``graph`` with the producer of c0 on the hardware block H1 and every
     other actor on T2, c0 prefetched over a connection H1 -> T2 of n1's
     bandwidth."""
-    source = graph.channel("c0").src
+    source = graph.channel_map["c0"].src
     tiles = {a.id: "H1" if a.id == source else "T2" for a in graph.actors}
     link = NocConnection("h", "H1", "T2", latency=latency, bandwidth=N1.bandwidth)
     return bind(graph, tiles, {"c0": ChannelBinding(BindingKind.PREFETCH, "h",
@@ -142,14 +142,14 @@ def prefetched(graph, latency=3, prefetch_time=None):
 
 def with_token_size(graph, size):
     """``graph`` with ``size`` bytes per token on c0."""
-    return graph.with_channels([replace(c, token_size=size) if c.id == "c0" else c
+    return replace(graph, channels=[replace(c, token_size=size) if c.id == "c0" else c
                                 for c in graph.channels])
 
 
 def test_bind_local_adds_reversed_buffer_edge():
     g = build_graph({"A": 1, "B": 1}, [("A", "B", 3, 2)])
     bound = bind_local(g, buffer_tokens=6)
-    back = bound.channel("c0__buf")
+    back = bound.channel_map["c0__buf"]
     assert (back.src, back.dst) == ("B", "A")
     assert (back.prod_rate, back.cons_rate) == (2, 3)
     assert back.initial_tokens == 6
@@ -158,7 +158,7 @@ def test_bind_local_adds_reversed_buffer_edge():
 def test_bind_local_buffer_minus_initial_tokens():
     g = build_graph({"A": 1, "B": 1}, [("A", "B", 1, 1, 2)])
     bound = bind_local(g, buffer_tokens=2)
-    assert bound.channel("c0__buf").initial_tokens == 0
+    assert bound.channel_map["c0__buf"].initial_tokens == 0
 
 
 def test_bind_local_buffer_too_small():
@@ -193,49 +193,49 @@ def test_bind_remote_chain_execution_times():
     # IQ shares T2 with X, whose slice is IQ's worst-case TDMA wait.
     g = build_graph({"IZZ": 74791, "IQ": 139582, "X": 1}, [("IZZ", "IQ"), ("IQ", "X")])
     bound = bind_remote(with_token_size(g, 1024), slices={"IQ": 10000, "X": 90000})
-    assert bound.actor("ac_c0").exec_time == 252047
-    assert bound.actor("a_c0").exec_time == 100000
-    assert bound.actor("as_c0").exec_time == 90000
+    assert bound.actor_map["ac_c0"].exec_time == 252047
+    assert bound.actor_map["a_c0"].exec_time == 100000
+    assert bound.actor_map["as_c0"].exec_time == 90000
 
 
 def test_bind_remote_chain_topology():
     g = build_graph({"A": 1, "B": 1}, [("A", "B", 3, 2, 5)])
     bound = bind_remote(g)
     assert "c0" not in bound.channel_map
-    send = bound.channel("c0__send")
-    recv = bound.channel("c0__recv")
+    send = bound.channel_map["c0__send"]
+    recv = bound.channel_map["c0__recv"]
     assert (send.src, send.dst, send.prod_rate, send.cons_rate) == ("A", "ac_c0", 3, 1)
     assert (recv.src, recv.dst, recv.prod_rate, recv.cons_rate) == ("as_c0", "B", 1, 2)
     assert recv.initial_tokens == 5  # original tokens carry to the last hop
-    srcbuf = bound.channel("c0__srcbuf")
-    dstbuf = bound.channel("c0__dstbuf")
+    srcbuf = bound.channel_map["c0__srcbuf"]
+    dstbuf = bound.channel_map["c0__dstbuf"]
     assert (srcbuf.src, srcbuf.dst, srcbuf.cons_rate, srcbuf.initial_tokens) == \
         ("ac_c0", "A", 3, 2)
     assert (dstbuf.src, dstbuf.dst, dstbuf.prod_rate, dstbuf.initial_tokens) == \
         ("B", "ac_c0", 2, 2)
     for inserted in ("ac_c0", "a_c0", "as_c0"):
-        assert bound.has_self_loop(inserted)
+        assert any(c.src == inserted == c.dst for c in bound.channels)
 
 
 def test_bind_remote_missing_alpha_is_one():
     g = build_graph({"A": 1, "B": 1}, [("A", "B")])
     bound = bind_remote(g, alpha_src=None, alpha_dst=None)
-    assert bound.channel("c0__srcbuf").initial_tokens == 1
-    assert bound.channel("c0__dstbuf").initial_tokens == 1
+    assert bound.channel_map["c0__srcbuf"].initial_tokens == 1
+    assert bound.channel_map["c0__dstbuf"].initial_tokens == 1
 
 
 def test_bind_remote_hardware_destination_wait_zero():
     g = build_graph({"A": 1, "B": 1}, [("A", "B")], kinds={"B": ActorKind.HARDWARE})
     link = NocConnection("n", "T1", "H2", latency=3, bandwidth=Fraction(1))
     bound = bind_remote(g, link, hardware={"B"})
-    assert bound.actor("as_c0").exec_time == 0
+    assert bound.actor_map["as_c0"].exec_time == 0
 
 
 def test_bind_remote_preserves_other_elements():
     g = build_graph({"A": 1, "B": 1, "C": 9}, [("A", "B"), ("B", "C", 2, 3, 4)])
     bound = bind_remote(g)
-    assert bound.channel("c1") == g.channel("c1")
-    assert bound.actor("C") == g.actor("C")
+    assert bound.channel_map["c1"] == g.channel_map["c1"]
+    assert bound.actor_map["C"] == g.actor_map["C"]
 
 
 def test_bind_remote_keeps_consistency():
@@ -257,34 +257,34 @@ def test_memory_aware_case_study_izz():
     g = build_graph({"VLD": 1041231, "IZZ": 24791, "IQ": 139582},
                     [("VLD", "IZZ", 12, 1), ("IZZ", "IQ")])
     out = prefetched(with_token_size(g, 1024), prefetch_time=10000)
-    assert out.actor("IZZ1").exec_time == 10000
-    assert out.actor("IZZ2").exec_time == 24791
-    assert out.actor("IZZ_m1").exec_time == 262047
-    assert out.actor("IZZ_ri").exec_time == 1
-    assert out.actor("IZZ_ro").exec_time == 1
+    assert out.actor_map["IZZ1"].exec_time == 10000
+    assert out.actor_map["IZZ2"].exec_time == 24791
+    assert out.actor_map["IZZ_m1"].exec_time == 262047
+    assert out.actor_map["IZZ_ri"].exec_time == 1
+    assert out.actor_map["IZZ_ro"].exec_time == 1
     assert "IZZ" not in out.actor_map
     assert "IZZ_m2" not in out.actor_map  # one token per firing: no fetch path
     # input rerouted to the gate at batch rate, output leaves the executor
-    assert out.channel("c0").dst == "IZZ_ri" and out.channel("c0").cons_rate == 12
-    assert out.channel("c1").src == "IZZ2"
+    assert out.channel_map["c0"].dst == "IZZ_ri" and out.channel_map["c0"].cons_rate == 12
+    assert out.channel_map["c1"].src == "IZZ2"
 
 
 def test_memory_aware_case_study_cc():
     g = build_graph({"IDCT": 49582, "CC": 154374, "RE": 912484},
                     [("IDCT", "CC"), ("CC", "RE", 1, 12)])
     out = prefetched(with_token_size(g, 1024), prefetch_time=10000)
-    assert out.actor("CC1").exec_time == 10000
-    assert out.actor("CC2").exec_time == 154374
-    assert out.actor("CC_m1").exec_time == 262047
-    assert out.channel("c0").cons_rate == 1  # a batch of one firing
+    assert out.actor_map["CC1"].exec_time == 10000
+    assert out.actor_map["CC2"].exec_time == 154374
+    assert out.actor_map["CC_m1"].exec_time == 262047
+    assert out.channel_map["c0"].cons_rate == 1  # a batch of one firing
 
 
 def test_memory_aware_fetch_path():
     g = build_graph({"A": 1, "B": 7}, [("A", "B", 2, 2)])
     out = prefetched(g, latency=11, prefetch_time=5)
-    assert out.actor("B_m2").exec_time == 11  # the transfer time
-    fetch = out.channel("B__fetch")
-    ret = out.channel("B__fetch_ret")
+    assert out.actor_map["B_m2"].exec_time == 11  # the transfer time
+    fetch = out.channel_map["B__fetch"]
+    ret = out.channel_map["B__fetch_ret"]
     assert (fetch.src, fetch.dst) == ("B2", "B_m2")
     assert (ret.src, ret.dst, ret.initial_tokens) == ("B_m2", "B2", 1)
 
@@ -318,9 +318,9 @@ def test_memory_aware_preserves_unrelated_elements():
     g = build_graph({"A": 1, "B": 2, "C": 9, "D": 4},
                     [("A", "B"), ("B", "C"), ("C", "D", 2, 2, 2)])
     out = prefetched(g)
-    assert out.actor("A") == g.actor("A")
-    assert out.actor("D") == g.actor("D")
-    assert out.channel("c2") == g.channel("c2")
+    assert out.actor_map["A"] == g.actor_map["A"]
+    assert out.actor_map["D"] == g.actor_map["D"]
+    assert out.channel_map["c2"] == g.channel_map["c2"]
 
 
 def test_build_bound_graph_mjpeg_structure():
@@ -329,12 +329,12 @@ def test_build_bound_graph_mjpeg_structure():
     assert validate(bound) == []
     # 6 application actors + two chains of 3 infrastructure actors
     assert len(bound.actors) == 12
-    assert bound.actor("VLD").exec_time == 2132463   # after-mapping time
-    assert bound.actor("ac_izz_iq").exec_time == 252047
-    assert bound.actor("a_izz_iq").exec_time == 100000
-    assert bound.actor("as_izz_iq").exec_time == 90000
-    assert bound.actor("as_idct_cc").exec_time == 80000
-    assert all(bound.has_self_loop(a.id) for a in bound.actors)
+    assert bound.actor_map["VLD"].exec_time == 2132463   # after-mapping time
+    assert bound.actor_map["ac_izz_iq"].exec_time == 252047
+    assert bound.actor_map["a_izz_iq"].exec_time == 100000
+    assert bound.actor_map["as_izz_iq"].exec_time == 90000
+    assert bound.actor_map["as_idct_cc"].exec_time == 80000
+    assert all(any(c.src == a.id == c.dst for c in bound.channels) for a in bound.actors)
 
 
 @pytest.mark.parametrize("actors, channels, message", [
@@ -471,10 +471,10 @@ def test_binder_skips_ids_the_application_holds():
         {"A": "T1", "B": "T2", "ac_c0": "T2", "c0": "T1"},
         remote=("c0", "back", "ret"))
     bound = assert_binds_like_reference(graph, platform, mapping)
-    assert bound.actor("ac_c0").exec_time == 5 + 10
-    assert bound.channel("c0__send").dst == "ac_c0_2"
-    assert bound.channel("ac_c0_2__self").src == "ac_c0_2"
-    assert bound.channel("c0__self_2").src == "c0"
+    assert bound.actor_map["ac_c0"].exec_time == 5 + 10
+    assert bound.channel_map["c0__send"].dst == "ac_c0_2"
+    assert bound.channel_map["ac_c0_2__self"].src == "ac_c0_2"
+    assert bound.channel_map["c0__self_2"].src == "c0"
 
 
 def test_binder_skips_ids_the_application_holds_in_prefetch(monkeypatch):
@@ -492,9 +492,9 @@ def test_binder_skips_ids_the_application_holds_in_prefetch(monkeypatch):
     migrated_p = inputs[0][2].channel_binding
     assert migrated_p["px"].kind == BindingKind.PREFETCH
     assert {"X1_2", "X_ri_2", "X2"} <= bounds[0].actor_map.keys()
-    assert bounds[0].channel("px").dst == "X_ri_2"
-    assert bounds[0].channel("X_ri").src == "X2"
-    assert bounds[0].channel("xx").src == bounds[0].channel("xx").dst == "X2"
+    assert bounds[0].channel_map["px"].dst == "X_ri_2"
+    assert bounds[0].channel_map["X_ri"].src == "X2"
+    assert bounds[0].channel_map["xx"].src == bounds[0].channel_map["xx"].dst == "X2"
 
 
 def test_binder_reuses_ids_a_remote_rewrite_frees():
@@ -507,9 +507,9 @@ def test_binder_reuses_ids_a_remote_rewrite_frees():
         {"A": "T1", "B": "T2"},
         remote=("c1__buf", "B__self", "ret"), buffers={"c1": 3})
     bound = assert_binds_like_reference(graph, platform, mapping)
-    back = bound.channel("c1__buf")
+    back = bound.channel_map["c1__buf"]
     assert (back.src, back.dst, back.initial_tokens) == ("A", "A", 2)
-    assert bound.channel("B__self").src == bound.channel("B__self").dst == "B"
+    assert bound.channel_map["B__self"].src == bound.channel_map["B__self"].dst == "B"
     assert "c1__buf_2" not in bound.channel_map
 
 
