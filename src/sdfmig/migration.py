@@ -22,6 +22,7 @@ from .errors import (
     InvalidMigrationSpecError,
     SdfmigError,
     UnknownActorError,
+    UnmappedActorError,
 )
 from .graph import ActorKind, Channel, SDFG, compute_repetition_vector, fresh_id
 from .mpsoc import (
@@ -144,11 +145,16 @@ def migrate_task(graph: SDFG, platform: Platform, mapping: PlatformMapping,
     for channel in graph.channels:
         if channel.src == channel.dst or actor.id not in (channel.src, channel.dst):
             continue
-        # The new connection joins the channel's endpoint tiles after the move.
+        # The new connection joins the channel's endpoint tiles after the move,
+        # so the other endpoint needs one; hardware may sit on none.
+        peer = channel.dst if channel.src == actor.id else channel.src
+        if peer not in actor_tile:
+            raise UnmappedActorError(f"actor {peer!r} has no tile, so channel "
+                                     f"{channel.id!r} cannot move onto a connection")
         template = _template_connection(channel, platform, mapping, spec, old_tile)
         conn = NocConnection(
             id=fresh_id(f"noc_{channel.id}", {c.id for c in connections}),
-            src_tile=actor_tile.get(channel.src), dst_tile=actor_tile.get(channel.dst),
+            src_tile=actor_tile[channel.src], dst_tile=actor_tile[channel.dst],
             latency=template.latency, bandwidth=template.bandwidth,
         )
         connections.append(conn)

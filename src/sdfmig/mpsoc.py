@@ -31,6 +31,7 @@ REMOTE endpoints both on one tile                    BindingMismatch    SameTile
 REMOTE/PREFETCH connection not in the platform       UnknownConnection  UnknownConnectionError
 connection does not join producer -> consumer tile   BindingMismatch    InvalidBindingError
 second PREFETCH binding into one consumer            BindingMismatch    InvalidBindingError
+buffer-tokens below the channel's initial tokens     BufferTooSmall     BufferTooSmallError
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping as TMapping
 
 from .errors import (
+    BufferTooSmallError,
     DuplicateIdError,
     InvalidBandwidthError,
     InvalidBindingError,
@@ -338,21 +340,21 @@ def _mapping_violations(graph: SDFG, platform: Platform, mapping: PlatformMappin
         src_tile = mapping.actor_tile.get(channel.src)
         dst_tile = mapping.actor_tile.get(channel.dst)
         connection = platform.connection_map.get(binding.connection)
-        if binding.kind == BindingKind.LOCAL:
-            if src_tile != dst_tile:
-                yield ("BindingMismatch", channel_id, SameTileError,
-                       f"channel {channel_id!r} bound locally but endpoints sit on "
-                       f"{src_tile!r} and {dst_tile!r}")
+        if binding.kind == BindingKind.LOCAL and src_tile != dst_tile:
+            yield ("BindingMismatch", channel_id, SameTileError,
+                   f"channel {channel_id!r} bound locally but endpoints sit on "
+                   f"{src_tile!r} and {dst_tile!r}")
         elif binding.kind == BindingKind.REMOTE and src_tile is not None \
                 and src_tile == dst_tile:
             yield ("BindingMismatch", channel_id, SameTileError,
                    f"channel {channel_id!r} bound to connection {binding.connection!r} "
                    f"but both endpoints sit on {src_tile!r}")
-        elif connection is None:
+        elif binding.kind != BindingKind.LOCAL and connection is None:
             yield ("UnknownConnection", channel_id, UnknownConnectionError,
                    f"channel {channel_id!r} bound to unknown connection "
                    f"{binding.connection!r}")
-        elif (src_tile, dst_tile) != (connection.src_tile, connection.dst_tile):
+        elif connection is not None and (src_tile, dst_tile) != (connection.src_tile,
+                                                                 connection.dst_tile):
             yield ("BindingMismatch", channel_id, partial(InvalidBindingError, "connection"),
                    f"{connection.id!r} joins {connection.src_tile!r}->"
                    f"{connection.dst_tile!r} but channel {channel_id!r} runs "
@@ -361,6 +363,12 @@ def _mapping_violations(graph: SDFG, platform: Platform, mapping: PlatformMappin
             yield ("BindingMismatch", channel_id, partial(InvalidBindingError, "kind"),
                    f"prefetch on channel {channel_id!r} is a second one into "
                    f"{channel.dst!r}, after channel {prefetched[channel.dst]!r}")
+        # Initial tokens that are not an int break a graph rule instead.
+        elif (binding.buffer_tokens is not None and type(channel.initial_tokens) is int
+              and binding.buffer_tokens < channel.initial_tokens):
+            yield ("BufferTooSmall", channel_id, BufferTooSmallError,
+                   f"buffer of {binding.buffer_tokens} tokens cannot hold the "
+                   f"{channel.initial_tokens} initial tokens of {channel_id!r}")
         if binding.kind == BindingKind.PREFETCH:
             prefetched.setdefault(channel.dst, channel_id)
 

@@ -1,8 +1,13 @@
 """Scenario files: application graph, platform, mapping and migration
 defaults in one self-describing XML document, plus report emission.
 
-The attribute tables (``_ACTOR`` ... ``_DEFAULTS``) are the format's one
-statement: load and save both read them. Numeric attributes are parsed
+The attribute tables (``_ACTOR`` ... ``_DEFAULTS``) and the child tables
+(``_SCENARIO_CHILDREN`` ... ``_MAPPING_CHILDREN``) are the format's one
+statement: load and save both read the attribute tables, and load reads
+each element's children through its child table, so an unknown child, a
+second ``<description>``, ``<application>``, ``<platform>``, ``<mapping>``
+or ``<defaults>`` and a missing ``<application>`` are refused at load with
+their line and column. Numeric attributes are parsed
 exactly (a bandwidth of 0.00406278 stays the rational 203139/50000000);
 serialization is canonical, so saving the same scenario twice produces
 identical bytes. An import shim reads the application-graph subset of
@@ -104,9 +109,6 @@ class _Node:
         self.line = line
         self.column = column
 
-    def where(self) -> tuple[int, int]:
-        return self.line, self.column
-
 
 def _parse_tree(text: str) -> _Node:
     parser = xml.parsers.expat.ParserCreate()
@@ -190,10 +192,24 @@ _SDF3_CHANNEL = _table(("srcActor", str, _REQUIRED), ("dstActor", str, _REQUIRED
                        ("name", str, _REQUIRED), ("srcPort", str, ""), ("dstPort", str, ""),
                        ("initialTokens", int, 0), ("size", str, None))
 
+# One table per element with children, a row (tag, count) per child tag in
+# the order load reads them, as the README grammar states them: _ONE is
+# exactly one, _OPTIONAL at most one, _MANY any number. Load accepts no
+# other child.
+_ONE, _OPTIONAL, _MANY = object(), object(), object()
+_SCENARIO_CHILDREN = {"description": _OPTIONAL, "application": _ONE,
+                      "platform": _OPTIONAL, "mapping": _OPTIONAL, "defaults": _OPTIONAL}
+_APPLICATION_CHILDREN = {"actor": _MANY, "channel": _MANY}
+_PLATFORM_CHILDREN = {"tile": _MANY, "connection": _MANY}
+_MAPPING_CHILDREN = {"place": _MANY, "bind": _MANY}
+
+
+def _at(node: _Node, message: str):
+    raise ScenarioParseError(message, line=node.line, column=node.column)
+
 
 def _fail(node: _Node, message: str):
-    line, column = node.where()
-    raise ScenarioParseError(f"<{node.tag}>: {message}", line=line, column=column)
+    _at(node, f"<{node.tag}>: {message}")
 
 
 def _fail_field(node: _Node, error: InvalidFieldError):
@@ -209,9 +225,7 @@ def _fields(node: _Node, table: dict) -> dict:
     attrib = node.attrib
     if not attrib.keys() <= table.keys():
         unknown = sorted(attrib.keys() - table.keys())[0]
-        line, column = node.where()
-        raise ScenarioParseError(f"unknown attribute {unknown!r} on <{node.tag}>",
-                                 line=line, column=column)
+        _at(node, f"unknown attribute {unknown!r} on <{node.tag}>")
     values = {}
     for attribute, (field, kind, default) in table.items():
         raw = attrib.get(attribute)
@@ -246,13 +260,23 @@ def _fields(node: _Node, table: dict) -> dict:
     return values
 
 
-def _expect_children(node: _Node, allowed: set[str]) -> None:
+def _children(node: _Node, table: dict) -> dict[str, list[_Node]]:
+    """The node's children by tag, for every tag of ``table`` in table order,
+    each tag's in document order. A tag the table lacks is unknown; a second
+    child of a tag that takes at most one is refused at that child, and a
+    missing child of a tag that takes exactly one at ``node``."""
+    found = {tag: [] for tag in table}
     for child in node.children:
-        if child.tag not in allowed:
-            line, column = child.where()
-            raise ScenarioParseError(
-                f"unknown element <{child.tag}> inside <{node.tag}>",
-                line=line, column=column)
+        same = found.get(child.tag)
+        if same is None:
+            _at(child, f"unknown element <{child.tag}> inside <{node.tag}>")
+        if same and table[child.tag] is not _MANY:
+            _at(child, f"second <{child.tag}> inside <{node.tag}>")
+        same.append(child)
+    for tag, count in table.items():
+        if count is _ONE and not found[tag]:
+            _at(node, f"{node.tag} has no <{tag}>")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -270,46 +294,26 @@ def load_scenario(path) -> Scenario:
     if root.tag == "sdf3":
         return Scenario(name=Path(path).stem, graph=_read_sdf3(root))
     if root.tag != "scenario":
-        line, column = root.where()
-        raise ScenarioParseError(f"expected <scenario> root, got <{root.tag}>",
-                                 line=line, column=column)
+        _at(root, f"expected <scenario> root, got <{root.tag}>")
     head = _fields(root, _table(("name", str, Path(path).stem),
                                 ("clock-hz", Fraction, DEFAULT_CLOCK_HZ)))
     name, clock = head["name"], head["clock_hz"]
     if clock <= 0:
         _fail(root, f"attribute 'clock-hz' must be positive, got {format_rational(clock)}")
-    _expect_children(root, {"description", "application", "platform", "mapping",
-                            "defaults"})
+    children = _children(root, _SCENARIO_CHILDREN)
 
-    description = ""
-    graph: SDFG | None = None
-    platform: Platform | None = None
-    mapping: PlatformMapping | None = None
-    defaults = MigrationSpec()
-    defaults_node: _Node | None = None
-    for child in root.children:
-        if child.tag == "description":
-            description = child.text.strip()
-        elif child.tag == "application":
-            graph = _read_application(child)
-        elif child.tag == "platform":
-            platform = _read_platform(child)
-        elif child.tag == "mapping":
-            mapping = _read_mapping(child)
-        elif child.tag == "defaults":
-            defaults, defaults_node = _read_defaults(child), child
-    if graph is None:
-        line, column = root.where()
-        raise ScenarioParseError("scenario has no <application>", line=line,
-                                 column=column)
+    # An optional element is read when present, else its default.
+    description = next((node.text.strip() for node in children["description"]), "")
+    graph = _read_application(children["application"][0])
+    platform = next(map(_read_platform, children["platform"]), None)
+    mapping = next(map(_read_mapping, children["mapping"]), None)
+    defaults = next(map(_read_defaults, children["defaults"]), MigrationSpec())
     if mapping is not None and platform is None:
-        line, column = root.where()
-        raise ScenarioParseError("scenario has a <mapping> but no <platform>",
-                                 line=line, column=column)
+        _at(root, "scenario has a <mapping> but no <platform>")
     connection = defaults.hw_connection
     if connection is not None and (platform is None
                                    or connection not in platform.connection_map):
-        _fail(defaults_node,
+        _fail(children["defaults"][0],
             f"attribute 'hw-connection' names no connection of the platform, "
             f"got {connection!r}")
 
@@ -319,65 +323,57 @@ def load_scenario(path) -> Scenario:
 
 def _read_application(node: _Node) -> SDFG:
     reference = _fields(node, _APPLICATION)["reference_actor"]
-    _expect_children(node, {"actor", "channel"})
-    actors: list[Actor] = []
-    channels: list[Channel] = []
-    for child in node.children:
-        if child.tag == "actor":
-            actors.append(Actor(**_fields(child, _ACTOR)))
-        else:
-            channels.append(Channel(**_fields(child, _CHANNEL)))
-    return SDFG(actors=actors, channels=channels, reference_actor=reference)
+    children = _children(node, _APPLICATION_CHILDREN)
+    return SDFG(actors=[Actor(**_fields(child, _ACTOR)) for child in children["actor"]],
+                channels=[Channel(**_fields(child, _CHANNEL))
+                          for child in children["channel"]],
+                reference_actor=reference)
 
 
 def _read_platform(node: _Node) -> Platform:
     _fields(node, {})
-    _expect_children(node, {"tile", "connection"})
-    tiles: list[Tile] = []
+    children = _children(node, _PLATFORM_CHILDREN)
+    tiles = [Tile(**_fields(child, _TILE)) for child in children["tile"]]
     connections: list[NocConnection] = []
-    for child in node.children:
-        if child.tag == "tile":
-            tiles.append(Tile(**_fields(child, _TILE)))
-        else:
-            values = _fields(child, _CONNECTION)
-            if values["bandwidth"] <= 0:
-                _fail(child, "bandwidth must be positive")
-            connections.append(NocConnection(**values))
+    for child in children["connection"]:
+        values = _fields(child, _CONNECTION)
+        if values["bandwidth"] <= 0:
+            _fail(child, "bandwidth must be positive")
+        connections.append(NocConnection(**values))
     return Platform(tiles=tiles, connections=connections)
 
 
 def _read_mapping(node: _Node) -> PlatformMapping:
     _fields(node, {})
-    _expect_children(node, {"place", "bind"})
+    children = _children(node, _MAPPING_CHILDREN)
     actor_tile: dict[str, str] = {}
     tdma_slice: dict[str, int] = {}
     bindings: dict[str, ChannelBinding] = {}
-    for child in node.children:
-        if child.tag == "place":
-            place = _fields(child, _PLACE)
-            if place["actor"] in actor_tile:
-                _fail(child, f"actor {place['actor']!r} is placed twice")
-            actor_tile[place["actor"]] = place["tile"]
-            if place["tdma_slice"] is not None:
-                tdma_slice[place["actor"]] = place["tdma_slice"]
-        else:
-            values = _fields(child, _BIND)
-            channel = values.pop("channel")
-            if channel in bindings:
-                _fail(child, f"channel {channel!r} is bound twice")
-            kind = (BindingKind.PREFETCH if values.pop("prefetch") else
-                    BindingKind.LOCAL if values["connection"] is None else BindingKind.REMOTE)
-            try:
-                bindings[channel] = ChannelBinding(kind=kind, **values)
-            except InvalidFieldError as exc:
-                _fail_field(child, exc)
+    for child in children["place"]:
+        place = _fields(child, _PLACE)
+        if place["actor"] in actor_tile:
+            _fail(child, f"actor {place['actor']!r} is placed twice")
+        actor_tile[place["actor"]] = place["tile"]
+        if place["tdma_slice"] is not None:
+            tdma_slice[place["actor"]] = place["tdma_slice"]
+    for child in children["bind"]:
+        values = _fields(child, _BIND)
+        channel = values.pop("channel")
+        if channel in bindings:
+            _fail(child, f"channel {channel!r} is bound twice")
+        kind = (BindingKind.PREFETCH if values.pop("prefetch") else
+                BindingKind.LOCAL if values["connection"] is None else BindingKind.REMOTE)
+        try:
+            bindings[channel] = ChannelBinding(kind=kind, **values)
+        except InvalidFieldError as exc:
+            _fail_field(child, exc)
     return PlatformMapping(actor_tile=actor_tile, tdma_slice=tdma_slice,
                            channel_binding=bindings)
 
 
 def _read_defaults(node: _Node) -> MigrationSpec:
     values = _fields(node, _DEFAULTS)
-    _expect_children(node, set())
+    _children(node, {})
     try:
         return MigrationSpec(**values)
     except InvalidFieldError as exc:
@@ -390,7 +386,8 @@ def _read_defaults(node: _Node) -> MigrationSpec:
 def _read_sdf3(root: _Node) -> SDFG:
     """Read the application-graph subset of an SDF3-style file: actors with
     rated ports, channels wired port to port, execution times from the actor
-    properties block."""
+    properties block, each from the only processor there or else the one
+    marked ``default="true"``."""
 
     def find_all(node: _Node, tag: str) -> list[_Node]:
         found = []
@@ -404,15 +401,12 @@ def _read_sdf3(root: _Node) -> SDFG:
                 minimum: int | None = None) -> int:
         """``node``'s attribute ``name`` as a plain integer, else a parse
         error at the node that calls the value ``what``."""
-        line, column = node.where()
         try:
             value = parse_plain_integer(node.attrib.get(name, default))
         except ValueError:
-            raise ScenarioParseError(f"{what} must be an integer",
-                                     line=line, column=column) from None
+            _at(node, f"{what} must be an integer")
         if minimum is not None and value < minimum:
-            raise ScenarioParseError(f"{what} must be at least {minimum}",
-                                     line=line, column=column)
+            _at(node, f"{what} must be at least {minimum}")
         return value
 
     port_rates: dict[tuple[str, str], int] = {}
@@ -421,7 +415,13 @@ def _read_sdf3(root: _Node) -> SDFG:
     exec_times: dict[str, int] = {}
     for properties in find_all(root, "actorProperties"):
         actor_name = properties.attrib.get("actor", "")
-        for timing in find_all(properties, "executionTime"):
+        processors = find_all(properties, "processor")
+        marked = [p for p in processors if p.attrib.get("default") == "true"]
+        chosen = processors if len(processors) == 1 else marked
+        if len(chosen) != 1:
+            _at(properties, f"actor {actor_name!r}: expected one <processor> or one marked "
+                            f"default, got {len(processors)} with {len(marked)} marked")
+        for timing in find_all(chosen[0], "executionTime"):
             exec_times[actor_name] = integer(timing, "time", "0", "executionTime")
     token_sizes: dict[str, int] = {}
     for properties in find_all(root, "channelProperties"):
@@ -433,8 +433,7 @@ def _read_sdf3(root: _Node) -> SDFG:
     for node in actor_nodes:
         name = node.attrib.get("name")
         if name is None:
-            line, column = node.where()
-            raise ScenarioParseError("actor without name", line=line, column=column)
+            _at(node, "actor without name")
         for port in node.children:
             if port.tag == "port":
                 port_rates[(name, port.attrib.get("name", ""))] = integer(

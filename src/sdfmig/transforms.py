@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .errors import BufferTooSmallError
 from .graph import (
     Actor,
     ActorKind,
@@ -93,13 +92,10 @@ class _WorkingGraph:
         The back-edge starts with ``buffer_tokens - initial_tokens`` tokens:
         the free space left in a buffer of ``buffer_tokens`` tokens. The
         forward channel is untouched, so tokens(forward) + tokens(back) stays
-        equal to ``buffer_tokens`` in every reachable state.
+        equal to ``buffer_tokens`` in every reachable state, which holds the
+        initial tokens (:func:`~sdfmig.mpsoc.check_mapping`).
         """
         channel = self.channels[channel_id]
-        if buffer_tokens < channel.initial_tokens:
-            raise BufferTooSmallError(
-                f"buffer of {buffer_tokens} tokens cannot hold the "
-                f"{channel.initial_tokens} initial tokens of {channel_id!r}")
         back = Channel(
             id=self.fresh(f"{channel_id}__buf"),
             src=channel.dst, dst=channel.src,

@@ -730,3 +730,34 @@ SDF3_APP = """<sdf3 type="sdf" version="1.0">
     </sdfProperties>
   </applicationGraph>
 </sdf3>"""
+
+
+# Ids the rewrites draw for a channel c or an actor X.
+REWRITE_STEMS = ("ac_{c}", "a_{c}", "as_{c}", "{c}__buf", "{c}__send", "{c}__recv",
+                 "{X}_ri", "{X}1", "{X}2", "{X}_m1", "{X}__self")
+
+
+def with_rewrite_stems(rng, graph, mapping):
+    """``graph`` and ``mapping`` with about half the actors and channels
+    renamed to an id that a rewrite draws, so the binder has to skip ids the
+    application holds. Two elements may end up with one id."""
+    from sdfmig.mpsoc import PlatformMapping
+
+    if not graph.channels:
+        return graph, mapping
+    names = {e.id: rng.choice(REWRITE_STEMS).format(c=rng.choice(graph.channels).id,
+                                                    X=rng.choice(graph.actors).id)
+             for e in graph.actors + graph.channels if rng.random() < 0.5}
+
+    def name(element_id):
+        return names.get(element_id, element_id)
+
+    graph = SDFG([replace(a, id=name(a.id), name="") for a in graph.actors],
+                 [replace(c, id=name(c.id), src=name(c.src), dst=name(c.dst))
+                  for c in graph.channels],
+                 name(graph.reference_actor))
+    mapping = PlatformMapping(
+        actor_tile={name(a): t for a, t in mapping.actor_tile.items()},
+        tdma_slice={name(a): s for a, s in mapping.tdma_slice.items()},
+        channel_binding={name(c): b for c, b in mapping.channel_binding.items()})
+    return graph, mapping

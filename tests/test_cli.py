@@ -313,6 +313,22 @@ def test_check_binding_against_tiles_is_invalid_scenario(tmp_path, capsys, edits
     assert "Traceback" not in err
 
 
+SECOND_MAPPING = """  <mapping>
+    <place actor="VLD" tile="T1" tdma-slice="50000"/>
+    <place actor="IZZ" tile="T1" tdma-slice="50000"/>
+    <place actor="IQ" tile="T2" tdma-slice="10000"/>
+    <place actor="IDCT" tile="T2" tdma-slice="90000"/>
+    <place actor="CC" tile="T3" tdma-slice="20000"/>
+    <place actor="RE" tile="T3" tdma-slice="80000"/>
+    <bind channel="vld_izz" buffer-tokens="26"/>
+    <bind channel="izz_iq" connection="n1" alpha-src="2" alpha-dst="1" latency-bound="100000"/>
+    <bind channel="iq_idct" buffer-tokens="2"/>
+    <bind channel="idct_cc" connection="n2" alpha-src="2" alpha-dst="2" latency-bound="100000"/>
+    <bind channel="cc_re" buffer-tokens="24"/>
+  </mapping>
+"""
+
+
 @pytest.mark.parametrize("old, new", [
     pytest.param("</platform>", '  <connection id="n1" src-tile="T1" dst-tile="T2" '
                  'latency="900000" bandwidth="0.00001"/>\n  </platform>', id="connection"),
@@ -324,9 +340,14 @@ def test_check_binding_against_tiles_is_invalid_scenario(tmp_path, capsys, edits
     pytest.param('<place actor="VLD" tile="T1" tdma-slice="50000"/>',
                  '<place actor="VLD" tile="T1" tdma-slice="50000"/>\n'
                  '    <place actor="VLD" tile="T1" tdma-slice="40000"/>', id="place"),
+    pytest.param("</scenario>", SECOND_MAPPING + "</scenario>", id="mapping"),
+    pytest.param("</scenario>", '  <defaults speedup="4"/>\n  <defaults speedup="1"/>\n'
+                 "</scenario>", id="defaults"),
 ])
 def test_repeated_platform_or_mapping_entry_is_invalid_scenario(tmp_path, capsys, old, new):
-    # Each used to keep the last entry and exit 0: 0.08, 13.91, 12.87 f/s.
+    # Each used to keep the last entry and exit 0: 0.08, 13.91, 12.87 f/s,
+    # and 14.33 f/s for the second <mapping>, whose vld_izz buffer is 26;
+    # explore ranked the <defaults> pair with speedup 1 (IQ 17.40, not 18.35).
     code, out, err = run_cli(capsys, "throughput", mjpeg_variant(tmp_path, old, new))
     assert (code, out) == (1, "")
     assert err.startswith("invalid scenario: ") and err.count("\n") == 1

@@ -15,7 +15,6 @@ from helpers import (
 from sdfmig.analysis import self_timed_throughput, to_frames_per_second
 from sdfmig.errors import (
     AlreadyHardwareError,
-    InvalidFieldError,
     InvalidMigrationSpecError,
     SdfmigError,
     UnknownActorError,
@@ -208,14 +207,16 @@ def test_hh1_migration_with_unit_speedup_keeps_throughput():
 def test_migration_beside_an_unplaced_hardware_actor_is_a_typed_error():
     # A(10) -> H -> A with H hardware and on no tile, as hardware may stay.
     # Migrating A used to build noc_ah from hw_A to None: the result analysed
-    # (1/15 -> 1/12 iterations per cycle), but saving it failed.
+    # (1/15 -> 1/12 iterations per cycle), but saving it failed. Later the
+    # connection refused it as "dst_tile must be a str, got None", which
+    # named neither H nor the channel.
     g = SDFG([Actor("A", 10), Actor("H", 5, ActorKind.HARDWARE)],
              [Channel("ah", "A", "H"), Channel("ha", "H", "A", initial_tokens=1)])
     platform = Platform([Tile("T1", tdma_wheel=10)],
                         [NocConnection("n", "T1", "T1", latency=1)])
     mapping = PlatformMapping({"A": "T1"}, {"A": 3}, {})
-    message = "dst_tile must be a str, got None"
-    with pytest.raises(InvalidFieldError) as raised:
+    message = "actor 'H' has no tile, so channel 'ah' cannot move onto a connection"
+    with pytest.raises(UnmappedActorError) as raised:
         migrate_task(g, platform, mapping, MigrationSpec(actor="A"))
     assert str(raised.value) == message
     _, candidates = explore_single_migrations(g, platform, mapping)

@@ -7,6 +7,7 @@ import pytest
 from helpers import mjpeg_application, mjpeg_mapping, mjpeg_platform, random_scenario
 from sdfmig.analysis import self_timed_throughput
 from sdfmig.errors import (
+    BufferTooSmallError,
     DuplicateIdError,
     InvalidBandwidthError,
     InvalidBindingError,
@@ -335,11 +336,21 @@ def second_prefetch_into_one_consumer():
     return graph, mjpeg_platform(), mapping, InvalidBindingError, "izz_iq2"
 
 
+def buffer_below_initial_tokens():
+    # iq_idct with 3 initial tokens in its buffer of 2 used to load clean and
+    # fail only when bound, as an analysis error.
+    graph = mjpeg_application()
+    graph = replace(graph, channels=[replace(c, initial_tokens=3) if c.id == "iq_idct" else c
+                                     for c in graph.channels])
+    return graph, mjpeg_platform(), mjpeg_mapping(), BufferTooSmallError, "iq_idct"
+
+
 FAULTY_MAPPINGS = [connection_joining_wrong_tiles, binding_on_unknown_channel,
                    local_binding_with_unplaced_endpoint, remote_binding_inside_one_tile,
                    negative_tdma_slice, repeated_tile, repeated_connection,
-                   second_prefetch_into_one_consumer]
-CODE_OF_ERROR = {UnknownChannelError: "UnknownChannel", DuplicateIdError: "DuplicateId"}
+                   second_prefetch_into_one_consumer, buffer_below_initial_tokens]
+CODE_OF_ERROR = {UnknownChannelError: "UnknownChannel", DuplicateIdError: "DuplicateId",
+                 BufferTooSmallError: "BufferTooSmall"}
 REFUSED_WHERE_BUILT = {negative_tdma_slice: (
     SliceOverflowError, "actor 'IZZ': tdma slice must be at least 0, got -50000")}
 

@@ -285,10 +285,31 @@ def test_channel_binding_rejects_fields_its_kind_does_not_take(kwargs, field):
     assert err.value.field == field
 
 
+SDF3_A_TIME = """<processor type="arm" default="true">
+          <executionTime time="100"/>
+        </processor>"""
+SDF3_DSP = """
+        <processor type="dsp">
+          <executionTime time="50"/>
+        </processor>"""
+
+
 def _without(element):
     """mjpeg_base without its ``<element>`` block."""
     text = bundled_scenario_path("mjpeg_base").read_text()
     return re.sub(f"  <{element}.*</{element}>\n", "", text, flags=re.S)
+
+
+def _twice(element):
+    """mjpeg_base with its ``<element>`` block written twice in a row."""
+    text = bundled_scenario_path("mjpeg_base").read_text()
+    block = re.search(f"  <{element}.*</{element}>\n", text, flags=re.S).group()
+    return text.replace(block, block * 2)
+
+
+def _edited(old, new):
+    """mjpeg_base with ``old`` replaced by ``new``."""
+    return bundled_scenario_path("mjpeg_base").read_text().replace(old, new)
 
 
 @pytest.mark.parametrize("text, message, line, column", [
@@ -309,6 +330,22 @@ def _without(element):
                  id="mapping-without-platform"),
     pytest.param(SDF3_APP.replace('<actor name="B" type="b">', '<actor type="b">'),
                  "actor without name", 8, 7, id="sdf3-actor-without-name"),
+    # A second singleton element used to replace the first without a word.
+    *[pytest.param(_twice(element), f"second <{element}> inside <scenario>", line, 3,
+                   id=f"second-{element}")
+      for element, line in [("description", 19), ("application", 32), ("platform", 39),
+                            ("mapping", 52)]],
+    pytest.param(_edited("</scenario>", "  <defaults/>\n  <defaults/>\n</scenario>"),
+                 "second <defaults> inside <scenario>", 53, 3, id="second-defaults"),
+    pytest.param(_edited("  </mapping>", "    <x/>\n  </mapping>"),
+                 "unknown element <x> inside <mapping>", 51, 5, id="unknown-in-mapping"),
+    pytest.param(_edited("</scenario>", "  <defaults><x/></defaults>\n</scenario>"),
+                 "unknown element <x> inside <defaults>", 52, 13, id="unknown-in-defaults"),
+    # Two processors and none marked default leave A no one execution time.
+    pytest.param(SDF3_APP.replace(SDF3_A_TIME, SDF3_A_TIME.replace(' default="true"', "")
+                                  + SDF3_DSP),
+                 "actor 'A': expected one <processor> or one marked default, got 2 with "
+                 "0 marked", 16, 7, id="sdf3-no-default-processor"),
 ])
 def test_load_refuses_a_malformed_structure(tmp_path, text, message, line, column):
     bad = tmp_path / "bad.xml"
@@ -413,6 +450,14 @@ def test_sdf3_import_shim(tmp_path):
     assert g.channel_map["ch1"].token_size == 512
     assert g.channel_map["ch2"].initial_tokens == 3
     assert scenario.platform is None and scenario.mapping is None
+
+
+def test_sdf3_reads_the_default_processor(tmp_path):
+    # The shim used to keep the last time it found: A loaded with 50.
+    assert SDF3_A_TIME in SDF3_APP
+    sdf3 = tmp_path / "app.xml"
+    sdf3.write_text(SDF3_APP.replace(SDF3_A_TIME, SDF3_A_TIME + SDF3_DSP))
+    assert load_scenario(sdf3).graph.actor_map["A"].exec_time == 100
 
 
 def test_sdf3_rejects_non_integer_token_size(tmp_path):

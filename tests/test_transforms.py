@@ -11,6 +11,7 @@ from helpers import (
     mjpeg_platform,
     random_scenario,
     reference_bound_graph,
+    with_rewrite_stems,
 )
 from sdfmig import migration
 from sdfmig.analysis import iterate_states, mcm_throughput, self_timed_throughput
@@ -436,6 +437,25 @@ def test_binder_matches_reference_on_random_scenarios(monkeypatch):
             prefetched += any(b.kind == BindingKind.PREFETCH
                               for b in args[2].channel_binding.values())
     assert bound > 100 and prefetched > 50
+
+
+def test_binder_matches_reference_on_renamed_scenarios(monkeypatch):
+    # Elements renamed to the ids the rewrites draw, channels included, so a
+    # binder that skipped only the taken actor ids would differ here, and a
+    # repeated id must fail as the reference does.
+    bound = failed = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        graph, platform, mapping = random_scenario(rng)
+        graph, mapping = with_rewrite_stems(rng, graph, mapping)
+        if assert_binds_like_reference(graph, platform, mapping) is None:
+            failed += 1
+        else:
+            bound += 1
+        for args in migration_bind_inputs(monkeypatch, graph, platform, mapping,
+                                          MigrationSpec()):
+            assert_binds_like_reference(*args)
+    assert bound > 90 and failed > 0
 
 
 def two_tile_scenario(actors, channels, tiles, remote=(), buffers=None):
